@@ -15,6 +15,7 @@ reachable server, and it inherits that server's native delivery semantics.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -100,8 +101,11 @@ def validate_payload(key: str, payload: bytes) -> dict:
         if field not in record:
             raise SchemaViolation(f"payload for {key} missing field {field!r}")
         value = record[field]
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise SchemaViolation(f"{key}.{field}: {value} is not a finite number")
         # bool is an int subclass; reject bools where a number is expected.
-        if isinstance(value, bool) and bool not in types:
+        elif isinstance(value, bool) and bool not in types:
             raise SchemaViolation(f"{key}.{field}: expected {types}, got bool")
         if not isinstance(value, types):
             raise SchemaViolation(
@@ -225,10 +229,19 @@ class RedisBusAdapter(BusBackend):
             self._redis.ping()
         except Exception as exc:  # pragma: no cover - requires live server
             raise BackendUnavailable(f"redis unreachable: {exc}") from exc
-        self._pubsub_threads: list = []
 
     def _name(self, key: str) -> str:
         return self._prefix + key
+
+    @staticmethod
+    def _message(key: str, envelope: bytes) -> BusMessage:
+        data = json.loads(envelope)
+        return BusMessage(
+            key=key,
+            payload=data["payload"].encode("utf-8"),
+            seq=data["seq"],
+            timestamp=data["timestamp"],
+        )
 
     def publish(self, key: str, payload: bytes) -> int:
         validate_payload(key, payload)
@@ -252,34 +265,17 @@ class RedisBusAdapter(BusBackend):
     def get_latest(self, key: str) -> Optional[BusMessage]:
         check_key(key)
         raw = self._redis.get(self._name(key))
-        if raw is None:
-            return None
-        envelope = json.loads(raw)
-        return BusMessage(
-            key=key,
-            payload=envelope["payload"].encode("utf-8"),
-            seq=envelope["seq"],
-            timestamp=envelope["timestamp"],
-        )
+        return None if raw is None else self._message(key, raw)
 
     def subscribe(self, key: str, handler: Handler) -> Subscription:
         check_key(key)
         pubsub = self._redis.pubsub(ignore_subscribe_messages=True)
 
         def _on_message(message) -> None:
-            envelope = json.loads(message["data"])
-            handler(
-                BusMessage(
-                    key=key,
-                    payload=envelope["payload"].encode("utf-8"),
-                    seq=envelope["seq"],
-                    timestamp=envelope["timestamp"],
-                )
-            )
+            handler(self._message(key, message["data"]))
 
         pubsub.subscribe(**{self._name(key): _on_message})
         thread = pubsub.run_in_thread(sleep_time=0.005, daemon=True)
-        self._pubsub_threads.append(thread)
 
         def _unsub() -> None:
             thread.stop()

@@ -21,13 +21,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import bus as busmod
-from .trajectory import (
-    ENDED_COLLISION,
-    ENDED_TERMINATE,
-    ENDED_TIMEOUT,
-    Outcome,
-    Trajectory,
-)
+from .skills import words
+from .trajectory import ENDED_TERMINATE, Outcome, Trajectory
 
 
 class EnvError(Exception):
@@ -380,8 +375,7 @@ _STOPWORDS = frozenset(
 
 
 def _tokens(text: str) -> set[str]:
-    words = "".join(c.lower() if c.isalnum() else " " for c in text).split()
-    return {w for w in words if len(w) > 2 and w not in _STOPWORDS}
+    return {w for w in words(text) if len(w) > 2 and w not in _STOPWORDS}
 
 
 def match_dimension(ground_truth: str, submitted: str) -> float:
@@ -421,17 +415,7 @@ def evaluate(trajectory: Trajectory, task: TaskSpec, satellite: SatelliteModel) 
     terminal_distance = None
     if trajectory.steps:
         terminal_distance = trajectory.steps[-1].observation.get("true_range")
-    if trajectory.ended_by == ENDED_COLLISION:
-        return Outcome(
-            steps=steps, reason="collision", success=False,
-            terminal_distance=terminal_distance,
-        )
-    if trajectory.ended_by == ENDED_TIMEOUT:
-        return Outcome(
-            steps=steps, reason="timeout", success=False,
-            terminal_distance=terminal_distance,
-        )
-    if trajectory.ended_by != ENDED_TERMINATE:
+    if trajectory.ended_by != ENDED_TERMINATE:  # collision, timeout or error
         return Outcome(
             steps=steps, reason=trajectory.ended_by, success=False,
             terminal_distance=terminal_distance,
@@ -482,25 +466,23 @@ class EnvBridge:
         seq = self.backend.publish(busmod.SENSOR_RGB, busmod.encode(obs.rgb_payload()))
         self.backend.publish(busmod.SENSOR_RGB_NOTIFY, busmod.encode({"seq": seq}))
 
-    def _on_pose_delta(self, msg: busmod.BusMessage) -> None:
-        if self.terminated:
-            return
+    def _apply(self, command, argument) -> None:
+        """Apply one command and publish the observation after it. A rejected
+        command leaves the state unchanged and is reported as a note."""
         try:
-            obs = self.env.step(msg.record())
-        except StepLimitExceeded as exc:
+            obs = command(argument)
+        except (StepLimitExceeded, GainOutOfRange) as exc:
             obs = self.env.observe()
-            obs.note = f"StepLimitExceeded: {exc}"
+            obs.note = f"{type(exc).__name__}: {exc}"
         self._publish(obs)
 
+    def _on_pose_delta(self, msg: busmod.BusMessage) -> None:
+        if not self.terminated:
+            self._apply(self.env.step, msg.record())
+
     def _on_exposure(self, msg: busmod.BusMessage) -> None:
-        if self.terminated:
-            return
-        try:
-            obs = self.env.set_exposure(msg.record()["gain_delta"])
-        except GainOutOfRange as exc:
-            obs = self.env.observe()
-            obs.note = f"GainOutOfRange: {exc}"
-        self._publish(obs)
+        if not self.terminated:
+            self._apply(self.env.set_exposure, msg.record()["gain_delta"])
 
     def _on_terminate(self, msg: busmod.BusMessage) -> None:
         self.terminated = True

@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
-from .skills import LEARNED, Skill, parse_skill_text, render_skill
+from .skills import LEARNED, Skill, latest_learned, render_skill, words
 from .trajectory import Outcome, Trajectory
 
 ACTION_CREATE = "create"
@@ -78,20 +78,7 @@ class EpisodeSummary:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "task_kind": self.task_kind,
-            "success": self.success,
-            "terminal_distance": self.terminal_distance,
-            "score": self.score,
-            "steps": self.steps,
-            "reason": self.reason,
-            "movement": self.movement,
-            "movement_omitted": self.movement_omitted,
-            "perception": self.perception,
-            "max_attempted_translation": self.max_attempted_translation,
-            "notes": self.notes,
-        }
+        return dict(vars(self))
 
 
 def summarize_episode(
@@ -274,6 +261,12 @@ def parse_learned_sections(body: str) -> dict[str, str]:
     return sections
 
 
+def skill_fingerprint(skill: Skill) -> str:
+    """The fingerprint of a stored learned skill, comparable with a mutation's."""
+    sections = parse_learned_sections(skill.body)
+    return fingerprint(",".join(skill.scope), sections["trigger"], sections["rule"])
+
+
 @dataclass
 class GateVerdict:
     accepted: bool
@@ -285,34 +278,19 @@ class SkillStore:
     """Learned-skill directory plus append-only audit log. Single writer;
     mutated only between episodes."""
 
-    def __init__(self, learned_dir: Path, audit_path: Optional[Path] = None):
+    def __init__(self, learned_dir: Path):
         self.learned_dir = Path(learned_dir)
         self.learned_dir.mkdir(parents=True, exist_ok=True)
-        self.audit_path = (
-            Path(audit_path) if audit_path else self.learned_dir / "audit.log"
-        )
+        self.audit_path = self.learned_dir / "audit.log"
 
     # -- reading -------------------------------------------------------
 
     def load_all(self) -> dict[str, tuple[Skill, Path]]:
         """Highest version per skill name; archived files are excluded."""
-        best: dict[str, tuple[Skill, Path]] = {}
-        for path in sorted(self.learned_dir.glob("*.skill")):
-            skill = parse_skill_text(path.read_text(encoding="utf-8"))
-            if skill.name not in best or skill.version > best[skill.name][0].version:
-                best[skill.name] = (skill, path)
-        return best
+        return latest_learned(self.learned_dir)
 
     def fingerprints(self) -> set[str]:
-        prints = set()
-        for skill, _path in self.load_all().values():
-            sections = parse_learned_sections(skill.body)
-            prints.add(
-                fingerprint(
-                    ",".join(skill.scope), sections["trigger"], sections["rule"]
-                )
-            )
-        return prints
+        return {skill_fingerprint(skill) for skill, _path in self.load_all().values()}
 
     # -- audit ---------------------------------------------------------
 
@@ -331,7 +309,6 @@ def quality_gate(
     mutation: MutationDecision,
     store: SkillStore,
     episode_task: str,
-    blacklist=DEFAULT_BLACKLIST,
     episode_id: str = "",
 ) -> GateVerdict:
     """Four constraints, applied in order; first failure wins."""
@@ -345,7 +322,7 @@ def quality_gate(
     ).lower()
     existing = store.load_all()
 
-    for phrase in blacklist:
+    for phrase in DEFAULT_BLACKLIST:
         if phrase.lower() in checked_text:
             verdict = GateVerdict(False, REJECT_SAFETY, f"blacklisted phrase {phrase!r}")
             break
@@ -353,7 +330,7 @@ def quality_gate(
         print_ = fingerprint(
             mutation.scope, content.get("trigger", ""), content.get("rule", "")
         )
-        if print_ in store.fingerprints():
+        if print_ in {skill_fingerprint(skill) for skill, _path in existing.values()}:
             verdict = GateVerdict(False, REJECT_DUPLICATE, f"fingerprint {print_}")
     if verdict.accepted and mutation.scope != episode_task:
         verdict = GateVerdict(
@@ -385,9 +362,8 @@ def quality_gate(
 
 
 def _slug(text: str, limit: int = 40) -> str:
-    words = "".join(c.lower() if c.isalnum() else " " for c in text).split()
     slug = ""
-    for word in words:
+    for word in words(text):
         extended = f"{slug}-{word}" if slug else word
         if len(extended) > limit:
             break
@@ -396,14 +372,12 @@ def _slug(text: str, limit: int = 40) -> str:
 
 
 def _keywords_from(content: dict) -> list[str]:
-    words = []
+    keywords = []
     for section in ("intent", "trigger"):
-        for word in "".join(
-            c.lower() if c.isalnum() else " " for c in content.get(section, "")
-        ).split():
-            if len(word) > 3 and word not in words:
-                words.append(word)
-    return words[:8]
+        for word in words(content.get(section, "")):
+            if len(word) > 3 and word not in keywords:
+                keywords.append(word)
+    return keywords[:8]
 
 
 def _render_sections(content: dict) -> str:
@@ -419,9 +393,10 @@ def materialize(
     """Write an accepted mutation to the store as a learned-skill file."""
     existing = store.load_all()
     provenance = f"evolved:{episode_id}"
+    content = mutation.content
     try:
         if mutation.action == ACTION_CREATE:
-            name = _slug(mutation.content["intent"])
+            name = _slug(content["intent"])
             if name in existing:
                 suffix = 2
                 while f"{name}-{suffix}" in existing:
@@ -430,58 +405,47 @@ def materialize(
             skill = Skill(
                 name=name,
                 category=LEARNED,
-                routing_summary=mutation.content["intent"],
-                keywords=_keywords_from(mutation.content),
-                body=_render_sections(mutation.content),
+                routing_summary=content["intent"],
+                keywords=_keywords_from(content),
+                body=_render_sections(content),
                 scope=[mutation.scope],
                 version=1,
                 provenance=provenance,
             )
-            path = store.learned_dir / f"{name}.v1.skill"
-            path.write_text(render_skill(skill), encoding="utf-8")
-            return skill
-
-        current, current_path = existing[mutation.target]
-        if mutation.action == ACTION_OVERLAY:
-            skill = Skill(
-                name=current.name,
-                category=LEARNED,
-                routing_summary=current.routing_summary,
-                keywords=sorted(set(current.keywords) | set(_keywords_from(mutation.content))),
-                body=current.body
-                + f"\n\nOverlay v{current.version + 1} ({episode_id}):\n"
-                + _render_sections(mutation.content),
-                scope=current.scope,
-                version=current.version + 1,
-                provenance=provenance,
-                enabled=current.enabled,
-            )
-            path = store.learned_dir / f"{skill.name}.v{skill.version}.skill"
-            path.write_text(render_skill(skill), encoding="utf-8")
-            return skill
-        if mutation.action == ACTION_REWRITE:
-            skill = Skill(
-                name=current.name,
-                category=LEARNED,
-                routing_summary=mutation.content["intent"],
-                keywords=_keywords_from(mutation.content),
-                body=_render_sections(mutation.content),
-                scope=current.scope,
-                version=current.version + 1,
-                provenance=provenance,
-                enabled=current.enabled,
-            )
-            current_path.rename(current_path.with_suffix(".skill.archived"))
-            path = store.learned_dir / f"{skill.name}.v{skill.version}.skill"
-            path.write_text(render_skill(skill), encoding="utf-8")
-            return skill
-        if mutation.action == ACTION_DISABLE:
-            disabled = Skill(**{**current.__dict__, "enabled": False})
-            current_path.write_text(render_skill(disabled), encoding="utf-8")
-            return disabled
+        else:
+            current, current_path = existing[mutation.target]
+            if mutation.action == ACTION_DISABLE:
+                disabled = replace(current, enabled=False)
+                current_path.write_text(render_skill(disabled), encoding="utf-8")
+                return disabled
+            # the next version of the same learned skill
+            successor = {"category": LEARNED, "version": current.version + 1,
+                         "provenance": provenance}
+            if mutation.action == ACTION_OVERLAY:
+                skill = replace(
+                    current,
+                    **successor,
+                    keywords=sorted(set(current.keywords) | set(_keywords_from(content))),
+                    body=current.body
+                    + f"\n\nOverlay v{current.version + 1} ({episode_id}):\n"
+                    + _render_sections(content),
+                )
+            elif mutation.action == ACTION_REWRITE:
+                skill = replace(
+                    current,
+                    **successor,
+                    routing_summary=content["intent"],
+                    keywords=_keywords_from(content),
+                    body=_render_sections(content),
+                )
+                current_path.rename(current_path.with_suffix(".skill.archived"))
+            else:
+                raise EvolutionError(f"cannot materialize action {mutation.action!r}")
+        path = store.learned_dir / f"{skill.name}.v{skill.version}.skill"
+        path.write_text(render_skill(skill), encoding="utf-8")
+        return skill
     except OSError as exc:
         raise StoreWriteFailure(str(exc)) from exc
-    raise EvolutionError(f"cannot materialize action {mutation.action!r}")
 
 
 def select_learned(
@@ -495,14 +459,12 @@ def select_learned(
     with the description; ties break to higher version, then newer episode."""
     if k <= 0:
         return []
-    words = set(
-        "".join(c.lower() if c.isalnum() else " " for c in description).split()
-    )
+    wanted = set(words(description))
     candidates = []
     for skill, _path in store.load_all().values():
         if not skill.enabled or not skill.applies_to(task_kind):
             continue
-        overlap = len(words & {kw.lower() for kw in skill.keywords})
+        overlap = len(wanted & {kw.lower() for kw in skill.keywords})
         episode = skill.provenance.split(":", 1)[-1]
         candidates.append((-overlap, -skill.version, episode, skill.name, skill))
     candidates.sort(key=lambda item: (item[0], item[1], _episode_recency(item[2]), item[3]))
@@ -605,7 +567,6 @@ def run_evolution(
     active_skills: list[str],
     provider: DecisionProvider,
     store: SkillStore,
-    blacklist=DEFAULT_BLACKLIST,
 ) -> dict:
     """Reflect, gate, and materialize. Returns an event record for the log."""
     learned_names = sorted(store.load_all())
@@ -613,9 +574,7 @@ def run_evolution(
     event = {"action": mutation.action, "accepted": False, "skill": None}
     if mutation.action == ACTION_NO_CHANGE:
         return event
-    verdict = quality_gate(
-        mutation, store, summary.task_kind, blacklist, episode_id=summary.episode_id
-    )
+    verdict = quality_gate(mutation, store, summary.task_kind, episode_id=summary.episode_id)
     if not verdict.accepted:
         event["rejected_by"] = verdict.rejected_by
         return event

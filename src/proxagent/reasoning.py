@@ -9,9 +9,9 @@ contract.
 
 Three mode loops produce exactly one committed control-or-terminal tool
 call per outer step: standard (direct, with one optional follow-up after a
-non-control tool), react (up to R inner rounds), and prospective (plan
-three candidates, select one, degrade to a direct call on malformed
-plans).
+non-control tool), react (up to REACT_ROUNDS inner rounds), and
+prospective (plan three candidates, select one, degrade to a direct call on
+malformed plans).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ RISK_ORDER = {"Low": 0, "Medium": 1, "High": 2}
 DEFAULT_MEMORY_WINDOW = 5
 REMOTE_TIMEOUT_S = 60.0
 STEP_RETRY_BUDGET = 1
+REACT_ROUNDS = 3  # inner rounds of one react step; the last is control-only
 
 
 class ReasoningError(Exception):
@@ -108,30 +109,40 @@ def format_tool_call(tool: str, args: dict) -> str:
     return f"TOOL {tool} ARGS {json.dumps(args, sort_keys=True)}"
 
 
+def _lines(text) -> list[str]:
+    if not isinstance(text, str):
+        raise MalformedOutput("output is not text")
+    return [line.strip() for line in text.splitlines()]
+
+
+def _parse_args(match: re.Match, visible: list[ToolDescriptor]) -> dict:
+    """The ``args`` of a matched tool line: the tool must be visible, the args
+    JSON, and the JSON must fit the tool's schema."""
+    tool_name = match.group("tool")
+    for tool in visible:
+        if tool.name == tool_name:
+            break
+    else:
+        raise MalformedOutput(f"tool {tool_name!r} not in visible set")
+    try:
+        args = json.loads(match.group("args"))
+    except ValueError as exc:
+        raise MalformedOutput(f"args are not valid JSON: {exc}") from exc
+    problem = validate_args(tool, args)
+    if problem is not None:
+        raise MalformedOutput(problem)
+    return args
+
+
 def parse_tool_call(
     text: str, visible: list[ToolDescriptor], step_index: int = 0, inner_round: int = 0
 ) -> ToolCall:
     """Parse a decide-action output; raises MalformedOutput on any violation."""
-    if not isinstance(text, str):
-        raise MalformedOutput("output is not text")
-    by_name = {t.name: t for t in visible}
-    for line in text.splitlines():
-        match = _TOOL_LINE.match(line.strip())
-        if match is None:
-            continue
-        tool_name = match.group("tool")
-        if tool_name not in by_name:
-            raise MalformedOutput(f"tool {tool_name!r} not in visible set")
-        try:
-            args = json.loads(match.group("args"))
-        except ValueError as exc:
-            raise MalformedOutput(f"args are not valid JSON: {exc}") from exc
-        problem = validate_args(by_name[tool_name], args)
-        if problem is not None:
-            raise MalformedOutput(problem)
-        return ToolCall(
-            tool=tool_name, args=args, step_index=step_index, inner_round=inner_round
-        )
+    for line in _lines(text):
+        match = _TOOL_LINE.match(line)
+        if match is not None:
+            return ToolCall(match.group("tool"), _parse_args(match, visible),
+                            step_index=step_index, inner_round=inner_round)
     raise MalformedOutput("no TOOL line found")
 
 
@@ -139,31 +150,13 @@ def parse_candidates(
     text: str, visible: list[ToolDescriptor], step_index: int = 0
 ) -> list[Candidate]:
     """Parse a plan output into at most three valid candidates."""
-    if not isinstance(text, str):
-        raise MalformedOutput("output is not text")
-    by_name = {t.name: t for t in visible}
     candidates: list[Candidate] = []
-    for line in text.splitlines():
-        match = _CANDIDATE_LINE.match(line.strip())
+    for line in _lines(text):
+        match = _CANDIDATE_LINE.match(line)
         if match is None:
             continue
-        tool_name = match.group("tool")
-        if tool_name not in by_name:
-            raise MalformedOutput(f"candidate tool {tool_name!r} not visible")
-        try:
-            args = json.loads(match.group("args"))
-        except ValueError as exc:
-            raise MalformedOutput(f"candidate args not valid JSON: {exc}") from exc
-        problem = validate_args(by_name[tool_name], args)
-        if problem is not None:
-            raise MalformedOutput(problem)
-        candidates.append(
-            Candidate(
-                action=ToolCall(tool=tool_name, args=args, step_index=step_index),
-                predicted_outcome=match.group("outcome"),
-                risk=match.group("risk"),
-            )
-        )
+        call = ToolCall(match.group("tool"), _parse_args(match, visible), step_index=step_index)
+        candidates.append(Candidate(call, match.group("outcome"), match.group("risk")))
         if len(candidates) == 3:
             break
     if not candidates:
@@ -172,10 +165,8 @@ def parse_candidates(
 
 
 def parse_select(text: str, count: int) -> int:
-    if not isinstance(text, str):
-        raise MalformedOutput("output is not text")
-    for line in text.splitlines():
-        match = _SELECT_LINE.match(line.strip())
+    for line in _lines(text):
+        match = _SELECT_LINE.match(line)
         if match is not None:
             index = int(match.group("i"))
             if 0 <= index < count:
@@ -540,9 +531,6 @@ class ReplayProvider(DecisionProvider):
             self.entries = json.load(fh)["entries"]
         self._cursor = 0
 
-    def reset_episode(self, episode_id: str = "") -> None:
-        pass
-
     def complete(self, request: ProviderRequest) -> str:
         if self._cursor >= len(self.entries):
             raise ReplayMismatch("transcript exhausted")
@@ -719,26 +707,28 @@ def _is_control(call: ToolCall, visible: list[ToolDescriptor]) -> bool:
     return False
 
 
-class _StepContext:
-    """Shared plumbing for one outer step: request building and retries."""
+@dataclass
+class StepContext:
+    """One outer step: what the mode sees, plus the provider calls it makes
+    and the inner-round records it collects along the way."""
 
-    def __init__(self, obs, prompt, memory, visible, provider, dispatcher,
-                 task_kind, step_index, episode_id):
-        self.obs = obs
-        self.prompt = prompt
-        self.memory = memory
-        self.visible = visible
-        self.provider = provider
-        self.dispatcher = dispatcher
-        self.task_kind = task_kind
-        self.step_index = step_index
-        self.episode_id = episode_id
-        self.provider_calls = 0
-        self.inner: list[dict] = []
-        self.inner_results: list[dict] = []
+    obs: dict
+    prompt: object  # anything with a ``text`` attribute (an AssembledPrompt)
+    memory: MemoryState
+    visible: list[ToolDescriptor]
+    provider: DecisionProvider
+    dispatcher: object  # a ToolDispatcher
+    task_kind: str = ""
+    step_index: int = 0
+    episode_id: str = ""
+    provider_calls: int = field(default=0, init=False)
+    inner: list[dict] = field(default_factory=list, init=False)
+    inner_results: list[dict] = field(default_factory=list, init=False)
 
-    def request(self, call_kind: str, visible=None, hint: str = "", extra=None):
-        return ProviderRequest(
+    def ask(self, call_kind: str, visible=None, hint: str = "", extra=None) -> str:
+        """One counted provider call."""
+        self.provider_calls += 1
+        return self.provider.complete(ProviderRequest(
             call_kind=call_kind,
             prompt=self.prompt.text,
             observation=self.obs,
@@ -750,15 +740,14 @@ class _StepContext:
             inner_results=self.inner_results,
             extra=extra or {},
             hint=hint,
-        )
+        ))
 
     def decide(self, visible=None, inner_round: int = 0) -> ToolCall:
         """One decide-action call with a single retry on malformed output."""
         active = self.visible if visible is None else visible
         hint = ""
         for attempt in range(STEP_RETRY_BUDGET + 1):
-            raw = self.provider.complete(self.request(CALL_DECIDE, active, hint=hint))
-            self.provider_calls += 1
+            raw = self.ask(CALL_DECIDE, active, hint=hint)
             try:
                 return parse_tool_call(raw, active, self.step_index, inner_round)
             except MalformedOutput as exc:
@@ -766,70 +755,56 @@ class _StepContext:
                 if attempt == STEP_RETRY_BUDGET:
                     raise
 
-    def run_inner(self, call: ToolCall, inner_round: int) -> dict:
+    def run_inner(self, call: ToolCall, inner_round: int) -> None:
         result = self.dispatcher.dispatch(call)
-        record = {
+        self.inner.append({
             "round": inner_round,
             "tool": call.tool,
             "args": call.args,
             "result": result.to_dict(),
-        }
-        self.inner.append(record)
+        })
         self.inner_results.append({"tool": call.tool, "payload": result.payload})
-        return record
+
+    def result(self, call: ToolCall, degraded: bool = False) -> ModeStepResult:
+        return ModeStepResult(call, self.inner, self.provider_calls, degraded)
 
 
-def step_standard(obs, prompt, memory, visible, provider, dispatcher,
-                  task_kind="", step_index=0, episode_id="") -> ModeStepResult:
+def step_standard(ctx: StepContext) -> ModeStepResult:
     """Direct decision; one optional follow-up after a non-control tool.
 
     The follow-up is restricted to control/terminal tools, so the committed
     action of every step is a control-or-terminal call.
     """
-    ctx = _StepContext(obs, prompt, memory, visible, provider, dispatcher,
-                       task_kind, step_index, episode_id)
     call = ctx.decide()
-    if _is_control(call, visible):
-        return ModeStepResult(call, ctx.inner, ctx.provider_calls)
+    if _is_control(call, ctx.visible):
+        return ctx.result(call)
     ctx.run_inner(call, inner_round=1)
-    followup = ctx.decide(visible=_control_tools(visible), inner_round=0)
-    return ModeStepResult(followup, ctx.inner, ctx.provider_calls)
+    return ctx.result(ctx.decide(visible=_control_tools(ctx.visible), inner_round=0))
 
 
-def step_react(obs, prompt, memory, visible, provider, dispatcher,
-               task_kind="", step_index=0, episode_id="", rounds: int = 3) -> ModeStepResult:
-    """Thought-action-observation loop: exits as soon as a control tool is
-    chosen; the final round is restricted to control/terminal tools."""
-    if rounds < 1:
-        raise ReasoningError("rounds must be >= 1")
-    ctx = _StepContext(obs, prompt, memory, visible, provider, dispatcher,
-                       task_kind, step_index, episode_id)
-    for inner_round in range(1, rounds + 1):
-        final = inner_round == rounds
-        active = _control_tools(visible) if final else visible
+def step_react(ctx: StepContext) -> ModeStepResult:
+    """Thought-action-observation loop of up to REACT_ROUNDS rounds: exits as
+    soon as a control tool is chosen; the final round is restricted to
+    control/terminal tools."""
+    for inner_round in range(1, REACT_ROUNDS + 1):
+        final = inner_round == REACT_ROUNDS
+        active = _control_tools(ctx.visible) if final else ctx.visible
         call = ctx.decide(visible=active, inner_round=inner_round)
-        if _is_control(call, visible):
+        if _is_control(call, ctx.visible):
             call.inner_round = inner_round
-            return ModeStepResult(call, ctx.inner, ctx.provider_calls)
+            return ctx.result(call)
         ctx.run_inner(call, inner_round)
     raise MalformedOutput("react loop ended without a control tool")  # pragma: no cover
 
 
-def step_prospective(obs, prompt, memory, visible, provider, dispatcher,
-                     task_kind="", step_index=0, episode_id="") -> ModeStepResult:
+def step_prospective(ctx: StepContext) -> ModeStepResult:
     """Plan up to three candidates, then select; degrades to a direct
     control-restricted call when the plan or selection is malformed."""
-    ctx = _StepContext(obs, prompt, memory, visible, provider, dispatcher,
-                       task_kind, step_index, episode_id)
-    control = _control_tools(visible)
-
-    raw_plan = provider.complete(ctx.request(CALL_PLAN))
-    ctx.provider_calls += 1
+    control = _control_tools(ctx.visible)
     try:
-        candidates = parse_candidates(raw_plan, control, step_index)
+        candidates = parse_candidates(ctx.ask(CALL_PLAN), control, ctx.step_index)
     except MalformedOutput:
-        call = ctx.decide(visible=control)
-        return ModeStepResult(call, ctx.inner, ctx.provider_calls, degraded=True)
+        return ctx.result(ctx.decide(visible=control), degraded=True)
 
     listing = [
         {
@@ -841,13 +816,9 @@ def step_prospective(obs, prompt, memory, visible, provider, dispatcher,
         }
         for i, c in enumerate(candidates)
     ]
-    raw_select = provider.complete(
-        ctx.request(CALL_SELECT, extra={"candidates": listing})
-    )
-    ctx.provider_calls += 1
     try:
-        index = parse_select(raw_select, len(candidates))
+        index = parse_select(ctx.ask(CALL_SELECT, extra={"candidates": listing}),
+                             len(candidates))
     except MalformedOutput:
-        call = ctx.decide(visible=control)
-        return ModeStepResult(call, ctx.inner, ctx.provider_calls, degraded=True)
-    return ModeStepResult(candidates[index].action, ctx.inner, ctx.provider_calls)
+        return ctx.result(ctx.decide(visible=control), degraded=True)
+    return ctx.result(candidates[index].action)

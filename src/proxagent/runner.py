@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -38,6 +38,7 @@ from .reasoning import (
     ModeStepResult,
     ReasoningError,
     ScriptedProvider,
+    StepContext,
     step_prospective,
     step_react,
     step_standard,
@@ -89,7 +90,6 @@ class EpisodeConfig:
     workspace: Optional[Path] = None       # holds learned skills + logs
     trajectory_path: Optional[Path] = None
     evolve: bool = False
-    learned_k: int = 2
     router: Optional[DecisionProvider] = None
     obs_timeout: float = 5.0
 
@@ -167,10 +167,8 @@ def run_episode(
     visible_names = {t.name for t in visible}
 
     skill_catalog = SkillCatalog.load(skills_root or default_skills_root())
-    routing = route(
-        task.description, task.kind, profile, config.mode, skill_catalog,
-        router=config.router,
-    )
+    routing = route(task.description, task.kind, config.mode, skill_catalog,
+                    router=config.router)
     core_skills = skill_catalog.of_category(CORE)
     mode_skills = [skill_catalog.by_name[n] for n in MODE_SKILLS[config.mode]]
 
@@ -178,9 +176,7 @@ def run_episode(
     learned = []
     if config.workspace is not None:
         store = SkillStore(Path(config.workspace) / "learned")
-        learned = select_learned(
-            task.kind, config.mode, task.description, store, k=config.learned_k
-        )
+        learned = select_learned(task.kind, config.mode, task.description, store)
     prompt = assemble_prompt(core_skills, routing, mode_skills, learned, skill_catalog)
 
     env = SimEnv(satellites)
@@ -213,12 +209,10 @@ def run_episode(
     try:
         for step_index in range(task.max_steps):
             obs = _observation_dict(dispatcher)
-            mode_result: ModeStepResult = step_fn(
+            mode_result: ModeStepResult = step_fn(StepContext(
                 provider_view(obs, visible_names), prompt, memory, visible,
-                provider, dispatcher,
-                task_kind=task.kind, step_index=step_index,
-                episode_id=config.episode_id,
-            )
+                provider, dispatcher, task.kind, step_index, config.episode_id,
+            ))
             call = mode_result.call
             result = dispatcher.dispatch(call)
             post_obs = _observation_dict(dispatcher)
@@ -269,13 +263,12 @@ def run_episode(
     outcome = evaluate(trajectory, task, satellites[task.satellite_id])
     summary = summarize_episode(trajectory, outcome, task.kind, config.episode_id)
     evolution_event = None
-    if config.evolve and store is not None:
-        evolution_event = run_evolution(
-            summary, _load_history(config.workspace), prompt.skill_names,
-            provider, store,
-        )
-        _append_history(config.workspace, summary)
-    elif config.workspace is not None:
+    if store is not None:
+        if config.evolve:
+            evolution_event = run_evolution(
+                summary, _load_history(config.workspace), prompt.skill_names,
+                provider, store,
+            )
         _append_history(config.workspace, summary)
 
     return EpisodeResult(
@@ -304,15 +297,8 @@ def _load_history(workspace) -> list[EpisodeSummary]:
     path = _history_path(workspace)
     if not path.exists():
         return []
-    summaries = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                data = json.loads(line)
-                omitted = data.pop("movement_omitted", 0)
-                summary = EpisodeSummary(**{**data, "movement_omitted": omitted})
-                summaries.append(summary)
-    return summaries
+        return [EpisodeSummary(**json.loads(line)) for line in fh if line.strip()]
 
 
 def _append_history(workspace, summary: EpisodeSummary) -> None:
@@ -349,18 +335,9 @@ def run_campaign(
     report = CampaignReport()
     for index in range(rounds):
         episode_id = f"ep-{index + 1:06d}"
-        config = EpisodeConfig(
-            task=base.task,
-            profile=base.profile,
-            mode=base.mode,
-            seed=base.seed,
-            episode_id=episode_id,
-            workspace=workspace,
-            trajectory_path=workspace / f"{episode_id}.jsonl",
-            evolve=True,
-            learned_k=base.learned_k,
-            router=base.router,
-            obs_timeout=base.obs_timeout,
+        config = replace(
+            base, episode_id=episode_id, workspace=workspace,
+            trajectory_path=workspace / f"{episode_id}.jsonl", evolve=True,
         )
         result = run_episode(
             config, provider=provider_factory(), satellites=satellites,

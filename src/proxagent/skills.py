@@ -133,6 +133,29 @@ def render_skill(skill: Skill) -> str:
     return "\n".join(lines)
 
 
+def words(text: str) -> list[str]:
+    """Lower-cased alphanumeric runs of ``text``; everything else separates."""
+    return "".join(c.lower() if c.isalnum() else " " for c in text).split()
+
+
+def _skill_files(directory: Path) -> list[Path]:
+    return sorted(directory.glob("*.skill"))
+
+
+def latest_learned(directory: Path) -> dict[str, tuple[Skill, Path]]:
+    """Highest version per learned-skill name, with the file it came from.
+
+    Archived files (``*.skill.archived``) do not match and are skipped; a
+    missing directory holds no skills.
+    """
+    best: dict[str, tuple[Skill, Path]] = {}
+    for path in _skill_files(directory):
+        skill = parse_skill_text(path.read_text(encoding="utf-8"))
+        if skill.name not in best or skill.version > best[skill.name][0].version:
+            best[skill.name] = (skill, path)
+    return best
+
+
 @dataclass
 class RoutingResult:
     task_skill: str
@@ -163,25 +186,15 @@ class SkillCatalog:
         root = Path(root)
         skills: list[Skill] = []
         for category in (CORE, TASK, HELPER, MODE):
-            subdir = root / category
-            if not subdir.is_dir():
-                continue
-            for path in sorted(subdir.glob("*.skill")):
+            for path in _skill_files(root / category):
                 skill = parse_skill_text(path.read_text(encoding="utf-8"))
                 if skill.category != category:
                     raise SkillError(
                         f"{path}: category {skill.category!r} does not match directory"
                     )
                 skills.append(skill)
-        # Learned skills: keep the highest version per name, skip archived.
-        learned_dir = root / LEARNED
-        if learned_dir.is_dir():
-            best: dict[str, Skill] = {}
-            for path in sorted(learned_dir.glob("*.skill")):
-                skill = parse_skill_text(path.read_text(encoding="utf-8"))
-                if skill.name not in best or skill.version > best[skill.name].version:
-                    best[skill.name] = skill
-            skills.extend(best[name] for name in sorted(best))
+        learned = latest_learned(root / LEARNED)
+        skills.extend(learned[name][0] for name in sorted(learned))
         return cls(skills)
 
     def of_category(self, category: str) -> list[Skill]:
@@ -226,12 +239,10 @@ def keyword_fallback_router(
     description: str, task_kind: str, catalog: SkillCatalog
 ) -> RoutingResult:
     """Deterministic router: keyword overlap, argmax, lexicographic tie-break."""
-    words = set(
-        "".join(c.lower() if c.isalnum() else " " for c in description).split()
-    )
+    wanted = set(words(description))
 
     def overlap(skill: Skill) -> int:
-        return len(words & {k.lower() for k in skill.keywords})
+        return len(wanted & {k.lower() for k in skill.keywords})
 
     tasks = [s for s in catalog.of_category(TASK) if s.enabled]
     if not tasks:
@@ -244,10 +255,11 @@ def keyword_fallback_router(
     helpers = [s for s in catalog.of_category(HELPER) if s.enabled and overlap(s) >= 1]
     helpers.sort(key=lambda s: (-overlap(s), s.name))
     helper_names = [s.name for s in helpers[:2]]
+    matched = sorted(wanted & {k.lower() for k in task_skill.keywords})
     return RoutingResult(
         task_skill=task_skill.name,
         helper_skills=helper_names,
-        justification=f"keyword match on {sorted(words & {k.lower() for k in task_skill.keywords})}",
+        justification=f"keyword match on {matched}",
         used_fallback=False,
     )
 
@@ -263,11 +275,9 @@ def parse_router_output(text: str) -> Optional[tuple[str, list[str], str]]:
 def route(
     description: str,
     task_kind: str,
-    profile,
     mode: str,
     catalog: SkillCatalog,
     router=None,
-    audit=None,
 ) -> RoutingResult:
     """Gateway routing. ``router`` is a decision provider; None uses keywords.
 
@@ -275,52 +285,35 @@ def route(
     violations fall back to the configured defaults.
     """
     if router is None:
-        result = keyword_fallback_router(description, task_kind, catalog)
-    else:
-        from .reasoning import CALL_ROUTE, ProviderRequest  # local to avoid cycle
+        return keyword_fallback_router(description, task_kind, catalog)
+    from .reasoning import CALL_ROUTE, ProviderRequest  # local to avoid cycle
 
-        lines = [
-            f"- {s.name}: {s.routing_summary}"
-            for s in catalog.of_category(TASK) + catalog.of_category(HELPER)
-            if s.enabled
-        ]
-        request = ProviderRequest(
-            call_kind=CALL_ROUTE,
-            prompt=(
-                "Select skills for this task. Answer exactly:\n"
-                "task=<name>; helpers=<a,b>; because=<text>\n"
-                "Catalog:\n" + "\n".join(lines)
-            ),
-            observation={},
-            memory_text="",
-            visible_tools=[],
-            task_kind=task_kind,
-            extra={"description": description, "mode": mode},
-        )
-        try:
-            raw = router.complete(request)
-        except Exception:
-            raw = ""
-        parsed = parse_router_output(raw) if isinstance(raw, str) else None
-        if parsed is None:
-            result = _default_route(task_kind, catalog)
-        else:
-            task_name, helper_names, because = parsed
-            if _validate_route(task_name, helper_names, catalog):
-                result = RoutingResult(task_name, helper_names, because, False)
-            else:
-                result = _default_route(task_kind, catalog)
-    if audit is not None:
-        audit(
-            {
-                "event": "route",
-                "task_kind": task_kind,
-                "task_skill": result.task_skill,
-                "helpers": result.helper_skills,
-                "used_fallback": result.used_fallback,
-            }
-        )
-    return result
+    lines = [
+        f"- {s.name}: {s.routing_summary}"
+        for s in catalog.of_category(TASK) + catalog.of_category(HELPER)
+        if s.enabled
+    ]
+    request = ProviderRequest(
+        call_kind=CALL_ROUTE,
+        prompt=(
+            "Select skills for this task. Answer exactly:\n"
+            "task=<name>; helpers=<a,b>; because=<text>\n"
+            "Catalog:\n" + "\n".join(lines)
+        ),
+        observation={},
+        memory_text="",
+        visible_tools=[],
+        task_kind=task_kind,
+        extra={"description": description, "mode": mode},
+    )
+    try:
+        raw = router.complete(request)
+    except Exception:
+        raw = ""
+    parsed = parse_router_output(raw) if isinstance(raw, str) else None
+    if parsed is None or not _validate_route(parsed[0], parsed[1], catalog):
+        return _default_route(task_kind, catalog)
+    return RoutingResult(*parsed, used_fallback=False)
 
 
 def assemble_prompt(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,6 +43,8 @@ ERR_GAIN_RANGE = "GainOutOfRange"
 
 BRIGHTNESS_UNDER = 40.0
 BRIGHTNESS_OVER = 220.0
+
+_ZERO_POSE_DELTA = dict.fromkeys(busmod.CHANNEL_SCHEMAS[busmod.CMD_POSE_DELTA], 0.0)
 
 
 @dataclass(frozen=True)
@@ -72,12 +74,7 @@ class ToolCall:
     inner_round: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "args": self.args,
-            "step_index": self.step_index,
-            "inner_round": self.inner_round,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -90,11 +87,7 @@ class ToolResult:
         assert self.ok == (self.error_kind is None)
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "payload": self.payload, "error_kind": self.error_kind}
-
-
-_NUM = {"type": "number", "required": True}
-_NUM_OPT = {"type": "number", "required": False}
+        return dict(vars(self))
 
 
 class ToolCatalog:
@@ -138,9 +131,6 @@ class ToolCatalog:
                 }
             )
         return {"tools": entries}
-
-    def schema_text(self) -> str:
-        return json.dumps(self.schema_document(), indent=2, sort_keys=True)
 
 
 def builtin_catalog() -> ToolCatalog:
@@ -241,7 +231,10 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
             return f"unknown arg {pname!r}"
         expected = meta["type"]
         if expected == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    return f"arg {pname!r} must be finite"
+            elif isinstance(value, bool) or not isinstance(value, int):
                 return f"arg {pname!r} must be a number"
         elif expected == "string":
             if not isinstance(value, str):
@@ -365,17 +358,10 @@ class ToolDispatcher:
 
         prev = self.backend.get_latest(busmod.SENSOR_RGB)
         prev_seq = prev.seq if prev else 0
-        if tool.name == "set_position":
-            record = {
-                "dx": args["dx"], "dy": args["dy"], "dz": args["dz"],
-                "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0,
-            }
-            self.backend.publish(busmod.CMD_POSE_DELTA, busmod.encode(record))
-        elif tool.name == "set_attitude":
-            record = {
-                "dx": 0.0, "dy": 0.0, "dz": 0.0,
-                "dyaw": args["dyaw"], "dpitch": args["dpitch"], "droll": args["droll"],
-            }
+        if tool.name in ("set_position", "set_attitude"):
+            # translation and rotation share one pose-delta channel; the
+            # components the tool does not take are zero
+            record = {**_ZERO_POSE_DELTA, **args}
             self.backend.publish(busmod.CMD_POSE_DELTA, busmod.encode(record))
         elif tool.name == "set_exposure":
             self.backend.publish(

@@ -30,23 +30,7 @@ class StepRecord:
     provider_calls: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "observation": self.observation,
-                "call": self.call,
-                "result": self.result,
-                "inner": self.inner,
-                "memory_hash": self.memory_hash,
-                "provider_calls": self.provider_calls,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "StepRecord":
-        data = json.loads(line)
-        return cls(**data)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass
@@ -96,14 +80,4 @@ class Outcome:
     score: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "reason": self.reason,
-            "success": self.success,
-            "terminal_distance": self.terminal_distance,
-            "score": self.score,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Outcome":
-        return cls(**data)
+        return dict(vars(self))

@@ -54,6 +54,12 @@ def test_schema_validation_rejects_bad_payloads():
     # booleans are not numbers
     with pytest.raises(bus.SchemaViolation):
         backend.publish(bus.SENSOR_RGB, bus.encode(rgb_payload(bearing_az=True)))
+    # neither are non-finite floats
+    for number in (float("nan"), float("inf"), float("-inf")):
+        delta = {"dx": number, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
+        with pytest.raises(bus.SchemaViolation):
+            backend.publish(bus.CMD_POSE_DELTA, bus.encode(delta))
+    assert backend.get_latest(bus.CMD_POSE_DELTA) is None
 
 
 def test_lidar_payload_allows_null_range():

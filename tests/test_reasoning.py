@@ -50,6 +50,9 @@ def test_tool_call_grammar_round_trip():
         'TOOL set_position ARGS {"dx": 1}',          # missing required args
         "TOOL set_position ARGS not-json",
         'TOOL set_position ARGS {"dx": true, "dy": 0, "dz": 0}',
+        'TOOL set_position ARGS {"dx": NaN, "dy": 0, "dz": 0}',       # non-finite
+        'TOOL set_position ARGS {"dx": Infinity, "dy": 0, "dz": 0}',
+        'TOOL set_position ARGS {"dx": -Infinity, "dy": 0, "dz": 0}',
     ],
 )
 def test_malformed_decide_outputs_raise(text):
@@ -280,10 +283,10 @@ def _memory():
 
 def test_standard_commits_control_directly():
     provider = _QueueProvider(['TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0}'])
-    result = reasoning.step_standard(
+    result = reasoning.step_standard(reasoning.StepContext(
         obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
         _NullDispatcher(),
-    )
+    ))
     assert result.call.tool == "set_position"
     assert result.provider_calls == 1
     assert result.inner == []
@@ -295,9 +298,10 @@ def test_standard_follow_up_after_perception():
          'TOOL set_exposure ARGS {"gain_delta": 0.9}']
     )
     dispatcher = _NullDispatcher()
-    result = reasoning.step_standard(
-        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider, dispatcher,
-    )
+    result = reasoning.step_standard(reasoning.StepContext(
+        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+        dispatcher,
+    ))
     assert dispatcher.dispatched == ["brightness_assess"]
     assert result.call.tool == "set_exposure"
     assert result.provider_calls == 2  # never more than two
@@ -306,10 +310,10 @@ def test_standard_follow_up_after_perception():
 def test_standard_retries_once_then_raises():
     provider = _QueueProvider(["garbage", "still garbage"])
     with pytest.raises(reasoning.MalformedOutput):
-        reasoning.step_standard(
+        reasoning.step_standard(reasoning.StepContext(
             obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
             _NullDispatcher(),
-        )
+        ))
     assert len(provider.calls) == 2
 
 
@@ -318,10 +322,10 @@ def test_react_runs_inner_rounds_then_commits():
         ["TOOL segment_parts ARGS {}", "TOOL kb_lookup ARGS {}",
          'TOOL terminate ARGS {"reason": "done"}']
     )
-    result = reasoning.step_react(
+    result = reasoning.step_react(reasoning.StepContext(
         obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
         _NullDispatcher(),
-    )
+    ))
     assert result.call.tool == "terminate"
     assert [r["tool"] for r in result.inner] == ["segment_parts", "kb_lookup"]
     assert result.call.inner_round == 3  # bounded by R=3
@@ -335,10 +339,10 @@ def test_react_final_round_is_control_restricted():
          "TOOL zoom ARGS {\"factor\": 2.0}", "TOOL zoom ARGS {\"factor\": 2.0}"]
     )
     with pytest.raises(reasoning.MalformedOutput):
-        reasoning.step_react(
+        reasoning.step_react(reasoning.StepContext(
             obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
             _NullDispatcher(),
-        )
+        ))
 
 
 def test_prospective_plan_select():
@@ -350,10 +354,10 @@ def test_prospective_plan_select():
             "SELECT 1",
         ]
     )
-    result = reasoning.step_prospective(
+    result = reasoning.step_prospective(reasoning.StepContext(
         obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
         _NullDispatcher(),
-    )
+    ))
     assert result.call.tool == "terminate"
     assert result.provider_calls == 2
     assert not result.degraded
@@ -364,10 +368,10 @@ def test_prospective_degrades_on_malformed_plan():
         ["no plan here",
          'TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0}']
     )
-    result = reasoning.step_prospective(
+    result = reasoning.step_prospective(reasoning.StepContext(
         obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
         _NullDispatcher(),
-    )
+    ))
     assert result.degraded
     assert result.call.tool == "set_position"
 
@@ -378,9 +382,9 @@ def test_prospective_degrades_on_malformed_select():
          "SELECT 9",
          'TOOL terminate ARGS {}']
     )
-    result = reasoning.step_prospective(
+    result = reasoning.step_prospective(reasoning.StepContext(
         obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
         _NullDispatcher(),
-    )
+    ))
     assert result.degraded
     assert result.call.tool == "terminate"

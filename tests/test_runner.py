@@ -1,7 +1,12 @@
 import pytest
 
 from proxagent.env import evaluate, load_satellite_catalog, make_task
-from proxagent.reasoning import ScriptedPolicyConfig, ScriptedProvider
+from proxagent.reasoning import (
+    CALL_ROUTE,
+    DecisionProvider,
+    ScriptedPolicyConfig,
+    ScriptedProvider,
+)
 from proxagent.runner import (
     EpisodeConfig,
     RunnerError,
@@ -132,6 +137,29 @@ def test_campaign_lifecycle(satellites, tmp_path):
         assert r["success"] is True
     learned = list((tmp_path / "ws" / "learned").glob("*.skill"))
     assert len(learned) == 1
+
+
+def test_campaign_rounds_inherit_the_base_config(satellites, tmp_path):
+    class CountingRouter(DecisionProvider):
+        def __init__(self):
+            self.routes = 0
+
+        def complete(self, request):
+            if request.call_kind == CALL_ROUTE:
+                self.routes += 1
+            return ""  # malformed: routing falls back to the defaults
+
+    router = CountingRouter()
+    base = config(profile="hybrid-nav-code", mode="react", seed=7, router=router)
+    report = run_campaign(base, 3, tmp_path / "ws", satellites=satellites)
+    assert [r["episode_id"] for r in report.rounds] == [
+        "ep-000001", "ep-000002", "ep-000003"]
+    for row in report.rounds:
+        meta = Trajectory.read(tmp_path / "ws" / f"{row['episode_id']}.jsonl").meta
+        assert meta["episode_id"] == row["episode_id"]
+        assert (meta["profile"], meta["mode"], meta["seed"]) == (
+            "hybrid-nav-code", "react", 7)
+    assert router.routes == 3
 
 
 def test_campaign_without_evolution_leaves_no_skills(satellites, tmp_path):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxagent import skills
+from proxagent.evolution import SkillStore
 from proxagent.runner import default_skills_root
 
 
@@ -55,6 +56,25 @@ def test_learned_loader_keeps_highest_version(tmp_path):
         (learned / f"pace.v{version}.skill").write_text(skills.render_skill(skill))
     catalog = skills.SkillCatalog.load(tmp_path)
     assert catalog.by_name["pace"].version == 2
+
+
+def test_catalog_and_store_agree_on_learned_skills(tmp_path):
+    learned = tmp_path / "learned"
+    learned.mkdir()
+    for filename, name, version in [
+        ("a.v1.skill", "a", 1), ("a.v2.skill", "a", 2),
+        ("a.v3.skill.archived", "a", 3), ("b.v1.skill", "b", 1),
+    ]:
+        skill = skills.Skill(name=name, category="learned", version=version,
+                             body=f"{name} v{version}")
+        (learned / filename).write_text(skills.render_skill(skill), encoding="utf-8")
+
+    catalog = skills.SkillCatalog.load(tmp_path)
+    from_catalog = {s.name: (s.version, s.body) for s in catalog.of_category("learned")}
+    stored = SkillStore(learned).load_all()
+    from_store = {name: (s.version, s.body) for name, (s, _path) in stored.items()}
+    assert from_catalog == from_store == {"a": (2, "a v2"), "b": (1, "b v1")}
+    assert stored["a"][1].name == "a.v2.skill"
 
 
 # -- routing ------------------------------------------------------------
@@ -121,7 +141,7 @@ class _StubRouter:
 )
 def test_provider_router_misbehavior_falls_back(catalog, output):
     result = skills.route(
-        "approach the satellite", "rendezvous", None, "standard", catalog,
+        "approach the satellite", "rendezvous", "standard", catalog,
         router=_StubRouter(output),
     )
     assert result.used_fallback
@@ -130,7 +150,7 @@ def test_provider_router_misbehavior_falls_back(catalog, output):
 
 def test_provider_router_valid_output_is_used(catalog):
     result = skills.route(
-        "approach", "rendezvous", None, "standard", catalog,
+        "approach", "rendezvous", "standard", catalog,
         router=_StubRouter("task=search; helpers=distance; because=operator override"),
     )
     assert not result.used_fallback
@@ -143,7 +163,7 @@ def test_provider_router_valid_output_is_used(catalog):
 def test_routing_never_invalid_under_fuzz(text):
     catalog = skills.SkillCatalog.load(default_skills_root())
     result = skills.route(
-        text, "rendezvous", None, "standard", catalog, router=_StubRouter(text)
+        text, "rendezvous", "standard", catalog, router=_StubRouter(text)
     )
     task_skill = catalog.by_name[result.task_skill]
     assert task_skill.category == "task" and task_skill.enabled

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,16 @@ def test_dispatch_invalid_args(rig):
     dispatcher, _, _ = rig
     result = dispatcher.dispatch(call("set_position", dx=1.0))
     assert result.error_kind == tools.ERR_INVALID_ARGS
+
+
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+def test_dispatch_rejects_non_finite_numbers(rig, number):
+    dispatcher, bridge, _ = rig
+    before = dispatcher.latest_observation()
+    result = dispatcher.dispatch(call("set_position", dx=number, dy=0.0, dz=0.0))
+    assert result.error_kind == tools.ERR_INVALID_ARGS
+    assert dispatcher.latest_observation() == before  # nothing reached the env
+    assert math.isfinite(bridge.env.chaser.x)
 
 
 def test_control_blocks_until_new_observation(rig):

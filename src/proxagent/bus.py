@@ -14,11 +14,12 @@ reachable server, and it inherits that server's native delivery semantics.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 
@@ -87,6 +88,15 @@ def check_key(key: str) -> None:
         raise UnknownKey(f"not a contract key: {key!r}")
 
 
+def is_finite_number(value) -> bool:
+    """True when ``value`` converts to a finite float. An integer beyond the
+    float range does not: the simulator could not apply it."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def validate_payload(key: str, payload: bytes) -> dict:
     """Decode and validate a payload against the key's schema."""
     check_key(key)
@@ -101,16 +111,15 @@ def validate_payload(key: str, payload: bytes) -> dict:
         if field not in record:
             raise SchemaViolation(f"payload for {key} missing field {field!r}")
         value = record[field]
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise SchemaViolation(f"{key}.{field}: {value} is not a finite number")
         # bool is an int subclass; reject bools where a number is expected.
-        elif isinstance(value, bool) and bool not in types:
+        if isinstance(value, bool) and bool not in types:
             raise SchemaViolation(f"{key}.{field}: expected {types}, got bool")
         if not isinstance(value, types):
             raise SchemaViolation(
                 f"{key}.{field}: expected {types}, got {type(value).__name__}"
             )
+        if isinstance(value, _NUMBER) and not is_finite_number(value):
+            raise SchemaViolation(f"{key}.{field}: not a finite number in float range")
     return record
 
 
@@ -124,9 +133,15 @@ class BusMessage:
     payload: bytes
     seq: int
     timestamp: int  # milliseconds since epoch
+    decoded: dict = field(compare=False, repr=False)  # the payload, decoded once
 
     def record(self) -> dict:
-        return json.loads(self.payload.decode("utf-8"))
+        """The decoded payload, as a copy the caller may change freely."""
+        record = dict(self.decoded)
+        for name, value in record.items():
+            if isinstance(value, (dict, list)):  # e.g. cmd/terminate's report
+                record[name] = copy.deepcopy(value)
+        return record
 
 
 Handler = Callable[[BusMessage], None]
@@ -172,7 +187,7 @@ class InProcessBus(BusBackend):
         self._subs: dict[str, list[Handler]] = {key: [] for key in CONTRACT_KEYS}
 
     def publish(self, key: str, payload: bytes) -> int:
-        validate_payload(key, payload)
+        decoded = validate_payload(key, payload)
         with self._lock:
             self._seq[key] += 1
             msg = BusMessage(
@@ -180,6 +195,7 @@ class InProcessBus(BusBackend):
                 payload=payload,
                 seq=self._seq[key],
                 timestamp=int(time.time() * 1000),
+                decoded=decoded,
             )
             self._latest[key] = msg
             handlers = list(self._subs[key])
@@ -241,6 +257,7 @@ class RedisBusAdapter(BusBackend):
             payload=data["payload"].encode("utf-8"),
             seq=data["seq"],
             timestamp=data["timestamp"],
+            decoded=json.loads(data["payload"]),
         )
 
     def publish(self, key: str, payload: bytes) -> int:

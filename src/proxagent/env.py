@@ -12,6 +12,7 @@ is always attitude-relative. Brightness follows an exact law:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -292,10 +293,10 @@ class SimEnv:
 
     def step(self, delta: dict) -> Observation:
         """Apply a body-frame pose delta. Raises StepLimitExceeded on bounds."""
-        dx, dy, dz = delta.get("dx", 0.0), delta.get("dy", 0.0), delta.get("dz", 0.0)
-        dyaw = delta.get("dyaw", 0.0)
-        dpitch = delta.get("dpitch", 0.0)
-        droll = delta.get("droll", 0.0)
+        # float() first: an integer too large for float arithmetic must fail
+        # the bounds checks below, not overflow inside them
+        dx, dy, dz = (float(delta.get(k, 0.0)) for k in ("dx", "dy", "dz"))
+        dyaw, dpitch, droll = (float(delta.get(k, 0.0)) for k in ("dyaw", "dpitch", "droll"))
         if math.sqrt(dx * dx + dy * dy + dz * dz) > MAX_STEP_TRANSLATION + 1e-9:
             raise StepLimitExceeded(
                 f"translation norm exceeds {MAX_STEP_TRANSLATION} m"
@@ -318,7 +319,7 @@ class SimEnv:
         return self.observe()
 
     def set_exposure(self, gain_delta: float) -> Observation:
-        new_gain = self.exposure_gain + gain_delta
+        new_gain = self.exposure_gain + float(gain_delta)
         if not (GAIN_MIN <= new_gain <= GAIN_MAX):
             raise GainOutOfRange(
                 f"gain {new_gain:.3f} outside [{GAIN_MIN}, {GAIN_MAX}]"
@@ -374,8 +375,9 @@ _STOPWORDS = frozenset(
 )
 
 
-def _tokens(text: str) -> set[str]:
-    return {w for w in words(text) if len(w) > 2 and w not in _STOPWORDS}
+@functools.lru_cache(maxsize=1024)
+def _tokens(text: str) -> frozenset[str]:
+    return frozenset(w for w in words(text) if len(w) > 2 and w not in _STOPWORDS)
 
 
 def match_dimension(ground_truth: str, submitted: str) -> float:

@@ -450,7 +450,6 @@ def materialize(
 
 def select_learned(
     task_kind: str,
-    mode: str,
     description: str,
     store: SkillStore,
     k: int = DEFAULT_TOP_K,

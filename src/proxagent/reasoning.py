@@ -198,17 +198,22 @@ class MemoryState:
         }
     )
 
+    # rendered text, cleared by update_memory (the only mutator)
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
     def memory_text(self) -> str:
-        parts = []
-        if self.long_term:
-            parts.append("Long-term summary: " + self.long_term)
-        for record in self.recent:
-            digest = record.get("result_digest", "")
-            parts.append(
-                f"step {record.get('step')}: {record.get('tool')}"
-                f"({json.dumps(record.get('args', {}), sort_keys=True)}) -> {digest}"
-            )
-        return "\n".join(parts)
+        if self._text is None:
+            parts = []
+            if self.long_term:
+                parts.append("Long-term summary: " + self.long_term)
+            for record in self.recent:
+                digest = record.get("result_digest", "")
+                parts.append(
+                    f"step {record.get('step')}: {record.get('tool')}"
+                    f"({json.dumps(record.get('args', {}), sort_keys=True)}) -> {digest}"
+                )
+            self._text = "\n".join(parts)
+        return self._text
 
 
 def template_summary(stats: dict) -> str:
@@ -230,6 +235,7 @@ def update_memory(
     memory: MemoryState, step_record: dict, provider: Optional[DecisionProvider]
 ) -> MemoryState:
     """Append a step; evict the oldest into the long-term summary past N."""
+    memory._text = None
     memory.recent.append(step_record)
     while len(memory.recent) > memory.n:
         evicted = memory.recent.pop(0)

@@ -91,7 +91,6 @@ class EpisodeConfig:
     trajectory_path: Optional[Path] = None
     evolve: bool = False
     router: Optional[DecisionProvider] = None
-    obs_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         if self.mode not in REASONING_MODES:
@@ -176,16 +175,13 @@ def run_episode(
     learned = []
     if config.workspace is not None:
         store = SkillStore(Path(config.workspace) / "learned")
-        learned = select_learned(task.kind, config.mode, task.description, store)
+        learned = select_learned(task.kind, task.description, store)
     prompt = assemble_prompt(core_skills, routing, mode_skills, learned, skill_catalog)
 
     env = SimEnv(satellites)
     bridge = EnvBridge(env, backend)
     bridge.reset(task, seed=config.seed)
-    dispatcher = ToolDispatcher(
-        backend, catalog, profile, satellites, task.satellite_id,
-        obs_timeout=config.obs_timeout,
-    )
+    dispatcher = ToolDispatcher(backend, catalog, profile, satellites, task.satellite_id)
     provider.reset_episode(config.episode_id)
     memory = MemoryState()
     step_fn = _MODE_STEP[config.mode]

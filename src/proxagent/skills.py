@@ -13,6 +13,8 @@ constraint-violating output falls back to the configured defaults.
 
 from __future__ import annotations
 
+import functools
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,7 +68,7 @@ class NoDefaults(SkillError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Skill:
     name: str
     category: str
@@ -138,8 +140,34 @@ def words(text: str) -> list[str]:
     return "".join(c.lower() if c.isalnum() else " " for c in text).split()
 
 
-def _skill_files(directory: Path) -> list[Path]:
-    return sorted(directory.glob("*.skill"))
+def _skill_files(directory: Path) -> tuple[tuple[Path, Skill], ...]:
+    """``(path, skill)`` for every ``*.skill`` file in ``directory``, by name.
+
+    Files are parsed once per content: the parse is cached on each file's
+    name, modification time and size, so a file that is added, removed,
+    rewritten or archived is read again on the next call. A missing
+    directory holds no skills.
+    """
+    try:
+        names = sorted(n for n in os.listdir(directory) if n.endswith(".skill"))
+    except FileNotFoundError:
+        return ()
+    stamps = []
+    for name in names:
+        stat = os.stat(os.path.join(directory, name))
+        stamps.append((name, stat.st_mtime_ns, stat.st_size))
+    return _parse_skill_files(Path(directory), tuple(stamps))
+
+
+# room for the shipped directories and a few learned-skill directories; a
+# store write makes its old key dead, so a larger cache only holds garbage
+@functools.lru_cache(maxsize=32)
+def _parse_skill_files(directory: Path, stamps: tuple) -> tuple[tuple[Path, Skill], ...]:
+    files = []
+    for name, _mtime_ns, _size in stamps:
+        path = directory / name
+        files.append((path, parse_skill_text(path.read_text(encoding="utf-8"))))
+    return tuple(files)
 
 
 def latest_learned(directory: Path) -> dict[str, tuple[Skill, Path]]:
@@ -149,8 +177,7 @@ def latest_learned(directory: Path) -> dict[str, tuple[Skill, Path]]:
     missing directory holds no skills.
     """
     best: dict[str, tuple[Skill, Path]] = {}
-    for path in _skill_files(directory):
-        skill = parse_skill_text(path.read_text(encoding="utf-8"))
+    for path, skill in _skill_files(directory):
         if skill.name not in best or skill.version > best[skill.name][0].version:
             best[skill.name] = (skill, path)
     return best
@@ -186,8 +213,7 @@ class SkillCatalog:
         root = Path(root)
         skills: list[Skill] = []
         for category in (CORE, TASK, HELPER, MODE):
-            for path in _skill_files(root / category):
-                skill = parse_skill_text(path.read_text(encoding="utf-8"))
+            for path, skill in _skill_files(root / category):
                 if skill.category != category:
                     raise SkillError(
                         f"{path}: category {skill.category!r} does not match directory"

@@ -14,11 +14,12 @@ differ only in configuration, never in code.
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import bus as busmod
 from .env import HALF_FOV_DEG, Observation, SatelliteModel
@@ -97,8 +98,9 @@ class ToolCatalog:
             raise ToolError("duplicate tool names in catalog")
         if sum(1 for t in tools if t.terminal) != 1:
             raise ToolError("catalog must have exactly one terminal tool")
-        self.tools = list(tools)
-        self.by_name = {t.name: t for t in tools}
+        # read-only: builtin_catalog() shares one catalog with every caller
+        self.tools = tuple(tools)
+        self.by_name = MappingProxyType({t.name: t for t in tools})
 
     def __len__(self) -> int:
         return len(self.tools)
@@ -133,7 +135,9 @@ class ToolCatalog:
         return {"tools": entries}
 
 
+@functools.cache
 def builtin_catalog() -> ToolCatalog:
+    """The shipped catalog, built once per process and shared by every episode."""
     meters = {"type": "number", "required": True, "unit": "meters"}
     degrees = {"type": "number", "required": True, "unit": "degrees"}
     return ToolCatalog(
@@ -201,16 +205,20 @@ def builtin_catalog() -> ToolCatalog:
     )
 
 
-def builtin_profiles() -> dict[str, ToolProfile]:
-    """The three shipped profiles, expressible purely as configuration."""
+@functools.cache
+def builtin_profiles() -> Mapping[str, ToolProfile]:
+    """The three shipped profiles, expressible purely as configuration.
+
+    Built once per process; the mapping is read-only because it is shared.
+    """
     everything = [t.name for t in builtin_catalog().tools]
     vision_only = [n for n in everything if n not in ("lidar_range", "eval_expr")]
     hybrid_nav = [n for n in everything if n != "eval_expr"]
-    return {
+    return MappingProxyType({
         "vision-only": ToolProfile.of("vision-only", vision_only),
         "hybrid-nav": ToolProfile.of("hybrid-nav", hybrid_nav),
         "hybrid-nav-code": ToolProfile.of("hybrid-nav-code", everything),
-    }
+    })
 
 
 def visible_tools(catalog: ToolCatalog, profile: ToolProfile) -> list[ToolDescriptor]:
@@ -231,11 +239,10 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
             return f"unknown arg {pname!r}"
         expected = meta["type"]
         if expected == "number":
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    return f"arg {pname!r} must be finite"
-            elif isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return f"arg {pname!r} must be a number"
+            if not busmod.is_finite_number(value):
+                return f"arg {pname!r} must be finite"
         elif expected == "string":
             if not isinstance(value, str):
                 return f"arg {pname!r} must be a string"

@@ -59,6 +59,10 @@ def test_schema_validation_rejects_bad_payloads():
         delta = {"dx": number, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
         with pytest.raises(bus.SchemaViolation):
             backend.publish(bus.CMD_POSE_DELTA, bus.encode(delta))
+    # nor is an integer too large for a float
+    delta = {"dx": 10**400, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
+    with pytest.raises(bus.SchemaViolation):
+        backend.publish(bus.CMD_POSE_DELTA, bus.encode(delta))
     assert backend.get_latest(bus.CMD_POSE_DELTA) is None
 
 
@@ -67,6 +71,25 @@ def test_lidar_payload_allows_null_range():
     backend.publish(bus.SENSOR_LIDAR, bus.encode({"range_m": None}))
     backend.publish(bus.SENSOR_LIDAR, bus.encode({"range_m": 3.2}))
     assert backend.get_latest(bus.SENSOR_LIDAR).record() == {"range_m": 3.2}
+
+
+def test_record_returns_a_private_copy():
+    backend = bus.InProcessBus()
+    seen = []
+    backend.subscribe(bus.CMD_TERMINATE, lambda m: seen.append(m))
+    report = {"structure": "box bus", "parts": ["solar array"]}
+    backend.publish(bus.CMD_TERMINATE, bus.encode({"reason": "done", "report": report}))
+    first = seen[0].record()
+    first["reason"] = "changed"
+    first["report"]["structure"] = "changed"
+    first["report"]["parts"].append("changed")
+    expected = {"reason": "done", "report": report}
+    assert seen[0].record() == expected
+    assert backend.get_latest(bus.CMD_TERMINATE).record() == expected
+
+    backend.publish(bus.SENSOR_RGB, bus.encode(rgb_payload()))
+    backend.get_latest(bus.SENSOR_RGB).record()["bearing_az"] = 99.0
+    assert backend.get_latest(bus.SENSOR_RGB).record() == rgb_payload()
 
 
 def test_per_key_fifo_and_seq():

@@ -251,14 +251,12 @@ def test_select_learned_filters_and_ranks(store):
         store, episode_id="ep-000002",
     )
     other_scope = materialize(create(scope="search"), store, episode_id="ep-000003")
-    picked = select_learned(
-        "rendezvous", "standard", "watch exposure and brightness", store, k=2
-    )
+    picked = select_learned("rendezvous", "watch exposure and brightness", store, k=2)
     names = [s.name for s in picked]
     assert names[0] == b.name              # keyword overlap wins
     assert a.name in names
     assert other_scope.name not in names   # scope filtered
-    assert select_learned("rendezvous", "standard", "x", store, k=0) == []
+    assert select_learned("rendezvous", "x", store, k=0) == []
 
 
 def test_select_learned_skips_disabled(store):
@@ -267,7 +265,7 @@ def test_select_learned_skips_disabled(store):
         MutationDecision(action=ACTION_DISABLE, scope="rendezvous", target=name),
         store, episode_id="ep-000002",
     )
-    assert select_learned("rendezvous", "standard", "pace forward steps", store) == []
+    assert select_learned("rendezvous", "pace forward steps", store) == []
 
 
 # -- scripted reflection rules -----------------------------------------

@@ -117,6 +117,20 @@ def test_memory_text_deterministic_for_identical_histories():
     assert build() == build()
 
 
+def test_memory_text_follows_every_update_including_evictions():
+    memory = reasoning.MemoryState(n=3)
+    texts = [memory.memory_text()]
+    for i in range(8):
+        reasoning.update_memory(memory, make_step(i), None)
+        fresh = reasoning.MemoryState(
+            n=memory.n, recent=list(memory.recent), long_term=memory.long_term
+        )
+        assert memory.memory_text() == fresh.memory_text()
+        texts.append(memory.memory_text())
+    assert len(set(texts)) == len(texts)   # every update changed the text
+    assert "Long-term summary: 5 earlier steps compressed" in texts[-1]
+
+
 def test_summarizer_failure_degrades_to_truncation():
     class Broken(reasoning.DecisionProvider):
         kind = "remote"

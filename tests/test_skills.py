@@ -77,6 +77,37 @@ def test_catalog_and_store_agree_on_learned_skills(tmp_path):
     assert stored["a"][1].name == "a.v2.skill"
 
 
+def test_each_load_sees_skill_files_added_edited_and_removed(tmp_path):
+    helper = tmp_path / "helper"
+    helper.mkdir()
+
+    def write(name, body):
+        skill = skills.Skill(name=name, category="helper", body=body)
+        (helper / f"{name}.skill").write_text(skills.render_skill(skill), encoding="utf-8")
+
+    def bodies():
+        catalog = skills.SkillCatalog.load(tmp_path)
+        return {s.name: s.body for s in catalog.of_category("helper")}
+
+    write("range", "keep 2 m")
+    assert bodies() == {"range": "keep 2 m"}
+    write("glare", "lower the gain")                      # added
+    assert bodies() == {"range": "keep 2 m", "glare": "lower the gain"}
+    write("range", "keep 2 m, then hold position")        # edited
+    assert bodies() == {"range": "keep 2 m, then hold position", "glare": "lower the gain"}
+    (helper / "glare.skill").unlink()                     # removed
+    assert bodies() == {"range": "keep 2 m, then hold position"}
+    (helper / "range.skill").rename(helper / "range.skill.archived")
+    assert bodies() == {}
+
+
+def test_loaded_skills_are_immutable():
+    # loads share the parsed skills, so none of them may change
+    catalog = skills.SkillCatalog.load(default_skills_root())
+    with pytest.raises(AttributeError):
+        catalog.by_name["approach"].enabled = False
+
+
 # -- routing ------------------------------------------------------------
 
 INTENDED = [

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,22 @@ def test_profiles_differ_only_in_whitelists():
     assert "lidar_range" in profiles["hybrid-nav"].allowed
     assert "eval_expr" not in profiles["hybrid-nav"].allowed
     assert profiles["hybrid-nav-code"].allowed == {t.name for t in catalog.tools}
+
+
+def test_shared_catalog_and_profiles_are_read_only():
+    profiles = tools.builtin_profiles()
+    with pytest.raises(TypeError):
+        profiles["everything"] = tools.ToolProfile.of("everything", ["terminate"])
+    with pytest.raises(TypeError):
+        del profiles["vision-only"]
+    assert tools.builtin_profiles() is profiles
+    assert list(profiles) == ["vision-only", "hybrid-nav", "hybrid-nav-code"]
+    catalog = tools.builtin_catalog()
+    with pytest.raises((TypeError, AttributeError)):
+        catalog.tools.append(catalog.tools[0])
+    with pytest.raises(TypeError):
+        catalog.by_name["terminate"] = catalog.tools[0]
+    assert tools.builtin_catalog() is catalog
 
 
 def test_visible_tools_keeps_catalog_order():
@@ -125,6 +142,29 @@ def test_dispatch_rejects_non_finite_numbers(rig, number):
     assert result.error_kind == tools.ERR_INVALID_ARGS
     assert dispatcher.latest_observation() == before  # nothing reached the env
     assert math.isfinite(bridge.env.chaser.x)
+
+
+@pytest.mark.parametrize(
+    "tool,args,error_kind",
+    [
+        # within float range: the env's bounds check rejects it
+        ("set_position", {"dx": 10**200, "dy": 0, "dz": 0}, tools.ERR_STEP_LIMIT),
+        ("set_attitude", {"dyaw": 10**200, "dpitch": 0, "droll": 0}, tools.ERR_STEP_LIMIT),
+        ("set_exposure", {"gain_delta": 10**200}, tools.ERR_GAIN_RANGE),
+        # beyond float range: rejected before it reaches the bus
+        ("set_position", {"dx": 10**400, "dy": 0, "dz": 0}, tools.ERR_INVALID_ARGS),
+        ("set_exposure", {"gain_delta": -(10**400)}, tools.ERR_INVALID_ARGS),
+    ],
+)
+def test_huge_integers_fail_fast_with_a_named_error(rig, tool, args, error_kind):
+    dispatcher, bridge, _ = rig
+    dispatcher.obs_timeout = 2.0
+    before = (dict(vars(bridge.env.chaser)), bridge.env.exposure_gain)
+    started = time.monotonic()
+    result = dispatcher.dispatch(call(tool, **args))
+    assert result.error_kind == error_kind
+    assert time.monotonic() - started < 1.0
+    assert (vars(bridge.env.chaser), bridge.env.exposure_gain) == before  # state unchanged
 
 
 def test_control_blocks_until_new_observation(rig):

@@ -7,23 +7,20 @@ between flags and defaults.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import bus as busmod
-from .config import ConfigError, RootConfig, RunSection, load_config
-from .env import TASK_KINDS, load_satellite_catalog, make_task
+from .config import ConfigError, RootConfig, load_config
+from .env import evaluate, load_satellite_catalog, make_task
 from .evolution import SkillStore
 from .reasoning import make_provider
-from .runner import (
-    EpisodeConfig,
-    RunnerError,
-    run_campaign,
-    run_episode,
-)
+from .runner import default_skills_root, run_campaign, run_episode
 from .skills import SkillCatalog
 from .tools import builtin_profiles
 from .trajectory import ENDED_ERROR, Trajectory
@@ -40,35 +37,40 @@ def _load_root(config_path) -> RootConfig:
     return RootConfig()
 
 
-def _satellites(root: RootConfig):
-    path = Path(root.satellite_catalog) if root.satellite_catalog else None
-    return load_satellite_catalog(path)
+@contextlib.contextmanager
+def _config_errors():
+    """Any error raised inside is reported as a configuration error (exit 3)."""
+    try:
+        yield
+    except Exception as exc:
+        click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
 
 
-def _backend(root: RootConfig):
-    if root.bus.backend == "redis":
-        return busmod.make_backend("redis", url=root.bus.redis_url)
-    return busmod.make_backend("inprocess")
+class Setup:
+    """What every episode of one command runs with, built once from the
+    configuration: a provider per episode from one spec (checked here by
+    building one), the satellite catalog, the skills root and the bus
+    backend, which the command's sequential episodes share."""
 
+    def __init__(self, root: RootConfig) -> None:
+        self.provider_spec = root.provider.spec()
+        make_provider(self.provider_spec)
+        self.satellites = load_satellite_catalog(root.satellite_catalog)
+        self.skills_root = root.skills_root
+        self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
 
-def _episode_config(run: RunSection, episode_id: str, trajectory=None, workspace=None,
-                    evolve=False) -> EpisodeConfig:
-    task = make_task(
-        run.task,
-        satellite_id=run.satellite,
-        condition=run.condition,
-        max_steps=run.max_steps,
-    )
-    return EpisodeConfig(
-        task=task,
-        profile=run.profile,
-        mode=run.mode,
-        seed=run.seed,
-        episode_id=episode_id,
-        workspace=Path(workspace) if workspace else None,
-        trajectory_path=Path(trajectory) if trajectory else None,
-        evolve=evolve,
-    )
+    def provider(self):
+        return make_provider(self.provider_spec)
+
+    def run(self, episode):
+        return run_episode(episode, provider=self.provider(), satellites=self.satellites,
+                           skills_root=self.skills_root, backend=self.backend)
+
+    def campaign(self, base, rounds: int, workspace):
+        return run_campaign(base, rounds, Path(workspace), provider_factory=self.provider,
+                            satellites=self.satellites, skills_root=self.skills_root,
+                            backend=self.backend)
 
 
 def _outcome_line(outcome) -> str:
@@ -123,28 +125,19 @@ def main() -> None:
 def run(config_path, task, satellite, condition, profile, mode, seed,
         max_steps, trajectory, workspace, evolve) -> None:
     """Run one episode and print its outcome line."""
-    try:
+    with _config_errors():
         root = _load_root(config_path)
         effective = root.effective_run(
             task=task, satellite=satellite, condition=condition, profile=profile,
-            mode=mode, seed=seed, max_steps=max_steps,
+            mode=mode, seed=seed, max_steps=max_steps, workspace=workspace, evolve=evolve,
         )
-        workspace = workspace or root.run.workspace
-        evolve = root.run.evolve if evolve is None else evolve
-        episode = _episode_config(
-            effective, "ep-000001", trajectory=trajectory,
-            workspace=workspace, evolve=evolve,
+        episode = effective.episode_config(
+            "ep-000001", trajectory=trajectory,
+            workspace=effective.workspace, evolve=effective.evolve,
         )
-        provider = make_provider(root.provider.spec())
-        backend = _backend(root)
-    except (ConfigError, RunnerError, KeyError, ValueError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        setup = Setup(root)
     try:
-        result = run_episode(
-            episode, provider=provider, satellites=_satellites(root), backend=backend,
-            skills_root=Path(root.skills_root) if root.skills_root else None,
-        )
+        result = setup.run(episode)
     except Exception as exc:
         click.echo(f"episode error: {exc}", err=True)
         sys.exit(EXIT_EPISODE_ERROR)
@@ -163,33 +156,24 @@ def run(config_path, task, satellite, condition, profile, mode, seed,
               help="Also write the report as structured JSON.")
 def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
     """Run a tool-profile ablation matrix and print the result table."""
-    try:
+    with _config_errors():
         root = _load_root(config_path)
         names = [p.strip() for p in (profiles or ",".join(builtin_profiles())).split(",")]
         kinds = [t.strip() for t in task_list.split(",")]
-        for name in names:
-            if name not in builtin_profiles():
-                raise ConfigError(f"unknown profile {name!r}")
-        for kind in kinds:
-            if kind not in TASK_KINDS:
-                raise ConfigError(f"unknown task kind {kind!r}")
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        episodes = {
+            (name, kind): root.effective_run(
+                task=kind, profile=name, condition=condition, seed=seed,
+            ).episode_config(f"ablate-{name}-{kind}")
+            for name in names for kind in kinds
+        }
+        setup = Setup(root)
 
-    satellites = _satellites(root)
     rows, records = [], []
     for name in names:
         cells = [name]
         for kind in kinds:
-            effective = root.effective_run(task=kind, profile=name,
-                                           condition=condition, seed=seed)
-            episode = _episode_config(effective, f"ablate-{name}-{kind}")
             try:
-                result = run_episode(
-                    episode, provider=make_provider(root.provider.spec()),
-                    satellites=satellites,
-                )
+                result = setup.run(episodes[name, kind])
                 outcome = result.outcome
                 passed = outcome.success is True
                 cell = (
@@ -220,24 +204,21 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
 @click.option("--out", type=click.Path(), default=None)
 def sweep(config_path, task, runs, condition, mode, profile, out) -> None:
     """Run one task over consecutive seeds and report the pass count."""
-    try:
+    with _config_errors():
+        if runs < 1:
+            raise ConfigError(f"--runs must be >= 1, got {runs}")
         root = _load_root(config_path)
         effective = root.effective_run(task=task, condition=condition,
                                        mode=mode, profile=profile)
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    satellites = _satellites(root)
+        episodes = [replace(effective, seed=seed).episode_config(f"sweep-{seed:04d}")
+                    for seed in range(runs)]
+        setup = Setup(root)
     records = []
-    for seed in range(runs):
-        effective.seed = seed
-        episode = _episode_config(effective, f"sweep-{seed:04d}")
+    for seed, episode in enumerate(episodes):
         try:
-            outcome = run_episode(
-                episode, provider=make_provider(root.provider.spec()),
-                satellites=satellites,
-            ).outcome
-        except Exception:
+            outcome = setup.run(episode).outcome
+        except Exception as exc:
+            click.echo(f"episode error (seed {seed}): {exc}", err=True)
             outcome = None
         records.append(
             {"seed": seed, "outcome": outcome.to_dict() if outcome else None,
@@ -266,20 +247,16 @@ def sweep(config_path, task, runs, condition, mode, profile, out) -> None:
 @click.option("--out", type=click.Path(), default=None)
 def evolve(config_path, task, rounds, workspace, out) -> None:
     """Run a shared-workspace evolution campaign and list learned skills."""
-    try:
+    with _config_errors():
+        if rounds < 1:
+            raise ConfigError(f"--rounds must be >= 1, got {rounds}")
         root = _load_root(config_path)
-        effective = root.effective_run(task=task)
-        base = _episode_config(effective, "ep-000000", workspace=workspace, evolve=True)
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    try:
-        report = run_campaign(
-            base, rounds, Path(workspace),
-            provider_factory=lambda: make_provider(root.provider.spec()),
-            satellites=_satellites(root),
-            skills_root=Path(root.skills_root) if root.skills_root else None,
+        base = root.effective_run(task=task).episode_config(
+            "ep-000000", workspace=workspace, evolve=True,
         )
+        setup = Setup(root)
+    try:
+        report = setup.campaign(base, rounds, workspace)
     except Exception as exc:
         click.echo(f"episode error: {exc}", err=True)
         sys.exit(EXIT_EPISODE_ERROR)
@@ -307,9 +284,7 @@ def evolve(config_path, task, rounds, workspace, out) -> None:
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def report(trajectory_path, config_path) -> None:
     """Recompute and print the outcome of a persisted trajectory log."""
-    from .env import evaluate  # noqa: PLC0415
-
-    try:
+    with _config_errors():
         root = _load_root(config_path)
         trajectory = Trajectory.read(Path(trajectory_path))
         meta = trajectory.meta
@@ -317,11 +292,8 @@ def report(trajectory_path, config_path) -> None:
             meta["task_kind"], satellite_id=meta["satellite_id"],
             condition=meta["condition"],
         )
-        satellites = _satellites(root)
+        satellites = load_satellite_catalog(root.satellite_catalog)
         outcome = evaluate(trajectory, task, satellites[task.satellite_id])
-    except Exception as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
     click.echo(_outcome_line(outcome))
     click.echo(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     sys.exit(EXIT_OK)
@@ -337,15 +309,9 @@ def skills() -> None:
 @click.option("--workspace", type=click.Path(), default=None,
               help="Also list learned skills from this workspace.")
 def skills_list(config_path, workspace) -> None:
-    from .runner import default_skills_root  # noqa: PLC0415
-
-    try:
+    with _config_errors():
         root = _load_root(config_path)
-        catalog_root = Path(root.skills_root) if root.skills_root else default_skills_root()
-        catalog = SkillCatalog.load(catalog_root)
-    except Exception as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        catalog = SkillCatalog.load(root.skills_root or default_skills_root())
     rows = [
         [s.name, s.category, s.version, s.provenance, "yes" if s.enabled else "no"]
         for s in catalog.skills

@@ -8,25 +8,47 @@ parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import yaml
 
-from .env import CONDITIONS, TASK_KINDS
-from .skills import REASONING_MODES
-from .tools import builtin_profiles
+from .env import EnvError, make_task
+from .runner import EpisodeConfig, RunnerError
 
 
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(record: dict, allowed: set[str], where: str) -> None:
-    unknown = set(record) - allowed
+def _fields(cls, record, where: str, keys=None) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a configuration mapping.
+
+    The allowed keys are ``keys``, by default the dataclass fields. Each
+    value must have its field's type (``bool`` is not an ``int``); a field
+    typed as a section is built the same way. A key set to null is left out,
+    so it takes its default.
+    """
+    if record is None:
+        record = {}
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be a mapping, got {record!r}")
+    unknown = set(record) - set(keys or (f.name for f in fields(cls)))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in record.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            values[key] = hint(**_fields(hint, value, key))
+        elif value is not None:
+            types = get_args(hint) or (hint,)  # Optional[int] -> (int, NoneType)
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ConfigError(f"{where}.{key} must be {types[0].__name__}, got {value!r}")
+            values[key] = value
+    return values
 
 
 @dataclass
@@ -64,17 +86,31 @@ class RunSection:
     evolve: bool = False
     workspace: Optional[str] = None
 
+    def episode_config(self, episode_id: str, trajectory=None, workspace=None,
+                       evolve: bool = False) -> EpisodeConfig:
+        task = make_task(
+            self.task,
+            satellite_id=self.satellite,
+            condition=self.condition,
+            max_steps=self.max_steps,
+        )
+        return EpisodeConfig(
+            task=task,
+            profile=self.profile,
+            mode=self.mode,
+            seed=self.seed,
+            episode_id=episode_id,
+            workspace=Path(workspace) if workspace else None,
+            trajectory_path=Path(trajectory) if trajectory else None,
+            evolve=evolve,
+        )
+
     def validate(self) -> None:
-        if self.task not in TASK_KINDS:
-            raise ConfigError(f"unknown task kind {self.task!r}")
-        if self.condition not in CONDITIONS:
-            raise ConfigError(f"unknown condition {self.condition!r}")
-        if self.profile not in builtin_profiles():
-            raise ConfigError(f"unknown profile {self.profile!r}")
-        if self.mode not in REASONING_MODES:
-            raise ConfigError(f"unknown reasoning mode {self.mode!r}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1")
+        """A run is valid exactly when its episode can be built."""
+        try:
+            self.episode_config("validate")
+        except (EnvError, RunnerError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # Per-task override fields operators may set under ``tasks:``
@@ -94,56 +130,24 @@ class RootConfig:
         self.bus.validate()
         self.provider.validate()
         self.run.validate()
-        for kind, overrides in self.tasks.items():
-            if kind not in TASK_KINDS:
-                raise ConfigError(f"per-task override for unknown task {kind!r}")
-            _check_keys(overrides, _OVERRIDE_FIELDS, f"tasks.{kind}")
+        for kind in self.tasks:
+            self.effective_run(kind)
 
     def effective_run(self, task: Optional[str] = None, **flags) -> RunSection:
         """Precedence: command-line flags > per-task overrides > defaults."""
-        record = asdict(self.run)
-        kind = task or record["task"]
-        record["task"] = kind
-        record.update(self.tasks.get(kind, {}))
-        record.update({k: v for k, v in flags.items() if v is not None})
-        run = RunSection(**record)
+        kind = task or self.run.task
+        overrides = _fields(RunSection, self.tasks.get(kind), f"tasks.{kind}", _OVERRIDE_FIELDS)
+        flags = {k: v for k, v in flags.items() if v is not None}
+        run = RunSection(**{**asdict(self.run), "task": kind, **overrides, **flags})
         run.validate()
         return run
 
     def to_dict(self) -> dict:
-        return {
-            "bus": asdict(self.bus),
-            "provider": asdict(self.provider),
-            "run": asdict(self.run),
-            "tasks": self.tasks,
-            "skills_root": self.skills_root,
-            "satellite_catalog": self.satellite_catalog,
-        }
-
-
-_ROOT_KEYS = {"bus", "provider", "run", "tasks", "skills_root", "satellite_catalog"}
+        return asdict(self)
 
 
 def parse_config(record: dict) -> RootConfig:
-    if not isinstance(record, dict):
-        raise ConfigError("configuration root must be a mapping")
-    _check_keys(record, _ROOT_KEYS, "root")
-
-    bus_rec = record.get("bus", {}) or {}
-    _check_keys(bus_rec, {"backend", "redis_url"}, "bus")
-    provider_rec = record.get("provider", {}) or {}
-    _check_keys(provider_rec, {"kind", "options"}, "provider")
-    run_rec = record.get("run", {}) or {}
-    _check_keys(run_rec, set(RunSection.__dataclass_fields__), "run")
-
-    config = RootConfig(
-        bus=BusSection(**bus_rec),
-        provider=ProviderSection(**provider_rec),
-        run=RunSection(**run_rec),
-        tasks=record.get("tasks", {}) or {},
-        skills_root=record.get("skills_root"),
-        satellite_catalog=record.get("satellite_catalog"),
-    )
+    config = RootConfig(**_fields(RootConfig, record, "root"))
     config.validate()
     return config
 

@@ -188,12 +188,16 @@ def make_task(
         SEARCH: f"search to find {satellite_id} then approach to about 2 m",
         INSPECTION: f"inspect {satellite_id} up close and report its characteristics",
     }
+    if kind not in TASK_KINDS:
+        raise EnvError(f"unknown task kind: {kind!r}")
+    if condition not in CONDITIONS:
+        raise EnvError(f"unknown condition: {condition!r}")
     return TaskSpec(
         kind=kind,
         description=description or default_desc[kind],
         satellite_id=satellite_id,
         condition=CONDITIONS[condition],
-        max_steps=max_steps or DEFAULT_MAX_STEPS[kind],
+        max_steps=DEFAULT_MAX_STEPS[kind] if max_steps is None else max_steps,
     )
 
 
@@ -469,11 +473,12 @@ class EnvBridge:
         self.backend.publish(busmod.SENSOR_RGB_NOTIFY, busmod.encode({"seq": seq}))
 
     def _apply(self, command, argument) -> None:
-        """Apply one command and publish the observation after it. A rejected
-        command leaves the state unchanged and is reported as a note."""
+        """Apply one command and publish the observation after it. A command
+        that raises (a rejected one leaves the state unchanged) is reported
+        as a note naming the exception, so the dispatcher returns at once."""
         try:
             obs = command(argument)
-        except (StepLimitExceeded, GainOutOfRange) as exc:
+        except Exception as exc:
             obs = self.env.observe()
             obs.note = f"{type(exc).__name__}: {exc}"
         self._publish(obs)

@@ -322,6 +322,7 @@ def run_campaign(
     provider_factory=None,
     satellites: Optional[dict] = None,
     skills_root: Optional[Path] = None,
+    backend: Optional[busmod.BusBackend] = None,
 ) -> CampaignReport:
     """Sequential multi-round campaign over a shared evolution workspace."""
     workspace = Path(workspace)
@@ -337,7 +338,7 @@ def run_campaign(
         )
         result = run_episode(
             config, provider=provider_factory(), satellites=satellites,
-            skills_root=skills_root,
+            skills_root=skills_root, backend=backend,
         )
         report.rounds.append(
             {

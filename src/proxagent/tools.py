@@ -41,6 +41,9 @@ ERR_ENV_TIMEOUT = "EnvTimeout"
 ERR_EXPRESSION = "ExpressionError"
 ERR_STEP_LIMIT = "StepLimitExceeded"
 ERR_GAIN_RANGE = "GainOutOfRange"
+ERR_ENV_FAULT = "EnvFault"
+# Observation-note prefixes (exception names) that are error kinds of their own
+_NOTE_ERRORS = frozenset({ERR_STEP_LIMIT, ERR_GAIN_RANGE})
 
 BRIGHTNESS_UNDER = 40.0
 BRIGHTNESS_OVER = 220.0
@@ -380,12 +383,12 @@ class ToolDispatcher:
         obs = self._await_new_observation(prev_seq)
         if obs is None:
             return ToolResult(False, {"tool": tool.name}, ERR_ENV_TIMEOUT)
-        note = obs.get("note", "")
-        if note.startswith("StepLimitExceeded"):
-            return ToolResult(False, {"detail": note, "observation": obs}, ERR_STEP_LIMIT)
-        if note.startswith("GainOutOfRange"):
-            return ToolResult(False, {"detail": note, "observation": obs}, ERR_GAIN_RANGE)
-        return ToolResult(True, {"observation": obs})
+        note = obs.get("note")
+        if note is None:
+            return ToolResult(True, {"observation": obs})
+        prefix = note.split(":", 1)[0]
+        kind = prefix if prefix in _NOTE_ERRORS else ERR_ENV_FAULT
+        return ToolResult(False, {"detail": note, "observation": obs}, kind)
 
     def _visible_parts(self, obs: Observation) -> list[dict]:
         if not obs.visible or obs.mean_brightness < BRIGHTNESS_UNDER:

@@ -1,4 +1,6 @@
 import json
+import shutil
+from importlib import resources
 
 import pytest
 import yaml
@@ -61,6 +63,31 @@ def test_shipped_default_config_parses():
     text = resources.files("proxagent.data").joinpath("default_config.yaml").read_text()
     config = parse_config(yaml.safe_load(text))
     assert config.run.profile == "hybrid-nav"
+
+
+@pytest.mark.parametrize("record", [
+    {"bus": 5},
+    {"run": 7},
+    {"tasks": 5},
+    {"tasks": {"search": 5}},
+    {"run": {"seed": "x"}},
+    {"run": {"seed": True}},
+    {"run": {"max_steps": "5"}},
+    {"run": {"max_steps": 0}},
+    {"run": {"evolve": "yes"}},
+    {"provider": {"options": 3}},
+    {"tasks": {"search": {"task": "rendezvous"}}},
+    {"tasks": {"search": {"condition": "C9"}}},
+    {"tasks": {"docking": {}}},
+])
+def test_config_rejects_wrong_shapes_and_types(record):
+    with pytest.raises(ConfigError):
+        parse_config(record)
+
+
+def test_config_null_keys_take_their_defaults():
+    config = parse_config({"bus": None, "tasks": None, "run": {"seed": None}})
+    assert config.to_dict() == parse_config({}).to_dict()
 
 
 # -- commands -----------------------------------------------------------
@@ -166,3 +193,68 @@ def test_full_cross_product_smoke(runner):
                 main, ["run", "--task", task, "--mode", mode, "--seed", "1"]
             )
             assert result.exit_code == 0, (task, mode, result.output)
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+def test_ablate_unknown_condition_exits_three(runner):
+    result = runner.invoke(main, ["ablate", "--condition", "C9"])
+    assert result.exit_code == 3
+    assert "C9" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--runs", "-2"],
+    ["sweep", "--runs", "0"],
+    ["evolve", "--rounds", "0", "--workspace", "ws"],
+])
+def test_counts_below_one_exit_three(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "configuration error" in result.output
+
+
+def test_every_episode_command_uses_skills_root(runner, tmp_path):
+    skills = tmp_path / "skills"
+    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
+    (skills / "task" / "approach.skill").unlink()
+    config = _config(tmp_path, f"skills_root: {skills}\n")
+
+    result = runner.invoke(main, ["run", "--config", config])
+    assert result.exit_code == 4
+    assert "approach" in result.output
+    result = runner.invoke(main, ["sweep", "--config", config, "--runs", "1"])
+    assert "approach" in result.output
+    assert "pass count: 0/1" in result.output
+    result = runner.invoke(main, ["ablate", "--config", config, "--tasks", "rendezvous",
+                                  "--profiles", "hybrid-nav"])
+    assert "approach" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--runs", "1"], ["ablate"], ["evolve", "--rounds", "1"],
+])
+def test_unusable_bus_exits_three(runner, tmp_path, command):
+    config = _config(
+        tmp_path, "bus:\n  backend: redis\n  redis_url: redis://127.0.0.1:1/0\n")
+    if command[0] == "evolve":
+        command = command + ["--workspace", str(tmp_path / "ws")]
+    result = runner.invoke(main, command + ["--config", config])
+    assert result.exit_code == 3, result.output
+    assert "configuration error" in result.output
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--runs", "1"]])
+def test_unusable_provider_exits_three(runner, tmp_path, command):
+    config = _config(
+        tmp_path,
+        "provider:\n  kind: remote\n  options:\n"
+        "    endpoint: http://127.0.0.1:1\n    temperature: 0.9\n",
+    )
+    result = runner.invoke(main, command + ["--config", config])
+    assert result.exit_code == 3, result.output
+    assert "temperature" in result.output

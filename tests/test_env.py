@@ -170,6 +170,17 @@ def _nav_trajectory(ended_by, true_range):
     return traj
 
 
+def test_make_task_names_bad_values():
+    assert env.make_task("search").max_steps == env.DEFAULT_MAX_STEPS["search"]
+    assert env.make_task("search", max_steps=3).max_steps == 3
+    with pytest.raises(env.EnvError, match="max_steps"):
+        env.make_task("rendezvous", max_steps=0)
+    with pytest.raises(env.EnvError, match="'docking'"):
+        env.make_task("docking")
+    with pytest.raises(env.EnvError, match="'C9'"):
+        env.make_task("rendezvous", condition="C9")
+
+
 def test_evaluate_success_band(satellites):
     task = env.make_task("rendezvous")
     sat = satellites["CAPSTONE"]

@@ -1,5 +1,6 @@
 import pytest
 
+from proxagent.bus import InProcessBus
 from proxagent.env import evaluate, load_satellite_catalog, make_task
 from proxagent.reasoning import (
     CALL_ROUTE,
@@ -171,3 +172,20 @@ def test_campaign_without_evolution_leaves_no_skills(satellites, tmp_path):
         )
     assert list((ws / "learned").glob("*.skill")) == []
     assert (ws / "episodes.jsonl").exists()  # history still recorded
+
+
+def test_episodes_back_to_back_on_one_bus_match_fresh_buses(satellites, tmp_path):
+    shared = InProcessBus()
+    for index, (kind, seed) in enumerate(
+        [("rendezvous", 0), ("search", 1), ("inspection", 2), ("rendezvous", 3)]
+    ):
+        episode = config(kind, seed=seed, episode_id=f"ep-{index:06d}")
+        on_shared = run_episode(episode, satellites=satellites, backend=shared)
+        on_fresh = run_episode(episode, satellites=satellites)
+        assert [s.to_json() for s in on_shared.trajectory.steps] == [
+            s.to_json() for s in on_fresh.trajectory.steps]
+
+    for ws, backend in ((tmp_path / "shared", InProcessBus()), (tmp_path / "fresh", None)):
+        run_campaign(config(), 3, ws, satellites=satellites, backend=backend)
+    for name in ("ep-000001.jsonl", "ep-000002.jsonl", "ep-000003.jsonl"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()

@@ -167,6 +167,24 @@ def test_huge_integers_fail_fast_with_a_named_error(rig, tool, args, error_kind)
     assert (vars(bridge.env.chaser), bridge.env.exposure_gain) == before  # state unchanged
 
 
+def test_env_fault_is_a_named_error_at_once(rig, monkeypatch):
+    dispatcher, bridge, _ = rig
+    dispatcher.obs_timeout = 2.0
+    step = bridge.env.step
+
+    def fail_once(delta):
+        monkeypatch.setattr(bridge.env, "step", step)
+        raise RuntimeError("actuator offline")
+
+    monkeypatch.setattr(bridge.env, "step", fail_once)
+    started = time.monotonic()
+    result = dispatcher.dispatch(call("set_position", dx=1.0, dy=0.0, dz=0.0))
+    assert result.error_kind == tools.ERR_ENV_FAULT
+    assert result.payload["detail"] == "RuntimeError: actuator offline"
+    assert time.monotonic() - started < 1.0
+    assert dispatcher.dispatch(call("set_position", dx=1.0, dy=0.0, dz=0.0)).ok
+
+
 def test_control_blocks_until_new_observation(rig):
     dispatcher, _, _ = rig
     before = dispatcher.latest_observation()

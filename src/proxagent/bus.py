@@ -3,13 +3,15 @@
 A fixed naming contract defines every channel the agent and the environment
 may use, so the decision loop never branches on which backend it is talking
 to. Sensor keys carry upstream data (environment -> agent), command keys
-carry downstream data (agent -> environment). Payloads are UTF-8 JSON with
-a per-key schema.
+carry downstream data (agent -> environment). A payload is a record (a
+dict) that fits the key's schema and holds only values JSON can carry.
 
 Ships an in-process backend (thread-safe, per-key FIFO, at-most-once
-delivery) plus an adapter for an external Redis-style key-value pub/sub
-service. The adapter is optional; it requires the ``redis`` package and a
-reachable server, and it inherits that server's native delivery semantics.
+delivery), which carries validated records and never serializes them, plus
+an adapter for an external Redis-style key-value pub/sub service, where
+records travel as UTF-8 JSON. The adapter is optional; it requires the
+``redis`` package and a reachable server, and it inherits that server's
+native delivery semantics.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 
@@ -97,13 +99,40 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def validate_payload(key: str, payload: bytes) -> dict:
-    """Decode and validate a payload against the key's schema."""
+_PLAIN = frozenset({str, bool, type(None)})
+
+
+def json_copy(value, where: str):
+    """A private copy of ``value``, which must be JSON-native: a dict with
+    string keys, a list, a string, a finite number in float range, a bool or
+    None, at any depth. Anything else raises SchemaViolation naming ``where``."""
+    if isinstance(value, dict):
+        record = {}
+        for name, item in value.items():
+            if not isinstance(name, str):
+                raise SchemaViolation(f"{where}: key {name!r} is not a string")
+            kind = type(item)
+            if kind is float:  # the common case, checked inline
+                if not math.isfinite(item):
+                    raise SchemaViolation(f"{where}.{name}: not a finite number in float range")
+            elif kind not in _PLAIN:
+                item = json_copy(item, f"{where}.{name}")
+            record[name] = item
+        return record
+    if isinstance(value, list):
+        return [json_copy(item, f"{where}[{i}]") for i, item in enumerate(value)]
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, _NUMBER):
+        if not is_finite_number(value):
+            raise SchemaViolation(f"{where}: not a finite number in float range")
+        return value
+    raise SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
+
+
+def validate_payload(key: str, record) -> dict:
+    """Validate a record against the key's schema; return a private copy."""
     check_key(key)
-    try:
-        record = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise SchemaViolation(f"payload for {key} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise SchemaViolation(f"payload for {key} must be a JSON object")
     schema = CHANNEL_SCHEMAS[key]
@@ -118,26 +147,24 @@ def validate_payload(key: str, payload: bytes) -> dict:
             raise SchemaViolation(
                 f"{key}.{field}: expected {types}, got {type(value).__name__}"
             )
-        if isinstance(value, _NUMBER) and not is_finite_number(value):
-            raise SchemaViolation(f"{key}.{field}: not a finite number in float range")
-    return record
+    return json_copy(record, key)
 
 
 def encode(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True).encode("utf-8")
+    """The wire form of a record: sorted-key UTF-8 JSON, never NaN or Infinity."""
+    return json.dumps(record, sort_keys=True, allow_nan=False).encode("utf-8")
 
 
 @dataclass(frozen=True)
 class BusMessage:
     key: str
-    payload: bytes
+    payload: dict  # the validated record, owned by the bus: read it via record()
     seq: int
     timestamp: int  # milliseconds since epoch
-    decoded: dict = field(compare=False, repr=False)  # the payload, decoded once
 
     def record(self) -> dict:
-        """The decoded payload, as a copy the caller may change freely."""
-        record = dict(self.decoded)
+        """The payload, as a copy the caller may change freely."""
+        record = dict(self.payload)
         for name, value in record.items():
             if isinstance(value, (dict, list)):  # e.g. cmd/terminate's report
                 record[name] = copy.deepcopy(value)
@@ -163,7 +190,7 @@ class Subscription:
 class BusBackend:
     """Contract every backend implements. Agent modules depend only on this."""
 
-    def publish(self, key: str, payload: bytes) -> int:
+    def publish(self, key: str, record: dict) -> int:
         raise NotImplementedError
 
     def get_latest(self, key: str) -> Optional[BusMessage]:
@@ -186,8 +213,8 @@ class InProcessBus(BusBackend):
         self._latest: dict[str, BusMessage] = {}
         self._subs: dict[str, list[Handler]] = {key: [] for key in CONTRACT_KEYS}
 
-    def publish(self, key: str, payload: bytes) -> int:
-        decoded = validate_payload(key, payload)
+    def publish(self, key: str, record: dict) -> int:
+        payload = validate_payload(key, record)
         with self._lock:
             self._seq[key] += 1
             msg = BusMessage(
@@ -195,7 +222,6 @@ class InProcessBus(BusBackend):
                 payload=payload,
                 seq=self._seq[key],
                 timestamp=int(time.time() * 1000),
-                decoded=decoded,
             )
             self._latest[key] = msg
             handlers = list(self._subs[key])
@@ -251,31 +277,27 @@ class RedisBusAdapter(BusBackend):
 
     @staticmethod
     def _message(key: str, envelope: bytes) -> BusMessage:
-        data = json.loads(envelope)
-        return BusMessage(
-            key=key,
-            payload=data["payload"].encode("utf-8"),
-            seq=data["seq"],
-            timestamp=data["timestamp"],
-            decoded=json.loads(data["payload"]),
-        )
+        """Decode and validate what another publisher may have written."""
+        try:
+            data = json.loads(envelope)
+            seq, timestamp, text = data["seq"], data["timestamp"], data["payload"]
+            record = json.loads(text)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise SchemaViolation(f"envelope for {key} is malformed: {exc!r}") from exc
+        if type(seq) is not int or type(timestamp) is not int:
+            raise SchemaViolation(f"envelope for {key}: seq and timestamp must be integers")
+        return BusMessage(key, validate_payload(key, record), seq, timestamp)
 
-    def publish(self, key: str, payload: bytes) -> int:
-        validate_payload(key, payload)
+    def publish(self, key: str, record: dict) -> int:
+        payload = encode(validate_payload(key, record)).decode("utf-8")
         try:
             seq = int(self._redis.incr(self._name(key) + ":seq"))
             envelope = json.dumps(
-                {
-                    "seq": seq,
-                    "timestamp": int(time.time() * 1000),
-                    "payload": payload.decode("utf-8"),
-                }
+                {"seq": seq, "timestamp": int(time.time() * 1000), "payload": payload}
             )
             self._redis.set(self._name(key), envelope)
             self._redis.publish(self._name(key), envelope)
             return seq
-        except BusError:
-            raise
         except Exception as exc:  # pragma: no cover - requires live server
             raise BackendUnavailable(str(exc)) from exc
 
@@ -289,7 +311,12 @@ class RedisBusAdapter(BusBackend):
         pubsub = self._redis.pubsub(ignore_subscribe_messages=True)
 
         def _on_message(message) -> None:
-            handler(self._message(key, message["data"]))
+            # as in-process: a malformed message reaches no subscriber, and a
+            # misbehaving subscriber must not stop the delivery thread
+            try:
+                handler(self._message(key, message["data"]))
+            except Exception:
+                pass
 
         pubsub.subscribe(**{self._name(key): _on_message})
         thread = pubsub.run_in_thread(sleep_time=0.005, daemon=True)

@@ -51,12 +51,17 @@ class Setup:
     """What every episode of one command runs with, built once from the
     configuration: a provider per episode from one spec (checked here by
     building one), the satellite catalog, the skills root and the bus
-    backend, which the command's sequential episodes share."""
+    backend, which the command's sequential episodes share. Each of the
+    command's episodes must target a satellite in the catalog."""
 
-    def __init__(self, root: RootConfig) -> None:
+    def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
         make_provider(self.provider_spec)
         self.satellites = load_satellite_catalog(root.satellite_catalog)
+        for episode in episodes:
+            if episode.task.satellite_id not in self.satellites:
+                raise ConfigError(f"unknown satellite {episode.task.satellite_id!r}; "
+                                  f"the catalog has {sorted(self.satellites)}")
         self.skills_root = root.skills_root
         self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
 
@@ -135,7 +140,7 @@ def run(config_path, task, satellite, condition, profile, mode, seed,
             "ep-000001", trajectory=trajectory,
             workspace=effective.workspace, evolve=effective.evolve,
         )
-        setup = Setup(root)
+        setup = Setup(root, [episode])
     try:
         result = setup.run(episode)
     except Exception as exc:
@@ -166,7 +171,7 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
             ).episode_config(f"ablate-{name}-{kind}")
             for name in names for kind in kinds
         }
-        setup = Setup(root)
+        setup = Setup(root, episodes.values())
 
     rows, records = [], []
     for name in names:
@@ -212,7 +217,7 @@ def sweep(config_path, task, runs, condition, mode, profile, out) -> None:
                                        mode=mode, profile=profile)
         episodes = [replace(effective, seed=seed).episode_config(f"sweep-{seed:04d}")
                     for seed in range(runs)]
-        setup = Setup(root)
+        setup = Setup(root, episodes)
     records = []
     for seed, episode in enumerate(episodes):
         try:
@@ -254,7 +259,7 @@ def evolve(config_path, task, rounds, workspace, out) -> None:
         base = root.effective_run(task=task).episode_config(
             "ep-000000", workspace=workspace, evolve=True,
         )
-        setup = Setup(root)
+        setup = Setup(root, [base])
     try:
         report = setup.campaign(base, rounds, workspace)
     except Exception as exc:

@@ -468,9 +468,9 @@ class EnvBridge:
         return obs
 
     def _publish(self, obs: Observation) -> None:
-        self.backend.publish(busmod.SENSOR_LIDAR, busmod.encode(obs.lidar_payload()))
-        seq = self.backend.publish(busmod.SENSOR_RGB, busmod.encode(obs.rgb_payload()))
-        self.backend.publish(busmod.SENSOR_RGB_NOTIFY, busmod.encode({"seq": seq}))
+        self.backend.publish(busmod.SENSOR_LIDAR, obs.lidar_payload())
+        seq = self.backend.publish(busmod.SENSOR_RGB, obs.rgb_payload())
+        self.backend.publish(busmod.SENSOR_RGB_NOTIFY, {"seq": seq})
 
     def _apply(self, command, argument) -> None:
         """Apply one command and publish the observation after it. A command

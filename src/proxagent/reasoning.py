@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .bus import is_finite_number
 from .tools import (
     CATEGORY_CONTROL,
     ToolCall,
@@ -198,22 +199,28 @@ class MemoryState:
         }
     )
 
-    # rendered text, cleared by update_memory (the only mutator)
+    # one rendered line per record in ``recent``, kept in step by update_memory
+    _lines: list[str] = field(default_factory=list, init=False, repr=False, compare=False)
+    # the joined text, cleared by update_memory (the only mutator)
     _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._lines = [memory_line(record) for record in self.recent]
 
     def memory_text(self) -> str:
         if self._text is None:
-            parts = []
-            if self.long_term:
-                parts.append("Long-term summary: " + self.long_term)
-            for record in self.recent:
-                digest = record.get("result_digest", "")
-                parts.append(
-                    f"step {record.get('step')}: {record.get('tool')}"
-                    f"({json.dumps(record.get('args', {}), sort_keys=True)}) -> {digest}"
-                )
-            self._text = "\n".join(parts)
+            head = ["Long-term summary: " + self.long_term] if self.long_term else []
+            self._text = "\n".join(head + self._lines)
         return self._text
+
+
+def memory_line(record: dict) -> str:
+    """One step record as the memory text shows it."""
+    return (
+        f"step {record.get('step')}: {record.get('tool')}"
+        f"({json.dumps(record.get('args', {}), sort_keys=True)}) -> "
+        f"{record.get('result_digest', '')}"
+    )
 
 
 def template_summary(stats: dict) -> str:
@@ -237,8 +244,10 @@ def update_memory(
     """Append a step; evict the oldest into the long-term summary past N."""
     memory._text = None
     memory.recent.append(step_record)
+    memory._lines.append(memory_line(step_record))
     while len(memory.recent) > memory.n:
         evicted = memory.recent.pop(0)
+        del memory._lines[0]
         stats = memory.stats
         stats["evicted"] += 1
         tool = evicted.get("tool", "?")
@@ -672,10 +681,16 @@ def make_provider(spec: dict) -> DecisionProvider:
     """Instantiate a provider from a configuration record."""
     kind = spec.get("kind", "scripted")
     if kind == "scripted":
-        policy_fields = {
-            k: v for k, v in spec.items() if k in ScriptedPolicyConfig.__dataclass_fields__
-        }
-        return ScriptedProvider(ScriptedPolicyConfig(**policy_fields))
+        options = {k: v for k, v in spec.items() if k != "kind"}
+        unknown = set(options) - set(ScriptedPolicyConfig.__dataclass_fields__)
+        if unknown:
+            raise ReasoningError(f"unknown scripted provider options: {sorted(unknown)}")
+        for name, value in options.items():  # every policy option is a number
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not is_finite_number(value)):
+                raise ReasoningError(
+                    f"scripted provider option {name} must be a finite number, got {value!r}")
+        return ScriptedProvider(ScriptedPolicyConfig(**options))
     if kind == "replay":
         return ReplayProvider(spec["transcript"])
     if kind == "remote":

@@ -203,8 +203,8 @@ def run_episode(
     # -- phase 2: closed loop ------------------------------------------
     ended_by = ENDED_TIMEOUT
     try:
+        obs = _observation_dict(dispatcher)
         for step_index in range(task.max_steps):
-            obs = _observation_dict(dispatcher)
             mode_result: ModeStepResult = step_fn(StepContext(
                 provider_view(obs, visible_names), prompt, memory, visible,
                 provider, dispatcher, task.kind, step_index, config.episode_id,
@@ -244,6 +244,9 @@ def run_episode(
             if cause is not None:
                 ended_by = cause
                 break
+            # inner rounds dispatch only non-control tools, so nothing is
+            # published before the next step: its observation is this one
+            obs = post_obs
     except ReasoningError:
         ended_by = ENDED_ERROR
     finally:

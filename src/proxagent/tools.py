@@ -252,6 +252,10 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
         elif expected == "object":
             if not isinstance(value, dict):
                 return f"arg {pname!r} must be an object"
+            try:  # the object travels on the bus: JSON-native at any depth
+                busmod.json_copy(value, pname)
+            except busmod.SchemaViolation as exc:
+                return f"arg {exc}"
     return None
 
 
@@ -287,7 +291,13 @@ def safe_eval(expression: str) -> float:
             return left / right
         raise ToolError(f"disallowed syntax: {type(node).__name__}")
 
-    return walk(tree)
+    try:
+        value = walk(tree)
+    except OverflowError as exc:  # e.g. a huge integer divided into a float
+        raise ToolError(f"overflow: {exc}") from exc
+    if not busmod.is_finite_number(value):
+        raise ToolError("result is not a finite number in float range")
+    return value
 
 
 def part_bearing_offsets(satellite: SatelliteModel, part_name: str) -> tuple[float, float]:
@@ -363,7 +373,7 @@ class ToolDispatcher:
                 payload["reason"] = args["reason"]
             if "report" in args:
                 payload["report"] = args["report"]
-            self.backend.publish(busmod.CMD_TERMINATE, busmod.encode(payload))
+            self.backend.publish(busmod.CMD_TERMINATE, payload)
             return ToolResult(True, {"terminated": True})
 
         prev = self.backend.get_latest(busmod.SENSOR_RGB)
@@ -371,12 +381,9 @@ class ToolDispatcher:
         if tool.name in ("set_position", "set_attitude"):
             # translation and rotation share one pose-delta channel; the
             # components the tool does not take are zero
-            record = {**_ZERO_POSE_DELTA, **args}
-            self.backend.publish(busmod.CMD_POSE_DELTA, busmod.encode(record))
+            self.backend.publish(busmod.CMD_POSE_DELTA, {**_ZERO_POSE_DELTA, **args})
         elif tool.name == "set_exposure":
-            self.backend.publish(
-                busmod.CMD_EXPOSURE, busmod.encode({"gain_delta": args["gain_delta"]})
-            )
+            self.backend.publish(busmod.CMD_EXPOSURE, {"gain_delta": args["gain_delta"]})
         else:  # pragma: no cover - catalog is fixed
             return ToolResult(False, {"tool": tool.name}, ERR_INVALID_ARGS)
 
@@ -435,9 +442,10 @@ class ToolDispatcher:
             factor = args["factor"]
             if factor <= 0:
                 return ToolResult(False, {"detail": "factor must be > 0"}, ERR_INVALID_ARGS)
-            return ToolResult(
-                True, {"angular_size_detail": obs.angular_size * factor}
-            )
+            detail = obs.angular_size * factor
+            if not busmod.is_finite_number(detail):
+                return ToolResult(False, {"detail": "zoomed size is not finite"}, ERR_INVALID_ARGS)
+            return ToolResult(True, {"angular_size_detail": detail})
         if tool.name == "lidar_range":
             return ToolResult(True, {"range_m": obs.lidar_range})
         return ToolResult(False, {"tool": tool.name}, ERR_INVALID_ARGS)  # pragma: no cover

@@ -30,7 +30,7 @@ class StepRecord:
     provider_calls: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True, allow_nan=False)
 
 
 @dataclass
@@ -40,10 +40,11 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
+        """Write the log; a NaN or Infinity anywhere raises ValueError."""
         with open(path, "w", encoding="utf-8") as fh:
             header = dict(self.meta)
             header["schema_version"] = SCHEMA_VERSION
-            fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"header": header}, sort_keys=True, allow_nan=False) + "\n")
             for record in self.steps:
                 fh.write(record.to_json() + "\n")
                 fh.flush()

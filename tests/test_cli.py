@@ -258,3 +258,30 @@ def test_unusable_provider_exits_three(runner, tmp_path, command):
     result = runner.invoke(main, command + ["--config", config])
     assert result.exit_code == 3, result.output
     assert "temperature" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--satellite", "Sputnik"],
+    ["sweep", "--runs", "1"],
+    ["ablate", "--tasks", "rendezvous"],
+    ["evolve", "--rounds", "1"],
+])
+def test_unknown_satellite_exits_three_before_any_episode(runner, tmp_path, command):
+    config = _config(tmp_path, "run:\n  satellite: Sputnik\n")
+    if command[0] == "evolve":
+        command = command + ["--workspace", str(tmp_path / "ws")]
+    result = runner.invoke(main, command + ["--config", config])
+    assert result.exit_code == 3, result.output
+    assert "unknown satellite 'Sputnik'" in result.output
+    assert not (tmp_path / "ws").exists()
+
+
+@pytest.mark.parametrize("options,problem", [
+    ("max_forward_stepp: 6.0", "max_forward_stepp"),
+    ("max_forward_step: '6'", "max_forward_step must be a finite number"),
+])
+def test_bad_scripted_provider_options_exit_three(runner, tmp_path, options, problem):
+    config = _config(tmp_path, f"provider:\n  kind: scripted\n  options:\n    {options}\n")
+    result = runner.invoke(main, ["run", "--config", config])
+    assert result.exit_code == 3, result.output
+    assert problem in result.output

@@ -232,8 +232,7 @@ def test_bridge_round_trip(satellites):
 
     backend.publish(
         bus.CMD_POSE_DELTA,
-        bus.encode({"dx": 1.0, "dy": 0.0, "dz": 0.0,
-                    "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}),
+        {"dx": 1.0, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0},
     )
     after = backend.get_latest(bus.SENSOR_RGB).record()
     assert after["step_index"] == before["step_index"] + 1
@@ -248,8 +247,7 @@ def test_bridge_reports_rejected_commands_via_note(satellites):
     bridge.reset(env.make_task("rendezvous"), seed=0)
     backend.publish(
         bus.CMD_POSE_DELTA,
-        bus.encode({"dx": 5.0, "dy": 0.0, "dz": 0.0,
-                    "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}),
+        {"dx": 5.0, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0},
     )
     record = backend.get_latest(bus.SENSOR_RGB).record()
     assert record["note"].startswith("StepLimitExceeded")
@@ -261,13 +259,12 @@ def test_bridge_ignores_commands_after_terminate(satellites):
     backend = bus.InProcessBus()
     bridge = env.EnvBridge(env.SimEnv(satellites), backend)
     bridge.reset(env.make_task("rendezvous"), seed=0)
-    backend.publish(bus.CMD_TERMINATE, bus.encode({"reason": "done"}))
+    backend.publish(bus.CMD_TERMINATE, {"reason": "done"})
     assert bridge.terminated
     seq = backend.get_latest(bus.SENSOR_RGB).seq
     backend.publish(
         bus.CMD_POSE_DELTA,
-        bus.encode({"dx": 1.0, "dy": 0.0, "dz": 0.0,
-                    "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}),
+        {"dx": 1.0, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0},
     )
     assert backend.get_latest(bus.SENSOR_RGB).seq == seq
     bridge.close()

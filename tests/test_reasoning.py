@@ -53,6 +53,8 @@ def test_tool_call_grammar_round_trip():
         'TOOL set_position ARGS {"dx": NaN, "dy": 0, "dz": 0}',       # non-finite
         'TOOL set_position ARGS {"dx": Infinity, "dy": 0, "dz": 0}',
         'TOOL set_position ARGS {"dx": -Infinity, "dy": 0, "dz": 0}',
+        'TOOL terminate ARGS {"report": {"structure": NaN}}',        # nested
+        'TOOL terminate ARGS {"report": {"parts": [1, Infinity]}}',
     ],
 )
 def test_malformed_decide_outputs_raise(text):
@@ -129,6 +131,22 @@ def test_memory_text_follows_every_update_including_evictions():
         texts.append(memory.memory_text())
     assert len(set(texts)) == len(texts)   # every update changed the text
     assert "Long-term summary: 5 earlier steps compressed" in texts[-1]
+
+
+def test_memory_text_renders_no_record_again(monkeypatch):
+    memory = reasoning.MemoryState(n=3)
+    for i in range(8):
+        reasoning.update_memory(memory, make_step(i), None)
+    expected = reasoning.MemoryState(
+        n=memory.n, recent=list(memory.recent), long_term=memory.long_term
+    ).memory_text()
+    assert expected.count("\nstep ") == 3
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("memory_text rendered a record")
+
+    monkeypatch.setattr(reasoning.json, "dumps", no_dumps)
+    assert memory.memory_text() == expected
 
 
 def test_summarizer_failure_degrades_to_truncation():
@@ -259,8 +277,21 @@ def test_make_provider_kinds(tmp_path):
         {"kind": "scripted", "forward_fraction": 0.4}
     )
     assert scripted.config.forward_fraction == 0.4
+    integral = reasoning.make_provider({"kind": "scripted", "max_forward_step": 6})
+    assert integral.config.max_forward_step == 6
     with pytest.raises(reasoning.ReasoningError):
         reasoning.make_provider({"kind": "psychic"})
+
+
+@pytest.mark.parametrize("options,problem", [
+    ({"max_forward_stepp": 6.0}, "unknown scripted provider options"),
+    ({"max_forward_step": "6"}, "must be a finite number"),
+    ({"forward_fraction": True}, "must be a finite number"),
+    ({"forward_fraction": float("nan")}, "must be a finite number"),
+])
+def test_make_provider_rejects_bad_scripted_options(options, problem):
+    with pytest.raises(reasoning.ReasoningError, match=problem):
+        reasoning.make_provider({"kind": "scripted", **options})
 
 
 # -- mode loops ---------------------------------------------------------

@@ -16,7 +16,8 @@ from proxagent.runner import (
     run_campaign,
     run_episode,
 )
-from proxagent.trajectory import Trajectory
+from proxagent.tools import ToolDispatcher
+from proxagent.trajectory import StepRecord, Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +190,48 @@ def test_episodes_back_to_back_on_one_bus_match_fresh_buses(satellites, tmp_path
         run_campaign(config(), 3, ws, satellites=satellites, backend=backend)
     for name in ("ep-000001.jsonl", "ep-000002.jsonl", "ep-000003.jsonl"):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_each_step_reads_the_observation_once(satellites, monkeypatch):
+    reads = []
+    latest = ToolDispatcher.latest_observation
+
+    def counted(self):
+        reads.append(1)
+        return latest(self)
+
+    monkeypatch.setattr(ToolDispatcher, "latest_observation", counted)
+    for mode in ("standard", "react", "prospective"):
+        reads.clear()
+        result = run_episode(config(mode=mode), satellites=satellites)
+        # the read before the first step, then one after each committed call
+        assert len(reads) == len(result.trajectory.steps) + 1
+
+
+class _NanReport(DecisionProvider):
+    """Ends every inspection with a report holding a NaN."""
+
+    kind = "scripted"
+    identity = "nan-report"
+
+    def complete(self, request):
+        if request.call_kind == CALL_ROUTE:
+            return ""
+        return 'TOOL terminate ARGS {"report": {"structure": NaN}}'
+
+
+def test_non_finite_report_never_reaches_the_trajectory(satellites, tmp_path):
+    path = tmp_path / "traj.jsonl"
+    result = run_episode(config("inspection", trajectory_path=path),
+                         provider=_NanReport(), satellites=satellites)
+    assert result.trajectory.ended_by == "error"
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+
+
+def test_trajectory_never_writes_nan_or_infinity(tmp_path):
+    step = StepRecord(step=0, observation={"true_range": float("inf")}, call={}, result={})
+    with pytest.raises(ValueError):
+        step.to_json()
+    with pytest.raises(ValueError):
+        Trajectory(meta={"seed": float("nan")}).write(tmp_path / "t.jsonl")

@@ -98,6 +98,14 @@ def test_validate_args_rejects_bool_and_unknown():
     assert tools.validate_args(tool, {"dx": 1})  # missing required
 
 
+def test_validate_args_checks_objects_at_any_depth():
+    tool = tools.builtin_catalog().get("terminate")
+    assert tools.validate_args(tool, {"report": {"structure": "box", "parts": ["a"]}}) is None
+    for report in ({"structure": float("nan")}, {"parts": [float("inf")]},
+                   {"scale": {"m": 10**400}}):
+        assert "not a finite number" in tools.validate_args(tool, {"report": report})
+
+
 # -- expression evaluator ----------------------------------------------
 
 
@@ -110,7 +118,11 @@ def test_safe_eval_arithmetic(expression, value):
 
 
 @pytest.mark.parametrize(
-    "expression", ["__import__('os')", "x+1", "2**8", "1/0", "[1,2]", "'a'+'b'"]
+    "expression",
+    ["__import__('os')", "x+1", "2**8", "1/0", "[1,2]", "'a'+'b'",
+     # results beyond float range
+     "1e999", "1e308*10", "1e308*10-1e308*10",
+     pytest.param("1" + "0" * 400 + "/3", id="huge-int-division")],
 )
 def test_safe_eval_rejects_everything_else(expression):
     with pytest.raises(tools.ToolError):
@@ -264,6 +276,20 @@ def test_kb_lookup_returns_catalog_facts(rig, satellites):
     assert len(payload["parts"]) == len(satellites["CAPSTONE"].parts)
     missing = dispatcher.dispatch(call("kb_lookup", satellite_id="Sputnik"))
     assert missing.error_kind == tools.ERR_INVALID_ARGS
+
+
+def test_terminate_with_a_nested_non_finite_report_is_rejected(rig):
+    dispatcher, bridge, backend = rig
+    result = dispatcher.dispatch(call("terminate", report={"structure": float("nan")}))
+    assert result.error_kind == tools.ERR_INVALID_ARGS
+    assert not bridge.terminated
+    assert backend.get_latest(bus.CMD_TERMINATE) is None
+
+
+def test_zoom_result_stays_finite(rig):
+    dispatcher, _, _ = rig
+    assert dispatcher.dispatch(call("zoom", factor=2.0)).ok
+    assert dispatcher.dispatch(call("zoom", factor=1e308)).error_kind == tools.ERR_INVALID_ARGS
 
 
 def test_eval_expr_dispatch(rig):

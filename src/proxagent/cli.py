@@ -50,9 +50,10 @@ def _config_errors():
 class Setup:
     """What every episode of one command runs with, built once from the
     configuration: a provider per episode from one spec (checked here by
-    building one), the satellite catalog, the skills root and the bus
-    backend, which the command's sequential episodes share. Each of the
-    command's episodes must target a satellite in the catalog."""
+    building one), the satellite catalog, the skill catalog (``skills_root``
+    if set, else the shipped skills) and the bus backend, which the
+    command's sequential episodes share. Each of the command's episodes
+    must target a satellite in the catalog."""
 
     def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
@@ -62,7 +63,8 @@ class Setup:
             if episode.task.satellite_id not in self.satellites:
                 raise ConfigError(f"unknown satellite {episode.task.satellite_id!r}; "
                                   f"the catalog has {sorted(self.satellites)}")
-        self.skills_root = root.skills_root
+        self.skill_catalog = (SkillCatalog.load(root.skills_root) if root.skills_root
+                              else None)
         self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
 
     def provider(self):
@@ -70,12 +72,17 @@ class Setup:
 
     def run(self, episode):
         return run_episode(episode, provider=self.provider(), satellites=self.satellites,
-                           skills_root=self.skills_root, backend=self.backend)
+                           skill_catalog=self.skill_catalog, backend=self.backend)
 
     def campaign(self, base, rounds: int, workspace):
         return run_campaign(base, rounds, Path(workspace), provider_factory=self.provider,
-                            satellites=self.satellites, skills_root=self.skills_root,
+                            satellites=self.satellites, skill_catalog=self.skill_catalog,
                             backend=self.backend)
+
+
+def _error_text(exc: Exception) -> str:
+    """How an episode's exception is kept in an ``--out`` record."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _outcome_line(outcome) -> str:
@@ -177,6 +184,7 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
     for name in names:
         cells = [name]
         for kind in kinds:
+            error = None
             try:
                 result = setup.run(episodes[name, kind])
                 outcome = result.outcome
@@ -187,10 +195,11 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
                 )
             except Exception as exc:
                 outcome, passed, cell = None, False, f"FAIL (error: {exc})"
+                error = _error_text(exc)
             cells.append(cell)
             records.append(
                 {"profile": name, "task": kind, "passed": passed,
-                 "outcome": outcome.to_dict() if outcome else None}
+                 "outcome": outcome.to_dict() if outcome else None, "error": error}
             )
         rows.append(cells)
     click.echo(_render_table(["profile"] + kinds, rows))
@@ -220,14 +229,15 @@ def sweep(config_path, task, runs, condition, mode, profile, out) -> None:
         setup = Setup(root, episodes)
     records = []
     for seed, episode in enumerate(episodes):
+        outcome = error = None
         try:
             outcome = setup.run(episode).outcome
         except Exception as exc:
             click.echo(f"episode error (seed {seed}): {exc}", err=True)
-            outcome = None
+            error = _error_text(exc)
         records.append(
             {"seed": seed, "outcome": outcome.to_dict() if outcome else None,
-             "passed": bool(outcome and outcome.success)}
+             "passed": bool(outcome and outcome.success), "error": error}
         )
     passed = sum(1 for r in records if r["passed"])
     rows = [

@@ -10,6 +10,7 @@ reflects the outcome into a gated skill mutation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -114,6 +115,15 @@ def default_skills_root() -> Path:
     return Path(str(resources.files("proxagent.data").joinpath("skills")))
 
 
+@functools.cache
+def shipped_catalog() -> SkillCatalog:
+    """The package's own skills, loaded by the first episode that needs them.
+
+    They are installed package data, so one load serves the process.
+    """
+    return SkillCatalog.load(default_skills_root())
+
+
 def provider_view(obs: dict, visible_names: set[str]) -> dict:
     """Observation record as the decision layer sees it.
 
@@ -150,13 +160,18 @@ def run_episode(
     config: EpisodeConfig,
     provider: Optional[DecisionProvider] = None,
     satellites: Optional[dict] = None,
-    skills_root: Optional[Path] = None,
+    skill_catalog: Optional[SkillCatalog] = None,
     backend: Optional[busmod.BusBackend] = None,
 ) -> EpisodeResult:
-    """Run one full episode and return its scored result."""
+    """Run one full episode and return its scored result.
+
+    ``skill_catalog`` defaults to the shipped skills. Only the workspace's
+    learned skills are read again for each episode.
+    """
     task = config.task
     provider = provider or ScriptedProvider()
     satellites = satellites or load_satellite_catalog()
+    skill_catalog = skill_catalog or shipped_catalog()
     backend = backend or busmod.InProcessBus()
 
     # -- phase 1: setup ------------------------------------------------
@@ -165,7 +180,6 @@ def run_episode(
     visible = visible_tools(catalog, profile)
     visible_names = {t.name for t in visible}
 
-    skill_catalog = SkillCatalog.load(skills_root or default_skills_root())
     routing = route(task.description, task.kind, config.mode, skill_catalog,
                     router=config.router)
     core_skills = skill_catalog.of_category(CORE)
@@ -324,7 +338,7 @@ def run_campaign(
     workspace: Path,
     provider_factory=None,
     satellites: Optional[dict] = None,
-    skills_root: Optional[Path] = None,
+    skill_catalog: Optional[SkillCatalog] = None,
     backend: Optional[busmod.BusBackend] = None,
 ) -> CampaignReport:
     """Sequential multi-round campaign over a shared evolution workspace."""
@@ -341,7 +355,7 @@ def run_campaign(
         )
         result = run_episode(
             config, provider=provider_factory(), satellites=satellites,
-            skills_root=skills_root, backend=backend,
+            skill_catalog=skill_catalog, backend=backend,
         )
         report.rounds.append(
             {

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -105,6 +105,10 @@ def parse_skill_text(text: str) -> Skill:
         raise SkillError(f"unknown category {category!r}")
     keywords = [k.strip() for k in header.get("keywords", "").split(",") if k.strip()]
     scope = [s.strip() for s in header.get("scope", "").split(",") if s.strip()]
+    try:
+        version = int(header.get("version", "1"))
+    except ValueError:
+        raise SkillError(f"bad version {header['version']!r}") from None
     return Skill(
         name=header["name"],
         category=category,
@@ -112,7 +116,7 @@ def parse_skill_text(text: str) -> Skill:
         keywords=keywords,
         body=body.strip("\n"),
         scope=scope,
-        version=int(header.get("version", "1")),
+        version=version,
         provenance=header.get("provenance", PROVENANCE_HAND),
         enabled=header.get("enabled", "true").lower() != "false",
     )
@@ -146,7 +150,8 @@ def _skill_files(directory: Path) -> tuple[tuple[Path, Skill], ...]:
     Files are parsed once per content: the parse is cached on each file's
     name, modification time and size, so a file that is added, removed,
     rewritten or archived is read again on the next call. A missing
-    directory holds no skills.
+    directory holds no skills. A file that does not parse raises a
+    ``SkillError`` that names it.
     """
     try:
         names = sorted(n for n in os.listdir(directory) if n.endswith(".skill"))
@@ -159,14 +164,18 @@ def _skill_files(directory: Path) -> tuple[tuple[Path, Skill], ...]:
     return _parse_skill_files(Path(directory), tuple(stamps))
 
 
-# room for the shipped directories and a few learned-skill directories; a
+# A catalog is loaded once per command, so what reaches this cache is mostly
+# the workspace's learned/ directory, scanned a few times per episode; a
 # store write makes its old key dead, so a larger cache only holds garbage
 @functools.lru_cache(maxsize=32)
 def _parse_skill_files(directory: Path, stamps: tuple) -> tuple[tuple[Path, Skill], ...]:
     files = []
     for name, _mtime_ns, _size in stamps:
         path = directory / name
-        files.append((path, parse_skill_text(path.read_text(encoding="utf-8"))))
+        try:
+            files.append((path, parse_skill_text(path.read_text(encoding="utf-8"))))
+        except SkillError as exc:
+            raise SkillError(f"{path}: {exc}") from None
     return tuple(files)
 
 
@@ -198,11 +207,14 @@ class AssembledPrompt:
 
 
 class SkillCatalog:
-    """Immutable-per-episode collection of skills, loaded from a directory."""
+    """Immutable collection of skills, loaded from a directory once and
+    shared by every episode that runs with it."""
 
     def __init__(self, skills: list[Skill]):
         self.skills = list(skills)
         self.by_name: dict[str, Skill] = {}
+        # keyword routes by (description, task kind); see ``route``
+        self.keyword_routes: dict[tuple[str, str], RoutingResult] = {}
         for skill in skills:
             if skill.name in self.by_name:
                 raise SkillError(f"duplicate skill name {skill.name!r}")
@@ -211,6 +223,8 @@ class SkillCatalog:
     @classmethod
     def load(cls, root: Path) -> "SkillCatalog":
         root = Path(root)
+        if not root.is_dir():
+            raise SkillError(f"skills root {root} is not a directory")
         skills: list[Skill] = []
         for category in (CORE, TASK, HELPER, MODE):
             for path, skill in _skill_files(root / category):
@@ -308,10 +322,17 @@ def route(
     """Gateway routing. ``router`` is a decision provider; None uses keywords.
 
     Never raises on router misbehavior: malformed output or constraint
-    violations fall back to the configured defaults.
+    violations fall back to the configured defaults. Keyword routes are
+    pure, so each catalog computes one once per (description, task kind)
+    and hands out copies; a router's answers are never reused.
     """
     if router is None:
-        return keyword_fallback_router(description, task_kind, catalog)
+        key = (description, task_kind)
+        routed = catalog.keyword_routes.get(key)
+        if routed is None:
+            routed = keyword_fallback_router(description, task_kind, catalog)
+            catalog.keyword_routes[key] = routed
+        return replace(routed, helper_skills=list(routed.helper_skills))
     from .reasoning import CALL_ROUTE, ProviderRequest  # local to avoid cycle
 
     lines = [

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from proxagent.cli import main
 from proxagent.config import ConfigError, dump_config, load_config, parse_config
+from proxagent.skills import SkillCatalog
 
 
 @pytest.fixture()
@@ -138,6 +139,7 @@ def test_ablate_table_shape(runner, tmp_path):
     assert "hybrid-nav" in result.output and "PASS" in result.output
     records = json.loads(out.read_text())["ablation"]
     assert len(records) == 6  # 3 profiles x 2 tasks
+    assert all(r["error"] is None for r in records)
     by_profile = {
         (r["profile"], r["task"]): r["passed"] for r in records
     }
@@ -233,6 +235,72 @@ def test_every_episode_command_uses_skills_root(runner, tmp_path):
     result = runner.invoke(main, ["ablate", "--config", config, "--tasks", "rendezvous",
                                   "--profiles", "hybrid-nav"])
     assert "approach" in result.output
+
+
+def _broken_skills_root(tmp_path, broken):
+    skills = tmp_path / "skills"
+    if broken == "not a directory":
+        skills.write_text("", encoding="utf-8")
+        return skills
+    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
+    (skills / "helper" / "broken.skill").write_text(
+        "name: broken\ncategory: helper\n", encoding="utf-8")
+    return skills
+
+
+@pytest.mark.parametrize("broken", ["malformed file", "not a directory"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--runs", "2"], ["ablate"], ["evolve", "--rounds", "2"],
+])
+def test_broken_skills_root_exits_three_before_any_episode(runner, tmp_path, command,
+                                                           broken):
+    skills = _broken_skills_root(tmp_path, broken)
+    config = _config(tmp_path, f"skills_root: {skills}\n")
+    workspace = tmp_path / "ws"
+    if command[0] in ("run", "evolve"):
+        command = command + ["--workspace", str(workspace)]
+    result = runner.invoke(main, command + ["--config", config])
+    assert result.exit_code == 3, result.output
+    assert "configuration error" in result.output
+    assert ("broken.skill" if broken == "malformed file" else "not a directory") in result.output
+    assert not workspace.exists()
+
+
+def test_skills_root_is_loaded_once_per_command(runner, tmp_path, monkeypatch):
+    skills = tmp_path / "skills"
+    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
+    config = _config(tmp_path, f"skills_root: {skills}\n")
+    loads = []
+    load = SkillCatalog.load.__func__
+
+    def counting_load(cls, root):
+        loads.append(str(root))
+        return load(cls, root)
+
+    monkeypatch.setattr(SkillCatalog, "load", classmethod(counting_load))
+    result = runner.invoke(main, ["sweep", "--config", config, "--runs", "3"])
+    assert result.exit_code == 0, result.output
+    assert loads == [str(skills)]
+
+
+@pytest.mark.parametrize("command,key", [
+    (["sweep", "--runs", "2"], "sweep"),
+    (["ablate", "--tasks", "rendezvous", "--profiles", "hybrid-nav"], "ablation"),
+])
+def test_out_keeps_the_error_of_an_episode_that_raised(runner, tmp_path, command, key):
+    skills = tmp_path / "skills"
+    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
+    (skills / "task" / "approach.skill").unlink()
+    config = _config(tmp_path, f"skills_root: {skills}\n")
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, command + ["--config", config, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    records = json.loads(out.read_text())[key]
+    assert records
+    for record in records:
+        assert record["outcome"] is None
+        assert record["error"] == (
+            "NoDefaults: default task skill 'approach' missing or disabled")
 
 
 @pytest.mark.parametrize("command", [

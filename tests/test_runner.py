@@ -1,6 +1,8 @@
 import pytest
 
+from proxagent import runner
 from proxagent.bus import InProcessBus
+from proxagent.evolution import SkillStore
 from proxagent.env import evaluate, load_satellite_catalog, make_task
 from proxagent.reasoning import (
     CALL_ROUTE,
@@ -16,6 +18,7 @@ from proxagent.runner import (
     run_campaign,
     run_episode,
 )
+from proxagent.skills import SkillCatalog
 from proxagent.tools import ToolDispatcher
 from proxagent.trajectory import StepRecord, Trajectory
 
@@ -139,6 +142,37 @@ def test_campaign_lifecycle(satellites, tmp_path):
         assert r["success"] is True
     learned = list((tmp_path / "ws" / "learned").glob("*.skill"))
     assert len(learned) == 1
+
+
+def test_skill_learned_in_one_round_is_in_the_next_rounds_prompt(satellites, tmp_path):
+    ws = tmp_path / "ws"
+    report = run_campaign(config(), 2, ws, provider_factory=induced_provider,
+                          satellites=satellites)
+    assert report.rounds[0]["evolution"]["accepted"] is True
+    (learned_name,) = SkillStore(ws / "learned").load_all()
+    first, second = (Trajectory.read(ws / f"{row['episode_id']}.jsonl").meta["skills"]
+                     for row in report.rounds)
+    assert learned_name not in first
+    assert learned_name in second
+
+
+def test_shipped_catalog_is_loaded_once_per_process(satellites, monkeypatch):
+    loads = []
+    load = SkillCatalog.load.__func__
+
+    def counting_load(cls, root):
+        loads.append(root)
+        return load(cls, root)
+
+    monkeypatch.setattr(SkillCatalog, "load", classmethod(counting_load))
+    runner.shipped_catalog.cache_clear()
+    try:
+        for seed in range(3):
+            for kind in ("rendezvous", "search", "inspection"):
+                run_episode(config(kind, seed=seed), satellites=satellites)
+    finally:
+        runner.shipped_catalog.cache_clear()
+    assert len(loads) == 1
 
 
 def test_campaign_rounds_inherit_the_base_config(satellites, tmp_path):

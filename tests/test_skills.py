@@ -237,3 +237,51 @@ def test_mode_skill_table():
     assert skills.MODE_SKILLS["prospective"] == [
         "prospective-plan", "prospective-select",
     ]
+
+
+def test_keyword_routes_are_computed_once_and_handed_out_as_copies(monkeypatch):
+    catalog = skills.SkillCatalog.load(default_skills_root())
+    computed = []
+    keyword_router = skills.keyword_fallback_router
+
+    def counting_router(*args):
+        computed.append(args)
+        return keyword_router(*args)
+
+    monkeypatch.setattr(skills, "keyword_fallback_router", counting_router)
+    description = "Search for the lost target and approach to within 5 m"
+    first = skills.route(description, "search", "standard", catalog)
+    helpers = list(first.helper_skills)
+    first.helper_skills.append("tampered")
+    second = skills.route(description, "search", "react", catalog)
+    assert second is not first
+    assert second.helper_skills is not first.helper_skills
+    assert second.helper_skills == helpers
+    assert len(computed) == 1
+    skills.route(description, "rendezvous", "standard", catalog)
+    assert len(computed) == 2
+    # another catalog keeps its own routes
+    other = skills.SkillCatalog.load(default_skills_root())
+    skills.route(description, "search", "standard", other)
+    assert len(computed) == 3
+
+
+def test_skill_parse_errors_name_the_file(tmp_path):
+    helper = tmp_path / "helper"
+    helper.mkdir()
+    bad = helper / "broken.skill"
+    bad.write_text("name: broken\ncategory: helper\nno delimiter\n", encoding="utf-8")
+    with pytest.raises(skills.SkillError, match="broken.skill: skill file missing '---'"):
+        skills.SkillCatalog.load(tmp_path)
+    bad.write_text("name: broken\ncategory: helper\nversion: two\n---\nbody\n",
+                   encoding="utf-8")
+    with pytest.raises(skills.SkillError, match="broken.skill: bad version 'two'"):
+        skills.SkillCatalog.load(tmp_path)
+
+
+def test_catalog_root_must_be_a_directory(tmp_path):
+    a_file = tmp_path / "skills.txt"
+    a_file.write_text("", encoding="utf-8")
+    for root in (tmp_path / "missing", a_file):
+        with pytest.raises(skills.SkillError, match="not a directory"):
+            skills.SkillCatalog.load(root)

@@ -20,7 +20,7 @@ from .config import ConfigError, RootConfig, load_config
 from .env import evaluate, load_satellite_catalog, make_task
 from .evolution import SkillStore
 from .reasoning import make_provider
-from .runner import default_skills_root, run_campaign, run_episode
+from .runner import default_skills_root, run_campaign, run_episode, shipped_catalog
 from .skills import SkillCatalog
 from .tools import builtin_profiles
 from .trajectory import ENDED_ERROR, Trajectory
@@ -53,18 +53,20 @@ class Setup:
     building one), the satellite catalog, the skill catalog (``skills_root``
     if set, else the shipped skills) and the bus backend, which the
     command's sequential episodes share. Each of the command's episodes
-    must target a satellite in the catalog."""
+    must target a satellite in the catalog, and the skill catalog must hold
+    its reasoning mode's skills, enabled."""
 
     def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
         make_provider(self.provider_spec)
         self.satellites = load_satellite_catalog(root.satellite_catalog)
+        self.skill_catalog = (SkillCatalog.load(root.skills_root) if root.skills_root
+                              else shipped_catalog())
         for episode in episodes:
             if episode.task.satellite_id not in self.satellites:
                 raise ConfigError(f"unknown satellite {episode.task.satellite_id!r}; "
                                   f"the catalog has {sorted(self.satellites)}")
-        self.skill_catalog = (SkillCatalog.load(root.skills_root) if root.skills_root
-                              else None)
+            self.skill_catalog.mode_skills(episode.mode)
         self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
 
     def provider(self):

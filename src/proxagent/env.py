@@ -234,22 +234,6 @@ class Observation:
     def lidar_payload(self) -> dict:
         return {"range_m": self.lidar_range}
 
-    @classmethod
-    def from_payloads(cls, rgb: dict, lidar: dict) -> "Observation":
-        return cls(
-            visible=rgb["visible"],
-            bearing_az=rgb["bearing_az"],
-            bearing_el=rgb["bearing_el"],
-            angular_size=rgb["angular_size"],
-            mean_brightness=rgb["mean_brightness"],
-            lidar_range=lidar.get("range_m"),
-            exposure_gain=rgb["exposure_gain"],
-            step_index=rgb["step_index"],
-            collided=rgb.get("collided", False),
-            true_range=rgb.get("true_range", 0.0),
-            note=rgb.get("note"),
-        )
-
 
 class SimEnv:
     """Single-chaser kinematic environment. One instance per episode."""

@@ -11,6 +11,7 @@ hand-authored skills; rejections are recorded in an append-only audit log.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
-from .skills import LEARNED, Skill, latest_learned, render_skill, words
+from .skills import LEARNED, Skill, render_skill, skill_files, words
 from .trajectory import Outcome, Trajectory
 
 ACTION_CREATE = "create"
@@ -275,8 +276,10 @@ class GateVerdict:
 
 
 class SkillStore:
-    """Learned-skill directory plus append-only audit log. Single writer;
-    mutated only between episodes."""
+    """Learned-skill directory plus append-only audit log; its only reader
+    and single writer. There is one store per episode: it reads the
+    directory once, on first use, into ``view``, and ``materialize`` records
+    each file it writes there, so the view matches the directory."""
 
     def __init__(self, learned_dir: Path):
         self.learned_dir = Path(learned_dir)
@@ -286,11 +289,22 @@ class SkillStore:
     # -- reading -------------------------------------------------------
 
     def load_all(self) -> dict[str, tuple[Skill, Path]]:
-        """Highest version per skill name; archived files are excluded."""
-        return latest_learned(self.learned_dir)
+        """Read the directory: the highest version per skill name, with the
+        file it came from. Archived files (``*.skill.archived``) do not
+        match and are skipped."""
+        best: dict[str, tuple[Skill, Path]] = {}
+        for path, skill in skill_files(self.learned_dir):
+            if skill.name not in best or skill.version > best[skill.name][0].version:
+                best[skill.name] = (skill, path)
+        return best
+
+    @functools.cached_property
+    def view(self) -> dict[str, tuple[Skill, Path]]:
+        """``load_all`` as first read, plus every file written since."""
+        return self.load_all()
 
     def fingerprints(self) -> set[str]:
-        return {skill_fingerprint(skill) for skill, _path in self.load_all().values()}
+        return {skill_fingerprint(skill) for skill, _path in self.view.values()}
 
     # -- audit ---------------------------------------------------------
 
@@ -320,7 +334,7 @@ def quality_gate(
     checked_text = " ".join(
         str(content.get(s, "")) for s in CONTENT_SECTIONS
     ).lower()
-    existing = store.load_all()
+    existing = store.view
 
     for phrase in DEFAULT_BLACKLIST:
         if phrase.lower() in checked_text:
@@ -330,7 +344,7 @@ def quality_gate(
         print_ = fingerprint(
             mutation.scope, content.get("trigger", ""), content.get("rule", "")
         )
-        if print_ in {skill_fingerprint(skill) for skill, _path in existing.values()}:
+        if print_ in store.fingerprints():
             verdict = GateVerdict(False, REJECT_DUPLICATE, f"fingerprint {print_}")
     if verdict.accepted and mutation.scope != episode_task:
         verdict = GateVerdict(
@@ -390,8 +404,9 @@ def _render_sections(content: dict) -> str:
 def materialize(
     mutation: MutationDecision, store: SkillStore, episode_id: str = ""
 ) -> Skill:
-    """Write an accepted mutation to the store as a learned-skill file."""
-    existing = store.load_all()
+    """Write an accepted mutation to the store as a learned-skill file and
+    record it in the store's view."""
+    existing = store.view
     provenance = f"evolved:{episode_id}"
     content = mutation.content
     try:
@@ -417,6 +432,7 @@ def materialize(
             if mutation.action == ACTION_DISABLE:
                 disabled = replace(current, enabled=False)
                 current_path.write_text(render_skill(disabled), encoding="utf-8")
+                existing[disabled.name] = (disabled, current_path)
                 return disabled
             # the next version of the same learned skill
             successor = {"category": LEARNED, "version": current.version + 1,
@@ -438,11 +454,15 @@ def materialize(
                     keywords=_keywords_from(content),
                     body=_render_sections(content),
                 )
-                current_path.rename(current_path.with_suffix(".skill.archived"))
             else:
                 raise EvolutionError(f"cannot materialize action {mutation.action!r}")
         path = store.learned_dir / f"{skill.name}.v{skill.version}.skill"
         path.write_text(render_skill(skill), encoding="utf-8")
+        if mutation.action == ACTION_REWRITE:
+            # archived only once its successor is written: a failed write
+            # must not leave the skill with no active version
+            current_path.rename(current_path.with_suffix(".skill.archived"))
+        existing[skill.name] = (skill, path)
         return skill
     except OSError as exc:
         raise StoreWriteFailure(str(exc)) from exc
@@ -460,7 +480,7 @@ def select_learned(
         return []
     wanted = set(words(description))
     candidates = []
-    for skill, _path in store.load_all().values():
+    for skill, _path in store.view.values():
         if not skill.enabled or not skill.applies_to(task_kind):
             continue
         overlap = len(wanted & {kw.lower() for kw in skill.keywords})
@@ -568,7 +588,7 @@ def run_evolution(
     store: SkillStore,
 ) -> dict:
     """Reflect, gate, and materialize. Returns an event record for the log."""
-    learned_names = sorted(store.load_all())
+    learned_names = sorted(store.view)
     mutation = reflect(summary, history, active_skills, provider, learned_names)
     event = {"action": mutation.action, "accepted": False, "skill": None}
     if mutation.action == ACTION_NO_CHANGE:

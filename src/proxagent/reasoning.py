@@ -16,6 +16,7 @@ malformed plans).
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -541,8 +542,8 @@ class ReplayProvider(DecisionProvider):
     identity = "replay"
     kind = "replay"
 
-    def __init__(self, path):
-        with open(path, encoding="utf-8") as fh:
+    def __init__(self, transcript: str):
+        with open(transcript, encoding="utf-8") as fh:
             self.entries = json.load(fh)["entries"]
         self._cursor = 0
 
@@ -603,7 +604,7 @@ class RemoteProvider(DecisionProvider):
     def __init__(
         self,
         endpoint: str,
-        model: str,
+        model: str = "",
         temperature: float = 0.2,
         timeout: float = REMOTE_TIMEOUT_S,
         api_key: str = "",
@@ -677,44 +678,51 @@ class RemoteProvider(DecisionProvider):
             raise ReasoningError(f"remote provider failed: {exc}") from exc
 
 
+# Per provider kind, the class whose constructor takes its options
+_PROVIDER_OPTIONS = {
+    "scripted": ScriptedPolicyConfig,
+    "replay": ReplayProvider,
+    "remote": RemoteProvider,
+}
+
+
+def _provider_options(kind: str, options: dict) -> dict:
+    """``options`` checked against the constructor for ``kind``: each names a
+    parameter, has its type (a ``float`` takes any finite number but a bool)
+    and leaves out no parameter without a default."""
+    params = inspect.signature(_PROVIDER_OPTIONS[kind], eval_str=True).parameters
+    unknown = set(options) - set(params)
+    if unknown:
+        raise ReasoningError(f"unknown {kind} provider options: {sorted(unknown)}")
+    missing = [n for n, p in params.items() if p.default is p.empty and n not in options]
+    if missing:
+        raise ReasoningError(f"{kind} provider options missing: {missing}")
+    for name, value in options.items():
+        if params[name].annotation is float:
+            wanted, ok = "a finite number", (isinstance(value, (int, float))
+                                             and not isinstance(value, bool)
+                                             and is_finite_number(value))
+        else:
+            wanted, ok = "a string", isinstance(value, str)
+        if not ok:
+            raise ReasoningError(f"{kind} provider option {name} must be {wanted}, "
+                                 f"got {value!r}")
+    return options
+
+
 def make_provider(spec: dict) -> DecisionProvider:
     """Instantiate a provider from a configuration record."""
-    kind = spec.get("kind", "scripted")
-    if kind == "scripted":
-        options = {k: v for k, v in spec.items() if k != "kind"}
-        unknown = set(options) - set(ScriptedPolicyConfig.__dataclass_fields__)
-        if unknown:
-            raise ReasoningError(f"unknown scripted provider options: {sorted(unknown)}")
-        for name, value in options.items():  # every policy option is a number
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not is_finite_number(value)):
-                raise ReasoningError(
-                    f"scripted provider option {name} must be a finite number, got {value!r}")
-        return ScriptedProvider(ScriptedPolicyConfig(**options))
-    if kind == "replay":
-        return ReplayProvider(spec["transcript"])
-    if kind == "remote":
-        return RemoteProvider(
-            endpoint=spec["endpoint"],
-            model=spec.get("model", ""),
-            temperature=spec.get("temperature", 0.2),
-            timeout=spec.get("timeout", REMOTE_TIMEOUT_S),
-            api_key=spec.get("api_key", ""),
-        )
-    raise ReasoningError(f"unknown provider kind: {kind!r}")
+    options = dict(spec)
+    kind = options.pop("kind", "scripted")
+    if kind not in _PROVIDER_OPTIONS:
+        raise ReasoningError(f"unknown provider kind: {kind!r}")
+    built = _PROVIDER_OPTIONS[kind](**_provider_options(kind, options))
+    return ScriptedProvider(built) if kind == "scripted" else built
 
 
 # ---------------------------------------------------------------------------
 # Mode step loops
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ModeStepResult:
-    call: ToolCall
-    inner: list[dict] = field(default_factory=list)
-    provider_calls: int = 0
-    degraded: bool = False
 
 
 def _control_tools(visible: list[ToolDescriptor]) -> list[ToolDescriptor]:
@@ -730,8 +738,9 @@ def _is_control(call: ToolCall, visible: list[ToolDescriptor]) -> bool:
 
 @dataclass
 class StepContext:
-    """One outer step: what the mode sees, plus the provider calls it makes
-    and the inner-round records it collects along the way."""
+    """One outer step: what the mode sees, plus the provider calls it makes,
+    the inner-round records it collects along the way and, once the mode
+    returns it, the committed call and whether the mode degraded."""
 
     obs: dict
     prompt: object  # anything with a ``text`` attribute (an AssembledPrompt)
@@ -745,6 +754,8 @@ class StepContext:
     provider_calls: int = field(default=0, init=False)
     inner: list[dict] = field(default_factory=list, init=False)
     inner_results: list[dict] = field(default_factory=list, init=False)
+    call: Optional[ToolCall] = field(default=None, init=False)
+    degraded: bool = field(default=False, init=False)
 
     def ask(self, call_kind: str, visible=None, hint: str = "", extra=None) -> str:
         """One counted provider call."""
@@ -786,11 +797,12 @@ class StepContext:
         })
         self.inner_results.append({"tool": call.tool, "payload": result.payload})
 
-    def result(self, call: ToolCall, degraded: bool = False) -> ModeStepResult:
-        return ModeStepResult(call, self.inner, self.provider_calls, degraded)
+    def result(self, call: ToolCall, degraded: bool = False) -> StepContext:
+        self.call, self.degraded = call, degraded
+        return self
 
 
-def step_standard(ctx: StepContext) -> ModeStepResult:
+def step_standard(ctx: StepContext) -> StepContext:
     """Direct decision; one optional follow-up after a non-control tool.
 
     The follow-up is restricted to control/terminal tools, so the committed
@@ -803,7 +815,7 @@ def step_standard(ctx: StepContext) -> ModeStepResult:
     return ctx.result(ctx.decide(visible=_control_tools(ctx.visible), inner_round=0))
 
 
-def step_react(ctx: StepContext) -> ModeStepResult:
+def step_react(ctx: StepContext) -> StepContext:
     """Thought-action-observation loop of up to REACT_ROUNDS rounds: exits as
     soon as a control tool is chosen; the final round is restricted to
     control/terminal tools."""
@@ -818,7 +830,7 @@ def step_react(ctx: StepContext) -> ModeStepResult:
     raise MalformedOutput("react loop ended without a control tool")  # pragma: no cover
 
 
-def step_prospective(ctx: StepContext) -> ModeStepResult:
+def step_prospective(ctx: StepContext) -> StepContext:
     """Plan up to three candidates, then select; degrades to a direct
     control-restricted call when the plan or selection is malformed."""
     control = _control_tools(ctx.visible)

@@ -36,7 +36,6 @@ from .evolution import (
 from .reasoning import (
     DecisionProvider,
     MemoryState,
-    ModeStepResult,
     ReasoningError,
     ScriptedProvider,
     StepContext,
@@ -47,7 +46,6 @@ from .reasoning import (
 )
 from .skills import (
     CORE,
-    MODE_SKILLS,
     MODE_STANDARD,
     REASONING_MODES,
     SkillCatalog,
@@ -117,7 +115,7 @@ def default_skills_root() -> Path:
 
 @functools.cache
 def shipped_catalog() -> SkillCatalog:
-    """The package's own skills, loaded by the first episode that needs them.
+    """The package's own skills, loaded by the first caller that needs them.
 
     They are installed package data, so one load serves the process.
     """
@@ -147,13 +145,11 @@ def is_terminated(call_tool: str, obs: dict, step_count: int, max_steps: int) ->
     return None
 
 
-def _observation_dict(dispatcher: ToolDispatcher) -> dict:
+def _latest_observation(dispatcher: ToolDispatcher) -> dict:
     obs = dispatcher.latest_observation()
     if obs is None:
         raise RunnerError("no observation on the bus")
-    record = obs.rgb_payload()
-    record["lidar_range"] = obs.lidar_range
-    return record
+    return obs
 
 
 def run_episode(
@@ -166,7 +162,7 @@ def run_episode(
     """Run one full episode and return its scored result.
 
     ``skill_catalog`` defaults to the shipped skills. Only the workspace's
-    learned skills are read again for each episode.
+    learned skills are read for each episode, once, by its ``SkillStore``.
     """
     task = config.task
     provider = provider or ScriptedProvider()
@@ -183,7 +179,7 @@ def run_episode(
     routing = route(task.description, task.kind, config.mode, skill_catalog,
                     router=config.router)
     core_skills = skill_catalog.of_category(CORE)
-    mode_skills = [skill_catalog.by_name[n] for n in MODE_SKILLS[config.mode]]
+    mode_skills = skill_catalog.mode_skills(config.mode)
 
     store = None
     learned = []
@@ -217,15 +213,15 @@ def run_episode(
     # -- phase 2: closed loop ------------------------------------------
     ended_by = ENDED_TIMEOUT
     try:
-        obs = _observation_dict(dispatcher)
+        obs = _latest_observation(dispatcher)
         for step_index in range(task.max_steps):
-            mode_result: ModeStepResult = step_fn(StepContext(
+            step = step_fn(StepContext(
                 provider_view(obs, visible_names), prompt, memory, visible,
                 provider, dispatcher, task.kind, step_index, config.episode_id,
             ))
-            call = mode_result.call
+            call = step.call
             result = dispatcher.dispatch(call)
-            post_obs = _observation_dict(dispatcher)
+            post_obs = _latest_observation(dispatcher)
 
             digest = json.dumps(result.payload, sort_keys=True)[:120]
             memory = update_memory(
@@ -249,9 +245,9 @@ def run_episode(
                     observation=post_obs,
                     call=call.to_dict(),
                     result=result.to_dict(),
-                    inner=mode_result.inner,
+                    inner=step.inner,
                     memory_hash=memory_hash,
-                    provider_calls=mode_result.provider_calls,
+                    provider_calls=step.provider_calls,
                 )
             )
             cause = is_terminated(call.tool, post_obs, step_index + 1, task.max_steps)

@@ -3,8 +3,9 @@
 A skill file is a front-matter header (``key: value`` lines), a ``---``
 delimiter, and a free-text body that is injected verbatim into the system
 prompt. The catalog is a directory scan over
-``skills/{core,task,helper,mode}/NAME.skill`` plus
-``skills/learned/NAME.vK.skill``.
+``skills/{core,task,helper,mode}/NAME.skill``. Learned skills are not in it:
+they live in a workspace's ``learned/``, read and written only by
+``evolution.SkillStore``.
 
 Routing picks exactly one task skill and up to two helper skills. A
 misbehaving router can never produce an invalid result: any malformed or
@@ -13,7 +14,6 @@ constraint-violating output falls back to the configured defaults.
 
 from __future__ import annotations
 
-import functools
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -96,7 +96,10 @@ def parse_skill_text(text: str) -> Skill:
         if ":" not in line:
             raise SkillError(f"bad header line: {line!r}")
         key, value = line.split(":", 1)
-        header[key.strip()] = value.strip()
+        key = key.strip()
+        if key in header:
+            raise SkillError(f"repeated header key {key!r}")
+        header[key] = value.strip()
     for required in ("name", "category"):
         if required not in header:
             raise SkillError(f"skill header missing {required!r}")
@@ -144,52 +147,24 @@ def words(text: str) -> list[str]:
     return "".join(c.lower() if c.isalnum() else " " for c in text).split()
 
 
-def _skill_files(directory: Path) -> tuple[tuple[Path, Skill], ...]:
+def skill_files(directory: Path) -> list[tuple[Path, Skill]]:
     """``(path, skill)`` for every ``*.skill`` file in ``directory``, by name.
 
-    Files are parsed once per content: the parse is cached on each file's
-    name, modification time and size, so a file that is added, removed,
-    rewritten or archived is read again on the next call. A missing
-    directory holds no skills. A file that does not parse raises a
-    ``SkillError`` that names it.
+    A missing directory holds no skills. A file that does not parse raises
+    a ``SkillError`` that names it.
     """
     try:
         names = sorted(n for n in os.listdir(directory) if n.endswith(".skill"))
     except FileNotFoundError:
-        return ()
-    stamps = []
-    for name in names:
-        stat = os.stat(os.path.join(directory, name))
-        stamps.append((name, stat.st_mtime_ns, stat.st_size))
-    return _parse_skill_files(Path(directory), tuple(stamps))
-
-
-# A catalog is loaded once per command, so what reaches this cache is mostly
-# the workspace's learned/ directory, scanned a few times per episode; a
-# store write makes its old key dead, so a larger cache only holds garbage
-@functools.lru_cache(maxsize=32)
-def _parse_skill_files(directory: Path, stamps: tuple) -> tuple[tuple[Path, Skill], ...]:
+        return []
     files = []
-    for name, _mtime_ns, _size in stamps:
-        path = directory / name
+    for name in names:
+        path = Path(directory, name)
         try:
             files.append((path, parse_skill_text(path.read_text(encoding="utf-8"))))
         except SkillError as exc:
             raise SkillError(f"{path}: {exc}") from None
-    return tuple(files)
-
-
-def latest_learned(directory: Path) -> dict[str, tuple[Skill, Path]]:
-    """Highest version per learned-skill name, with the file it came from.
-
-    Archived files (``*.skill.archived``) do not match and are skipped; a
-    missing directory holds no skills.
-    """
-    best: dict[str, tuple[Skill, Path]] = {}
-    for path, skill in _skill_files(directory):
-        if skill.name not in best or skill.version > best[skill.name][0].version:
-            best[skill.name] = (skill, path)
-    return best
+    return files
 
 
 @dataclass
@@ -207,8 +182,8 @@ class AssembledPrompt:
 
 
 class SkillCatalog:
-    """Immutable collection of skills, loaded from a directory once and
-    shared by every episode that runs with it."""
+    """Immutable collection of hand-authored skills, loaded from a directory
+    once and shared by every episode that runs with it."""
 
     def __init__(self, skills: list[Skill]):
         self.skills = list(skills)
@@ -227,14 +202,12 @@ class SkillCatalog:
             raise SkillError(f"skills root {root} is not a directory")
         skills: list[Skill] = []
         for category in (CORE, TASK, HELPER, MODE):
-            for path, skill in _skill_files(root / category):
+            for path, skill in skill_files(root / category):
                 if skill.category != category:
                     raise SkillError(
                         f"{path}: category {skill.category!r} does not match directory"
                     )
                 skills.append(skill)
-        learned = latest_learned(root / LEARNED)
-        skills.extend(learned[name][0] for name in sorted(learned))
         return cls(skills)
 
     def of_category(self, category: str) -> list[Skill]:
@@ -243,6 +216,15 @@ class SkillCatalog:
     def enabled(self, name: str) -> Optional[Skill]:
         skill = self.by_name.get(name)
         return skill if skill is not None and skill.enabled else None
+
+    def mode_skills(self, mode: str) -> list[Skill]:
+        """The skills ``mode`` injects; one missing or disabled is a SkillError."""
+        for name in MODE_SKILLS[mode]:
+            if self.enabled(name) is None:
+                state = "disabled in" if name in self.by_name else "missing from"
+                raise SkillError(f"{mode} mode needs skill {name!r}, which is {state} "
+                                 "the catalog")
+        return [self.by_name[name] for name in MODE_SKILLS[mode]]
 
 
 def _default_route(task_kind: str, catalog: SkillCatalog) -> RoutingResult:

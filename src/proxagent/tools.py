@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import bus as busmod
-from .env import HALF_FOV_DEG, Observation, SatelliteModel
+from .env import HALF_FOV_DEG, SatelliteModel
 
 
 class ToolError(Exception):
@@ -331,14 +331,16 @@ class ToolDispatcher:
 
     # -- observation access -------------------------------------------
 
-    def latest_observation(self) -> Optional[Observation]:
+    def latest_observation(self) -> Optional[dict]:
+        """The latest camera record plus ``lidar_range`` (the latest LiDAR
+        reading, None without one); None before the first observation."""
         rgb = self.backend.get_latest(busmod.SENSOR_RGB)
         if rgb is None:
             return None
         lidar = self.backend.get_latest(busmod.SENSOR_LIDAR)
-        return Observation.from_payloads(
-            rgb.record(), lidar.record() if lidar else {"range_m": None}
-        )
+        record = rgb.record()
+        record["lidar_range"] = lidar.record()["range_m"] if lidar else None
+        return record
 
     def _await_new_observation(self, prev_seq: int) -> Optional[dict]:
         deadline = time.monotonic() + self.obs_timeout
@@ -397,16 +399,16 @@ class ToolDispatcher:
         kind = prefix if prefix in _NOTE_ERRORS else ERR_ENV_FAULT
         return ToolResult(False, {"detail": note, "observation": obs}, kind)
 
-    def _visible_parts(self, obs: Observation) -> list[dict]:
-        if not obs.visible or obs.mean_brightness < BRIGHTNESS_UNDER:
+    def _visible_parts(self, obs: dict) -> list[dict]:
+        if not obs["visible"] or obs["mean_brightness"] < BRIGHTNESS_UNDER:
             return []
         satellite = self.satellites[self.target_id]
         parts = []
-        half_size = obs.angular_size / 2.0
+        half_size = obs["angular_size"] / 2.0
         for part_name, _attr in satellite.parts:
             off_az, off_el = part_bearing_offsets(satellite, part_name)
-            part_az = obs.bearing_az + off_az * half_size
-            part_el = obs.bearing_el + off_el * half_size
+            part_az = obs["bearing_az"] + off_az * half_size
+            part_el = obs["bearing_el"] + off_el * half_size
             if abs(part_az) <= HALF_FOV_DEG and abs(part_el) <= HALF_FOV_DEG:
                 parts.append(
                     {
@@ -422,7 +424,7 @@ class ToolDispatcher:
         if obs is None:
             return ToolResult(False, {"detail": "no observation yet"}, ERR_ENV_TIMEOUT)
         if tool.name == "brightness_assess":
-            value = obs.mean_brightness
+            value = obs["mean_brightness"]
             if value < BRIGHTNESS_UNDER:
                 verdict = "underexposed"
             elif value > BRIGHTNESS_OVER:
@@ -442,12 +444,12 @@ class ToolDispatcher:
             factor = args["factor"]
             if factor <= 0:
                 return ToolResult(False, {"detail": "factor must be > 0"}, ERR_INVALID_ARGS)
-            detail = obs.angular_size * factor
+            detail = obs["angular_size"] * factor
             if not busmod.is_finite_number(detail):
                 return ToolResult(False, {"detail": "zoomed size is not finite"}, ERR_INVALID_ARGS)
             return ToolResult(True, {"angular_size_detail": detail})
         if tool.name == "lidar_range":
-            return ToolResult(True, {"range_m": obs.lidar_range})
+            return ToolResult(True, {"range_m": obs["lidar_range"]})
         return ToolResult(False, {"tool": tool.name}, ERR_INVALID_ARGS)  # pragma: no cover
 
     def _dispatch_knowledge(self, args: dict) -> ToolResult:

@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 
 from proxagent.cli import main
 from proxagent.config import ConfigError, dump_config, load_config, parse_config
-from proxagent.skills import SkillCatalog
+from proxagent.skills import SkillCatalog, parse_skill_text, render_skill
 
 
 @pytest.fixture()
@@ -353,3 +354,43 @@ def test_bad_scripted_provider_options_exit_three(runner, tmp_path, options, pro
     result = runner.invoke(main, ["run", "--config", config])
     assert result.exit_code == 3, result.output
     assert problem in result.output
+
+
+def _mode_skill_unusable(tmp_path, how):
+    skills = tmp_path / "skills"
+    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
+    path = skills / "mode" / "prospective-select.skill"
+    if how == "missing":
+        path.unlink()
+    else:
+        skill = parse_skill_text(path.read_text(encoding="utf-8"))
+        path.write_text(render_skill(replace(skill, enabled=False)), encoding="utf-8")
+    return _config(tmp_path, f"skills_root: {skills}\nrun:\n  mode: prospective\n")
+
+
+@pytest.mark.parametrize("how", ["missing", "disabled"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--runs", "2"], ["ablate", "--tasks", "rendezvous"],
+    ["evolve", "--rounds", "1"],
+])
+def test_unusable_mode_skill_exits_three_before_any_episode(runner, tmp_path, command, how):
+    config = _mode_skill_unusable(tmp_path, how)
+    workspace = tmp_path / "ws"
+    if command[0] in ("run", "evolve"):
+        command = command + ["--workspace", str(workspace)]
+    result = runner.invoke(main, command + ["--config", config])
+    assert result.exit_code == 3, result.output
+    assert "configuration error" in result.output
+    assert f"'prospective-select', which is {how}" in result.output
+    assert not workspace.exists()
+
+
+def test_remote_provider_option_typo_exits_three(runner, tmp_path):
+    config = _config(
+        tmp_path,
+        "provider:\n  kind: remote\n  options:\n"
+        "    endpoint: http://127.0.0.1:1\n    modle: gpt\n",
+    )
+    result = runner.invoke(main, ["run", "--config", config])
+    assert result.exit_code == 3, result.output
+    assert "unknown remote provider options: ['modle']" in result.output

@@ -358,3 +358,45 @@ def test_gate_never_accepts_constraint_violations(tmp_path_factory, mutation):
         if mutation.action != ACTION_CREATE:
             assert mutation.target in store.load_all()
     assert len(store.audit_records()) == 1
+
+
+# -- one store, one read -------------------------------------------------
+
+
+def test_store_view_follows_every_mutation_and_gates_a_resubmission(store):
+    name = seeded(store)
+    assert store.view == SkillStore(store.learned_dir).load_all()
+    for episode, mutation in [
+        ("ep-000002", MutationDecision(action=ACTION_OVERLAY, scope="rendezvous", target=name,
+                                       content=content(rule="also decay steps inside 5 m"))),
+        ("ep-000003", MutationDecision(action=ACTION_REWRITE, scope="rendezvous", target=name,
+                                       content=content(rule="a fully new rule"))),
+        ("ep-000004", MutationDecision(action=ACTION_DISABLE, scope="rendezvous",
+                                       target=name)),
+    ]:
+        assert quality_gate(mutation, store, "rendezvous", episode).accepted
+        materialize(mutation, store, episode_id=episode)
+        assert store.view == SkillStore(store.learned_dir).load_all()
+    assert store.view[name][0].version == 3
+    assert store.view[name][0].enabled is False
+
+    resubmitted = MutationDecision(action=ACTION_OVERLAY, scope="rendezvous", target=name,
+                                   content=content(rule="a fully new rule"))
+    verdict = quality_gate(resubmitted, store, "rendezvous", "ep-000005")
+    assert verdict.rejected_by == evolution.REJECT_DUPLICATE
+
+
+def test_failed_rewrite_keeps_the_active_version(store, monkeypatch):
+    name = seeded(store)
+
+    def disk_full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(type(store.learned_dir), "write_text", disk_full)
+    rewrite = MutationDecision(action=ACTION_REWRITE, scope="rendezvous", target=name,
+                               content=content(rule="a fully new rule"))
+    with pytest.raises(evolution.StoreWriteFailure):
+        materialize(rewrite, store, episode_id="ep-000002")
+    monkeypatch.undo()
+    assert store.view == SkillStore(store.learned_dir).load_all()
+    assert store.view[name][0].version == 1

@@ -433,3 +433,19 @@ def test_prospective_degrades_on_malformed_select():
     ))
     assert result.degraded
     assert result.call.tool == "terminate"
+
+
+@pytest.mark.parametrize("spec,problem", [
+    ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "modle": "gpt"},
+     r"unknown remote provider options: \['modle'\]"),
+    ({"kind": "remote", "model": "gpt"}, r"remote provider options missing: \['endpoint'\]"),
+    ({"kind": "replay"}, r"replay provider options missing: \['transcript'\]"),
+    ({"kind": "replay", "transcript": 7}, "replay provider option transcript must be a string"),
+    ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "temperature": "hot"},
+     "remote provider option temperature must be a finite number, got 'hot'"),
+    ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "timeout": float("inf")},
+     "remote provider option timeout must be a finite number"),
+])
+def test_make_provider_names_bad_options_for_every_kind(spec, problem):
+    with pytest.raises(reasoning.ReasoningError, match=problem):
+        reasoning.make_provider(spec)

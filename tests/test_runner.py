@@ -156,6 +156,22 @@ def test_skill_learned_in_one_round_is_in_the_next_rounds_prompt(satellites, tmp
     assert learned_name in second
 
 
+def test_campaign_reads_the_learned_store_once_per_round(satellites, tmp_path,
+                                                        monkeypatch):
+    reads = []
+    load_all = SkillStore.load_all
+
+    def counting_load_all(store):
+        reads.append(store.learned_dir)
+        return load_all(store)
+
+    monkeypatch.setattr(SkillStore, "load_all", counting_load_all)
+    report = run_campaign(config(), 2, tmp_path / "ws", provider_factory=induced_provider,
+                          satellites=satellites)
+    assert report.rounds[0]["evolution"]["accepted"] is True
+    assert len(reads) == 2
+
+
 def test_shipped_catalog_is_loaded_once_per_process(satellites, monkeypatch):
     loads = []
     load = SkillCatalog.load.__func__

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,13 @@ def test_parse_rejects_bad_files():
         skills.parse_skill_text("category: core\n---\nbody")  # missing name
 
 
+def test_parse_rejects_a_repeated_header_key():
+    # the second enabled: line must not silently win over the first
+    with pytest.raises(skills.SkillError, match="repeated header key 'enabled'"):
+        skills.parse_skill_text("name: x\ncategory: core\nenabled: true\nenabled: false\n"
+                                "---\nbody")
+
+
 def test_shipped_catalog_layout(catalog):
     by_cat = {c: [s.name for s in catalog.of_category(c)] for c in skills.CATEGORIES}
     assert len(by_cat["core"]) == 3
@@ -54,11 +63,10 @@ def test_learned_loader_keeps_highest_version(tmp_path):
             body=f"v{version}", provenance="evolved:ep-000001",
         )
         (learned / f"pace.v{version}.skill").write_text(skills.render_skill(skill))
-    catalog = skills.SkillCatalog.load(tmp_path)
-    assert catalog.by_name["pace"].version == 2
+    assert SkillStore(learned).load_all()["pace"][0].version == 2
 
 
-def test_catalog_and_store_agree_on_learned_skills(tmp_path):
+def test_store_skips_archived_learned_skills(tmp_path):
     learned = tmp_path / "learned"
     learned.mkdir()
     for filename, name, version in [
@@ -69,12 +77,21 @@ def test_catalog_and_store_agree_on_learned_skills(tmp_path):
                              body=f"{name} v{version}")
         (learned / filename).write_text(skills.render_skill(skill), encoding="utf-8")
 
-    catalog = skills.SkillCatalog.load(tmp_path)
-    from_catalog = {s.name: (s.version, s.body) for s in catalog.of_category("learned")}
     stored = SkillStore(learned).load_all()
     from_store = {name: (s.version, s.body) for name, (s, _path) in stored.items()}
-    assert from_catalog == from_store == {"a": (2, "a v2"), "b": (1, "b v1")}
+    assert from_store == {"a": (2, "a v2"), "b": (1, "b v1")}
     assert stored["a"][1].name == "a.v2.skill"
+
+
+def test_catalog_holds_only_hand_authored_categories(tmp_path):
+    shutil.copytree(default_skills_root(), tmp_path, dirs_exist_ok=True)
+    learned = tmp_path / "learned"
+    learned.mkdir()
+    skill = skills.Skill(name="pace", category="learned", body="Rule: slow down.")
+    (learned / "pace.v1.skill").write_text(skills.render_skill(skill), encoding="utf-8")
+    catalog = skills.SkillCatalog.load(tmp_path)
+    assert "pace" not in catalog.by_name
+    assert {s.category for s in catalog.skills} == {"core", "task", "helper", "mode"}
 
 
 def test_each_load_sees_skill_files_added_edited_and_removed(tmp_path):

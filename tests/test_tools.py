@@ -203,7 +203,7 @@ def test_control_blocks_until_new_observation(rig):
     result = dispatcher.dispatch(call("set_position", dx=1.0, dy=0.0, dz=0.0))
     assert result.ok
     obs = result.payload["observation"]
-    assert obs["step_index"] == before.step_index + 1
+    assert obs["step_index"] == before["step_index"] + 1
 
 
 def test_oversized_step_surfaces_step_limit_error(rig):
@@ -303,7 +303,7 @@ def test_lidar_range_tool_mirrors_sensor(rig):
     dispatcher, _, _ = rig
     obs = dispatcher.latest_observation()
     payload = dispatcher.dispatch(call("lidar_range")).payload
-    assert payload["range_m"] == obs.lidar_range
+    assert payload["range_m"] == obs["lidar_range"]
 
 
 def test_result_invariant_ok_iff_no_error():

@@ -328,10 +328,11 @@ class RedisBusAdapter(BusBackend):
         return Subscription(_unsub)
 
 
+BACKENDS = ("inprocess", "redis")  # the configuration names of the backends
+
+
 def make_backend(name: str, **kwargs) -> BusBackend:
     """Instantiate a backend by configuration name."""
-    if name == "inprocess":
-        return InProcessBus()
-    if name == "redis":
-        return RedisBusAdapter(**kwargs)
-    raise BusError(f"unknown bus backend: {name!r}")
+    if name not in BACKENDS:
+        raise BusError(f"unknown bus backend: {name!r}")
+    return RedisBusAdapter(**kwargs) if name == "redis" else InProcessBus()

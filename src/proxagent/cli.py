@@ -21,7 +21,7 @@ from .env import evaluate, load_satellite_catalog, make_task
 from .evolution import SkillStore
 from .reasoning import make_provider
 from .runner import default_skills_root, run_campaign, run_episode, shipped_catalog
-from .skills import SkillCatalog
+from .skills import SkillCatalog, route
 from .tools import builtin_profiles
 from .trajectory import ENDED_ERROR, Trajectory
 
@@ -53,8 +53,10 @@ class Setup:
     building one), the satellite catalog, the skill catalog (``skills_root``
     if set, else the shipped skills) and the bus backend, which the
     command's sequential episodes share. Each of the command's episodes
-    must target a satellite in the catalog, and the skill catalog must hold
-    its reasoning mode's skills, enabled."""
+    must target a satellite in the catalog, find its task skill by the
+    keyword route the episode takes and its reasoning mode's skills in the
+    skill catalog, enabled, and have a workspace, if any, that is a
+    directory or does not exist yet."""
 
     def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
@@ -66,7 +68,12 @@ class Setup:
             if episode.task.satellite_id not in self.satellites:
                 raise ConfigError(f"unknown satellite {episode.task.satellite_id!r}; "
                                   f"the catalog has {sorted(self.satellites)}")
+            route(episode.task.description, episode.task.kind, episode.mode,
+                  self.skill_catalog)
             self.skill_catalog.mode_skills(episode.mode)
+            workspace = episode.workspace
+            if workspace is not None and workspace.exists() and not workspace.is_dir():
+                raise ConfigError(f"workspace {str(workspace)!r} is not a directory")
         self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
 
     def provider(self):
@@ -283,7 +290,7 @@ def evolve(config_path, task, rounds, workspace, out) -> None:
         for r in report.rounds
     ]
     click.echo(_render_table(["round", "result", "steps", "reason", "evolution"], rows))
-    store = SkillStore(Path(workspace) / "learned")
+    store = SkillStore(workspace)
     inventory = [
         [skill.name, skill.version, skill.provenance, "yes" if skill.enabled else "no"]
         for skill, _path in sorted(store.load_all().values(), key=lambda e: e[0].name)
@@ -323,7 +330,7 @@ def skills() -> None:
 
 @skills.command("list")
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--workspace", type=click.Path(), default=None,
+@click.option("--workspace", type=click.Path(exists=True, file_okay=False), default=None,
               help="Also list learned skills from this workspace.")
 def skills_list(config_path, workspace) -> None:
     with _config_errors():
@@ -334,7 +341,7 @@ def skills_list(config_path, workspace) -> None:
         for s in catalog.skills
     ]
     if workspace:
-        store = SkillStore(Path(workspace) / "learned")
+        store = SkillStore(workspace)
         for skill, _path in sorted(store.load_all().values(), key=lambda e: e[0].name):
             rows.append(
                 [skill.name, skill.category, skill.version, skill.provenance,
@@ -345,10 +352,9 @@ def skills_list(config_path, workspace) -> None:
 
 
 @skills.command("audit")
-@click.option("--workspace", type=click.Path(exists=True), required=True)
+@click.option("--workspace", type=click.Path(exists=True, file_okay=False), required=True)
 def skills_audit(workspace) -> None:
-    store = SkillStore(Path(workspace) / "learned")
-    records = store.audit_records()
+    records = SkillStore(workspace).audit_records()
     if not records:
         click.echo("audit log is empty")
         sys.exit(EXIT_OK)

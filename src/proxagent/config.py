@@ -14,7 +14,9 @@ from typing import Optional, get_args, get_type_hints
 
 import yaml
 
+from .bus import BACKENDS
 from .env import EnvError, make_task
+from .reasoning import PROVIDER_KINDS
 from .runner import EpisodeConfig, RunnerError
 
 
@@ -57,7 +59,7 @@ class BusSection:
     redis_url: str = "redis://localhost:6379/0"
 
     def validate(self) -> None:
-        if self.backend not in ("inprocess", "redis"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown bus backend {self.backend!r}")
 
 
@@ -67,7 +69,7 @@ class ProviderSection:
     options: dict = field(default_factory=dict)  # passed to the provider factory
 
     def validate(self) -> None:
-        if self.kind not in ("scripted", "replay", "remote"):
+        if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
 
     def spec(self) -> dict:

@@ -432,7 +432,6 @@ class EnvBridge:
         self.env = env
         self.backend = backend
         self.terminated = False
-        self.last_terminate: dict = {}
         self._subs = [
             backend.subscribe(busmod.CMD_POSE_DELTA, self._on_pose_delta),
             backend.subscribe(busmod.CMD_EXPOSURE, self._on_exposure),
@@ -446,7 +445,6 @@ class EnvBridge:
 
     def reset(self, task: TaskSpec, seed: int = 0) -> Observation:
         self.terminated = False
-        self.last_terminate = {}
         obs = self.env.reset(task, seed=seed)
         self._publish(obs)
         return obs
@@ -477,4 +475,3 @@ class EnvBridge:
 
     def _on_terminate(self, msg: busmod.BusMessage) -> None:
         self.terminated = True
-        self.last_terminate = msg.record()

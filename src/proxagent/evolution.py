@@ -7,6 +7,15 @@ before touching the store: safety-phrase blacklist, fingerprint
 deduplication, task-scope binding, and parent validation. Accepted
 mutations become versioned learned-skill files in the same format as
 hand-authored skills; rejections are recorded in an append-only audit log.
+
+``SkillStore`` owns the evolution workspace, the only place these live:
+
+    <workspace>/episodes.jsonl        one summary per finished episode
+    <workspace>/learned/*.skill       learned skills, highest version active
+    <workspace>/learned/audit.log     one gate verdict per line
+
+Reading the workspace creates nothing; the first write makes the
+directories it needs.
 """
 
 from __future__ import annotations
@@ -276,17 +285,31 @@ class GateVerdict:
 
 
 class SkillStore:
-    """Learned-skill directory plus append-only audit log; its only reader
-    and single writer. There is one store per episode: it reads the
-    directory once, on first use, into ``view``, and ``materialize`` records
-    each file it writes there, so the view matches the directory."""
+    """The evolution workspace: its only reader and single writer, and the
+    one place that knows its layout. There is one store per episode: it
+    reads ``learned/`` once, on first use, into ``view``, and ``materialize``
+    records each file it writes there, so the view matches the directory."""
 
-    def __init__(self, learned_dir: Path):
-        self.learned_dir = Path(learned_dir)
-        self.learned_dir.mkdir(parents=True, exist_ok=True)
+    def __init__(self, workspace: Path):
+        self.workspace = Path(workspace)
+        self.learned_dir = self.workspace / "learned"
         self.audit_path = self.learned_dir / "audit.log"
+        self.history_path = self.workspace / "episodes.jsonl"
 
-    # -- reading -------------------------------------------------------
+    @staticmethod
+    def _read_jsonl(path: Path) -> list[dict]:
+        if not path.exists():
+            return []
+        with open(path, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+
+    @staticmethod
+    def _append_jsonl(path: Path, record: dict) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    # -- learned skills ------------------------------------------------
 
     def load_all(self) -> dict[str, tuple[Skill, Path]]:
         """Read the directory: the highest version per skill name, with the
@@ -306,17 +329,22 @@ class SkillStore:
     def fingerprints(self) -> set[str]:
         return {skill_fingerprint(skill) for skill, _path in self.view.values()}
 
+    # -- episode history -----------------------------------------------
+
+    def history(self) -> list[EpisodeSummary]:
+        """Summaries of the workspace's earlier episodes, oldest first."""
+        return [EpisodeSummary(**record) for record in self._read_jsonl(self.history_path)]
+
+    def record_episode(self, summary: EpisodeSummary) -> None:
+        self._append_jsonl(self.history_path, summary.to_dict())
+
     # -- audit ---------------------------------------------------------
 
     def audit(self, record: dict) -> None:
-        with open(self.audit_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._append_jsonl(self.audit_path, record)
 
     def audit_records(self) -> list[dict]:
-        if not self.audit_path.exists():
-            return []
-        with open(self.audit_path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+        return self._read_jsonl(self.audit_path)
 
 
 def quality_gate(
@@ -456,6 +484,7 @@ def materialize(
                 )
             else:
                 raise EvolutionError(f"cannot materialize action {mutation.action!r}")
+        store.learned_dir.mkdir(parents=True, exist_ok=True)
         path = store.learned_dir / f"{skill.name}.v{skill.version}.skill"
         path.write_text(render_skill(skill), encoding="utf-8")
         if mutation.action == ACTION_REWRITE:
@@ -582,14 +611,14 @@ def scripted_reflection(extra: dict) -> str:
 
 def run_evolution(
     summary: EpisodeSummary,
-    history: list[EpisodeSummary],
     active_skills: list[str],
     provider: DecisionProvider,
     store: SkillStore,
 ) -> dict:
-    """Reflect, gate, and materialize. Returns an event record for the log."""
+    """Reflect on the episode against the store's history, then gate and
+    materialize. Returns an event record for the log."""
     learned_names = sorted(store.view)
-    mutation = reflect(summary, history, active_skills, provider, learned_names)
+    mutation = reflect(summary, store.history(), active_skills, provider, learned_names)
     event = {"action": mutation.action, "accepted": False, "skill": None}
     if mutation.action == ACTION_NO_CHANGE:
         return event

@@ -679,7 +679,7 @@ class RemoteProvider(DecisionProvider):
 
 
 # Per provider kind, the class whose constructor takes its options
-_PROVIDER_OPTIONS = {
+PROVIDER_KINDS = {
     "scripted": ScriptedPolicyConfig,
     "replay": ReplayProvider,
     "remote": RemoteProvider,
@@ -690,7 +690,7 @@ def _provider_options(kind: str, options: dict) -> dict:
     """``options`` checked against the constructor for ``kind``: each names a
     parameter, has its type (a ``float`` takes any finite number but a bool)
     and leaves out no parameter without a default."""
-    params = inspect.signature(_PROVIDER_OPTIONS[kind], eval_str=True).parameters
+    params = inspect.signature(PROVIDER_KINDS[kind], eval_str=True).parameters
     unknown = set(options) - set(params)
     if unknown:
         raise ReasoningError(f"unknown {kind} provider options: {sorted(unknown)}")
@@ -714,9 +714,9 @@ def make_provider(spec: dict) -> DecisionProvider:
     """Instantiate a provider from a configuration record."""
     options = dict(spec)
     kind = options.pop("kind", "scripted")
-    if kind not in _PROVIDER_OPTIONS:
+    if kind not in PROVIDER_KINDS:
         raise ReasoningError(f"unknown provider kind: {kind!r}")
-    built = _PROVIDER_OPTIONS[kind](**_provider_options(kind, options))
+    built = PROVIDER_KINDS[kind](**_provider_options(kind, options))
     return ScriptedProvider(built) if kind == "scripted" else built
 
 

@@ -4,8 +4,9 @@ One episode is three phases. Setup routes skills, assembles the system
 prompt, and resets the simulator behind the bus bridge. The loop commits
 exactly one control-or-terminal tool call per outer step until the episode
 terminates, collides, or times out, logging every step as a sorted-key
-JSON line. Teardown scores the trajectory and, when evolution is enabled,
-reflects the outcome into a gated skill mutation.
+JSON line. Teardown scores the trajectory; with a workspace, it also
+summarizes the episode into the workspace's history and, when evolution is
+enabled, first reflects that summary into a gated skill mutation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .env import (
     load_satellite_catalog,
 )
 from .evolution import (
-    EpisodeSummary,
     SkillStore,
     run_evolution,
     select_learned,
@@ -86,7 +86,7 @@ class EpisodeConfig:
     mode: str = MODE_STANDARD
     seed: int = 0
     episode_id: str = "ep-000001"
-    workspace: Optional[Path] = None       # holds learned skills + logs
+    workspace: Optional[Path] = None       # a SkillStore's workspace
     trajectory_path: Optional[Path] = None
     evolve: bool = False
     router: Optional[DecisionProvider] = None
@@ -100,12 +100,8 @@ class EpisodeConfig:
 
 @dataclass
 class EpisodeResult:
-    episode_id: str
     trajectory: Trajectory
     outcome: Outcome
-    routing: dict
-    skill_names: list[str]
-    summary: EpisodeSummary
     evolution: Optional[dict] = None
 
 
@@ -184,7 +180,7 @@ def run_episode(
     store = None
     learned = []
     if config.workspace is not None:
-        store = SkillStore(Path(config.workspace) / "learned")
+        store = SkillStore(config.workspace)
         learned = select_learned(task.kind, task.description, store)
     prompt = assemble_prompt(core_skills, routing, mode_skills, learned, skill_catalog)
 
@@ -270,51 +266,13 @@ def run_episode(
         trajectory.write(path)
 
     outcome = evaluate(trajectory, task, satellites[task.satellite_id])
-    summary = summarize_episode(trajectory, outcome, task.kind, config.episode_id)
     evolution_event = None
     if store is not None:
+        summary = summarize_episode(trajectory, outcome, task.kind, config.episode_id)
         if config.evolve:
-            evolution_event = run_evolution(
-                summary, _load_history(config.workspace), prompt.skill_names,
-                provider, store,
-            )
-        _append_history(config.workspace, summary)
-
-    return EpisodeResult(
-        episode_id=config.episode_id,
-        trajectory=trajectory,
-        outcome=outcome,
-        routing={
-            "task_skill": routing.task_skill,
-            "helpers": routing.helper_skills,
-            "used_fallback": routing.used_fallback,
-        },
-        skill_names=prompt.skill_names,
-        summary=summary,
-        evolution=evolution_event,
-    )
-
-
-# -- campaign history ---------------------------------------------------
-
-
-def _history_path(workspace) -> Path:
-    return Path(workspace) / "episodes.jsonl"
-
-
-def _load_history(workspace) -> list[EpisodeSummary]:
-    path = _history_path(workspace)
-    if not path.exists():
-        return []
-    with open(path, encoding="utf-8") as fh:
-        return [EpisodeSummary(**json.loads(line)) for line in fh if line.strip()]
-
-
-def _append_history(workspace, summary: EpisodeSummary) -> None:
-    path = _history_path(workspace)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary.to_dict(), sort_keys=True) + "\n")
+            evolution_event = run_evolution(summary, prompt.skill_names, provider, store)
+        store.record_episode(summary)
+    return EpisodeResult(trajectory, outcome, evolution_event)
 
 
 @dataclass
@@ -339,7 +297,6 @@ def run_campaign(
 ) -> CampaignReport:
     """Sequential multi-round campaign over a shared evolution workspace."""
     workspace = Path(workspace)
-    workspace.mkdir(parents=True, exist_ok=True)
     satellites = satellites or load_satellite_catalog()
     provider_factory = provider_factory or ScriptedProvider
     report = CampaignReport()

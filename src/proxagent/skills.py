@@ -33,12 +33,12 @@ PROVENANCE_HAND = "hand-authored"
 MODE_STANDARD = "standard"
 MODE_REACT = "react"
 MODE_PROSPECTIVE = "prospective"
-REASONING_MODES = (MODE_STANDARD, MODE_REACT, MODE_PROSPECTIVE)
 MODE_SKILLS = {
     MODE_STANDARD: [],
     MODE_REACT: ["react-loop"],
     MODE_PROSPECTIVE: ["prospective-plan", "prospective-select"],
 }
+REASONING_MODES = tuple(MODE_SKILLS)
 
 # Default (task skill, helper skills) per task kind, used as routing fallback
 DEFAULT_ROUTES = {

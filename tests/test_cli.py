@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from proxagent.cli import main
 from proxagent.config import ConfigError, dump_config, load_config, parse_config
-from proxagent.skills import SkillCatalog, parse_skill_text, render_skill
+from proxagent.skills import NoDefaults, SkillCatalog, parse_skill_text, render_skill
 
 
 @pytest.fixture()
@@ -81,6 +81,8 @@ def test_shipped_default_config_parses():
     {"tasks": {"search": {"task": "rendezvous"}}},
     {"tasks": {"search": {"condition": "C9"}}},
     {"tasks": {"docking": {}}},
+    {"provider": {"kind": "psychic"}},
+    {"bus": {"backend": "carrier-pigeon"}},
 ])
 def test_config_rejects_wrong_shapes_and_types(record):
     with pytest.raises(ConfigError):
@@ -179,6 +181,36 @@ def test_evolve_and_skills_commands(runner, tmp_path):
     assert "accepted" in audit.output
 
 
+def test_skills_list_and_audit_leave_an_empty_workspace_empty(runner, tmp_path):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    listed = runner.invoke(main, ["skills", "list", "--workspace", str(ws)])
+    assert listed.exit_code == 0, listed.output
+    audit = runner.invoke(main, ["skills", "audit", "--workspace", str(ws)])
+    assert audit.exit_code == 0, audit.output
+    assert "audit log is empty" in audit.output
+    assert list(ws.iterdir()) == []
+
+
+def test_skills_list_on_a_missing_workspace_fails_and_creates_nothing(runner, tmp_path):
+    missing = tmp_path / "no-such-ws"
+    listed = runner.invoke(main, ["skills", "list", "--workspace", str(missing)])
+    assert listed.exit_code != 0
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["evolve", "--rounds", "1"]])
+def test_workspace_that_is_a_file_exits_three_before_any_episode(runner, tmp_path,
+                                                                 command):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    result = runner.invoke(main, command + ["--workspace", str(afile)])
+    assert result.exit_code == 3, result.output
+    assert "configuration error" in result.output
+    assert "not a directory" in result.output
+    assert afile.read_text(encoding="utf-8") == ""
+
+
 def test_report_recomputes_outcome(runner, tmp_path):
     traj = tmp_path / "t.jsonl"
     assert runner.invoke(
@@ -228,13 +260,14 @@ def test_every_episode_command_uses_skills_root(runner, tmp_path):
     config = _config(tmp_path, f"skills_root: {skills}\n")
 
     result = runner.invoke(main, ["run", "--config", config])
-    assert result.exit_code == 4
+    assert result.exit_code == 3
     assert "approach" in result.output
     result = runner.invoke(main, ["sweep", "--config", config, "--runs", "1"])
+    assert result.exit_code == 3
     assert "approach" in result.output
-    assert "pass count: 0/1" in result.output
     result = runner.invoke(main, ["ablate", "--config", config, "--tasks", "rendezvous",
                                   "--profiles", "hybrid-nav"])
+    assert result.exit_code == 3
     assert "approach" in result.output
 
 
@@ -288,13 +321,14 @@ def test_skills_root_is_loaded_once_per_command(runner, tmp_path, monkeypatch):
     (["sweep", "--runs", "2"], "sweep"),
     (["ablate", "--tasks", "rendezvous", "--profiles", "hybrid-nav"], "ablation"),
 ])
-def test_out_keeps_the_error_of_an_episode_that_raised(runner, tmp_path, command, key):
-    skills = tmp_path / "skills"
-    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
-    (skills / "task" / "approach.skill").unlink()
-    config = _config(tmp_path, f"skills_root: {skills}\n")
+def test_out_keeps_the_error_of_an_episode_that_raised(runner, tmp_path, monkeypatch,
+                                                       command, key):
+    def raising(*args, **kwargs):
+        raise NoDefaults("default task skill 'approach' missing or disabled")
+
+    monkeypatch.setattr("proxagent.cli.run_episode", raising)
     out = tmp_path / "out.json"
-    result = runner.invoke(main, command + ["--config", config, "--out", str(out)])
+    result = runner.invoke(main, command + ["--out", str(out)])
     assert result.exit_code == 0, result.output
     records = json.loads(out.read_text())[key]
     assert records

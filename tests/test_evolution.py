@@ -363,9 +363,17 @@ def test_gate_never_accepts_constraint_violations(tmp_path_factory, mutation):
 # -- one store, one read -------------------------------------------------
 
 
+def test_reading_a_store_creates_nothing(tmp_path):
+    store = SkillStore(tmp_path / "ws")
+    assert store.load_all() == {} and store.view == {} and store.fingerprints() == set()
+    assert store.history() == [] and store.audit_records() == []
+    assert select_learned("rendezvous", "approach the target", store) == []
+    assert not (tmp_path / "ws").exists()
+
+
 def test_store_view_follows_every_mutation_and_gates_a_resubmission(store):
     name = seeded(store)
-    assert store.view == SkillStore(store.learned_dir).load_all()
+    assert store.view == SkillStore(store.workspace).load_all()
     for episode, mutation in [
         ("ep-000002", MutationDecision(action=ACTION_OVERLAY, scope="rendezvous", target=name,
                                        content=content(rule="also decay steps inside 5 m"))),
@@ -376,7 +384,7 @@ def test_store_view_follows_every_mutation_and_gates_a_resubmission(store):
     ]:
         assert quality_gate(mutation, store, "rendezvous", episode).accepted
         materialize(mutation, store, episode_id=episode)
-        assert store.view == SkillStore(store.learned_dir).load_all()
+        assert store.view == SkillStore(store.workspace).load_all()
     assert store.view[name][0].version == 3
     assert store.view[name][0].enabled is False
 
@@ -398,5 +406,5 @@ def test_failed_rewrite_keeps_the_active_version(store, monkeypatch):
     with pytest.raises(evolution.StoreWriteFailure):
         materialize(rewrite, store, episode_id="ep-000002")
     monkeypatch.undo()
-    assert store.view == SkillStore(store.learned_dir).load_all()
+    assert store.view == SkillStore(store.workspace).load_all()
     assert store.view[name][0].version == 1

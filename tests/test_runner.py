@@ -149,7 +149,7 @@ def test_skill_learned_in_one_round_is_in_the_next_rounds_prompt(satellites, tmp
     report = run_campaign(config(), 2, ws, provider_factory=induced_provider,
                           satellites=satellites)
     assert report.rounds[0]["evolution"]["accepted"] is True
-    (learned_name,) = SkillStore(ws / "learned").load_all()
+    (learned_name,) = SkillStore(ws).load_all()
     first, second = (Trajectory.read(ws / f"{row['episode_id']}.jsonl").meta["skills"]
                      for row in report.rounds)
     assert learned_name not in first
@@ -222,7 +222,14 @@ def test_campaign_without_evolution_leaves_no_skills(satellites, tmp_path):
             satellites=satellites,
         )
     assert list((ws / "learned").glob("*.skill")) == []
+    assert not (ws / "learned").exists()
     assert (ws / "episodes.jsonl").exists()  # history still recorded
+
+
+def test_campaign_records_each_round_in_the_store_history(satellites, tmp_path):
+    ws = tmp_path / "ws"
+    run_campaign(config(), 2, ws, satellites=satellites)
+    assert [s.episode_id for s in SkillStore(ws).history()] == ["ep-000001", "ep-000002"]
 
 
 def test_episodes_back_to_back_on_one_bus_match_fresh_buses(satellites, tmp_path):

@@ -63,7 +63,7 @@ def test_learned_loader_keeps_highest_version(tmp_path):
             body=f"v{version}", provenance="evolved:ep-000001",
         )
         (learned / f"pace.v{version}.skill").write_text(skills.render_skill(skill))
-    assert SkillStore(learned).load_all()["pace"][0].version == 2
+    assert SkillStore(tmp_path).load_all()["pace"][0].version == 2
 
 
 def test_store_skips_archived_learned_skills(tmp_path):
@@ -77,7 +77,7 @@ def test_store_skips_archived_learned_skills(tmp_path):
                              body=f"{name} v{version}")
         (learned / filename).write_text(skills.render_skill(skill), encoding="utf-8")
 
-    stored = SkillStore(learned).load_all()
+    stored = SkillStore(tmp_path).load_all()
     from_store = {name: (s.version, s.body) for name, (s, _path) in stored.items()}
     assert from_store == {"a": (2, "a v2"), "b": (1, "b v1")}
     assert stored["a"][1].name == "a.v2.skill"

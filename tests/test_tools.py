@@ -220,11 +220,11 @@ def test_gain_error_kind(rig):
 
 
 def test_terminate_reports_to_bridge(rig):
-    dispatcher, bridge, _ = rig
+    dispatcher, bridge, backend = rig
     result = dispatcher.dispatch(call("terminate", reason="done"))
     assert result.ok and result.payload == {"terminated": True}
     assert bridge.terminated
-    assert bridge.last_terminate["reason"] == "done"
+    assert backend.get_latest(bus.CMD_TERMINATE).record()["reason"] == "done"
 
 
 def test_brightness_assess_verdicts(rig, satellites):

@@ -51,12 +51,13 @@ class Setup:
     """What every episode of one command runs with, built once from the
     configuration: a provider per episode from one spec (checked here by
     building one), the satellite catalog, the skill catalog (``skills_root``
-    if set, else the shipped skills) and the bus backend, which the
-    command's sequential episodes share. Each of the command's episodes
-    must target a satellite in the catalog, find its task skill by the
-    keyword route the episode takes and its reasoning mode's skills in the
-    skill catalog, enabled, and have a workspace, if any, that is a
-    directory or does not exist yet."""
+    if set, else the shipped skills), the bus backend and one
+    ``SkillStore`` per workspace, which the command's sequential episodes
+    share. Each of the command's episodes must target a satellite in the
+    catalog, find its task skill by the keyword route the episode takes and
+    its reasoning mode's skills in the skill catalog, enabled, and have a
+    workspace, if any, that is a directory or does not exist yet, whose
+    learned skills (and, if the episode evolves, history) read cleanly."""
 
     def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
@@ -64,6 +65,7 @@ class Setup:
         self.satellites = load_satellite_catalog(root.satellite_catalog)
         self.skill_catalog = (SkillCatalog.load(root.skills_root) if root.skills_root
                               else shipped_catalog())
+        self.stores: dict[Path, SkillStore] = {}
         for episode in episodes:
             if episode.task.satellite_id not in self.satellites:
                 raise ConfigError(f"unknown satellite {episode.task.satellite_id!r}; "
@@ -72,8 +74,13 @@ class Setup:
                   self.skill_catalog)
             self.skill_catalog.mode_skills(episode.mode)
             workspace = episode.workspace
-            if workspace is not None and workspace.exists() and not workspace.is_dir():
-                raise ConfigError(f"workspace {str(workspace)!r} is not a directory")
+            if workspace is not None:
+                if workspace.exists() and not workspace.is_dir():
+                    raise ConfigError(f"workspace {str(workspace)!r} is not a directory")
+                store = self.stores.setdefault(workspace, SkillStore(workspace))
+                store.view  # read now, so a malformed file fails before any episode
+                if episode.evolve:
+                    store.history()
         self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
 
     def provider(self):
@@ -81,12 +88,13 @@ class Setup:
 
     def run(self, episode):
         return run_episode(episode, provider=self.provider(), satellites=self.satellites,
-                           skill_catalog=self.skill_catalog, backend=self.backend)
+                           skill_catalog=self.skill_catalog, backend=self.backend,
+                           store=self.stores.get(episode.workspace))
 
-    def campaign(self, base, rounds: int, workspace):
-        return run_campaign(base, rounds, Path(workspace), provider_factory=self.provider,
+    def campaign(self, base, rounds: int):
+        return run_campaign(base, rounds, base.workspace, provider_factory=self.provider,
                             satellites=self.satellites, skill_catalog=self.skill_catalog,
-                            backend=self.backend)
+                            backend=self.backend, store=self.stores[base.workspace])
 
 
 def _error_text(exc: Exception) -> str:
@@ -280,7 +288,7 @@ def evolve(config_path, task, rounds, workspace, out) -> None:
         )
         setup = Setup(root, [base])
     try:
-        report = setup.campaign(base, rounds, workspace)
+        report = setup.campaign(base, rounds)
     except Exception as exc:
         click.echo(f"episode error: {exc}", err=True)
         sys.exit(EXIT_EPISODE_ERROR)
@@ -290,10 +298,10 @@ def evolve(config_path, task, rounds, workspace, out) -> None:
         for r in report.rounds
     ]
     click.echo(_render_table(["round", "result", "steps", "reason", "evolution"], rows))
-    store = SkillStore(workspace)
     inventory = [
         [skill.name, skill.version, skill.provenance, "yes" if skill.enabled else "no"]
-        for skill, _path in sorted(store.load_all().values(), key=lambda e: e[0].name)
+        for skill, _path in sorted(setup.stores[base.workspace].view.values(),
+                                   key=lambda e: e[0].name)
     ]
     click.echo("\nlearned skills:")
     click.echo(_render_table(["name", "version", "provenance", "enabled"], inventory))
@@ -336,17 +344,16 @@ def skills_list(config_path, workspace) -> None:
     with _config_errors():
         root = _load_root(config_path)
         catalog = SkillCatalog.load(root.skills_root or default_skills_root())
+        learned = SkillStore(workspace).load_all() if workspace else {}
     rows = [
         [s.name, s.category, s.version, s.provenance, "yes" if s.enabled else "no"]
         for s in catalog.skills
     ]
-    if workspace:
-        store = SkillStore(workspace)
-        for skill, _path in sorted(store.load_all().values(), key=lambda e: e[0].name):
-            rows.append(
-                [skill.name, skill.category, skill.version, skill.provenance,
-                 "yes" if skill.enabled else "no"]
-            )
+    for skill, _path in sorted(learned.values(), key=lambda e: e[0].name):
+        rows.append(
+            [skill.name, skill.category, skill.version, skill.provenance,
+             "yes" if skill.enabled else "no"]
+        )
     click.echo(_render_table(["name", "category", "version", "provenance", "enabled"], rows))
     sys.exit(EXIT_OK)
 
@@ -354,7 +361,8 @@ def skills_list(config_path, workspace) -> None:
 @skills.command("audit")
 @click.option("--workspace", type=click.Path(exists=True, file_okay=False), required=True)
 def skills_audit(workspace) -> None:
-    records = SkillStore(workspace).audit_records()
+    with _config_errors():
+        records = SkillStore(workspace).audit_records()
     if not records:
         click.echo("audit log is empty")
         sys.exit(EXIT_OK)

@@ -13,9 +13,12 @@ hand-authored skills; rejections are recorded in an append-only audit log.
     <workspace>/episodes.jsonl        one summary per finished episode
     <workspace>/learned/*.skill       learned skills, highest version active
     <workspace>/learned/audit.log     one gate verdict per line
+    <workspace>/<episode_id>.jsonl    an episode's trajectory, when asked for
 
-Reading the workspace creates nothing; the first write makes the
-directories it needs.
+One store serves every episode of a command that uses its workspace: it
+reads ``learned/`` and the tail of ``episodes.jsonl`` once and keeps both
+current as it writes. Reading the workspace creates nothing; the first
+write makes the directories it needs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import marshal
 import re
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -286,22 +291,51 @@ class GateVerdict:
 
 class SkillStore:
     """The evolution workspace: its only reader and single writer, and the
-    one place that knows its layout. There is one store per episode: it
-    reads ``learned/`` once, on first use, into ``view``, and ``materialize``
-    records each file it writes there, so the view matches the directory."""
+    one place that knows its layout.
+
+    One store serves a whole command. It reads ``learned/`` once, on first
+    use, into ``view``, and ``materialize`` records each file it writes
+    there, so the view matches the directory. It reads ``episodes.jsonl``
+    once, on first use of ``history``, parsing only the last
+    ``REFLECTION_HISTORY`` lines into a bounded tail that ``record_episode``
+    extends. Both hold only while the store is the workspace's one writer:
+    a workspace must not be written by two stores, or two processes, at
+    once."""
 
     def __init__(self, workspace: Path):
         self.workspace = Path(workspace)
         self.learned_dir = self.workspace / "learned"
         self.audit_path = self.learned_dir / "audit.log"
         self.history_path = self.workspace / "episodes.jsonl"
+        # summaries as marshal bytes, so every read of the tail is a private
+        # copy (marshal: the quickest copy of JSON-shaped data, and built in)
+        self._tail: Optional[deque[bytes]] = None
+
+    def trajectory_path(self, episode_id: str) -> Path:
+        return self.workspace / f"{episode_id}.jsonl"
 
     @staticmethod
-    def _read_jsonl(path: Path) -> list[dict]:
+    def _read_jsonl(path: Path, last: Optional[int] = None) -> list[tuple[int, dict]]:
+        """(line number, record) for each non-blank line of ``path``, or for
+        the last ``last`` of them only; a line that is not a JSON object is
+        an error naming the file and the line."""
         if not path.exists():
             return []
         with open(path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+            lines = deque(
+                ((number, line) for number, line in enumerate(fh, 1) if line.strip()),
+                maxlen=last,
+            )
+        records = []
+        for number, line in lines:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise EvolutionError(f"{path} line {number}: not JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise EvolutionError(f"{path} line {number}: not a JSON object")
+            records.append((number, record))
+        return records
 
     @staticmethod
     def _append_jsonl(path: Path, record: dict) -> None:
@@ -332,11 +366,26 @@ class SkillStore:
     # -- episode history -----------------------------------------------
 
     def history(self) -> list[EpisodeSummary]:
-        """Summaries of the workspace's earlier episodes, oldest first."""
-        return [EpisodeSummary(**record) for record in self._read_jsonl(self.history_path)]
+        """The workspace's last ``REFLECTION_HISTORY`` episode summaries,
+        oldest first, as copies: nothing done to them reaches the store."""
+        if self._tail is None:
+            tail: deque[bytes] = deque(maxlen=REFLECTION_HISTORY)
+            for number, record in self._read_jsonl(self.history_path, REFLECTION_HISTORY):
+                try:
+                    EpisodeSummary(**record)
+                except TypeError as exc:
+                    raise EvolutionError(
+                        f"{self.history_path} line {number}: not an episode summary ({exc})"
+                    ) from None
+                tail.append(marshal.dumps(record))
+            self._tail = tail
+        return [EpisodeSummary(**marshal.loads(entry)) for entry in self._tail]
 
     def record_episode(self, summary: EpisodeSummary) -> None:
-        self._append_jsonl(self.history_path, summary.to_dict())
+        record = summary.to_dict()
+        self._append_jsonl(self.history_path, record)
+        if self._tail is not None:  # else the first read finds it in the file
+            self._tail.append(marshal.dumps(record))
 
     # -- audit ---------------------------------------------------------
 
@@ -344,7 +393,7 @@ class SkillStore:
         self._append_jsonl(self.audit_path, record)
 
     def audit_records(self) -> list[dict]:
-        return self._read_jsonl(self.audit_path)
+        return [record for _number, record in self._read_jsonl(self.audit_path)]
 
 
 def quality_gate(

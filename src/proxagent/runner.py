@@ -148,17 +148,31 @@ def _latest_observation(dispatcher: ToolDispatcher) -> dict:
     return obs
 
 
+def _workspace_store(workspace: Optional[Path],
+                     store: Optional[SkillStore]) -> Optional[SkillStore]:
+    """The store of ``workspace``: ``store`` if given, which must be that
+    workspace's, else a new one (or none without a workspace)."""
+    if store is None:
+        return None if workspace is None else SkillStore(workspace)
+    if workspace is None or Path(workspace) != store.workspace:
+        raise RunnerError(f"the store is for workspace {store.workspace}, "
+                          f"the episode's is {workspace}")
+    return store
+
+
 def run_episode(
     config: EpisodeConfig,
     provider: Optional[DecisionProvider] = None,
     satellites: Optional[dict] = None,
     skill_catalog: Optional[SkillCatalog] = None,
     backend: Optional[busmod.BusBackend] = None,
+    store: Optional[SkillStore] = None,
 ) -> EpisodeResult:
     """Run one full episode and return its scored result.
 
-    ``skill_catalog`` defaults to the shipped skills. Only the workspace's
-    learned skills are read for each episode, once, by its ``SkillStore``.
+    ``skill_catalog`` defaults to the shipped skills. ``store`` is the
+    ``SkillStore`` of ``config.workspace``, shared by the caller's episodes;
+    without one, an episode with a workspace opens its own.
     """
     task = config.task
     provider = provider or ScriptedProvider()
@@ -177,10 +191,9 @@ def run_episode(
     core_skills = skill_catalog.of_category(CORE)
     mode_skills = skill_catalog.mode_skills(config.mode)
 
-    store = None
+    store = _workspace_store(config.workspace, store)
     learned = []
-    if config.workspace is not None:
-        store = SkillStore(config.workspace)
+    if store is not None:
         learned = select_learned(task.kind, task.description, store)
     prompt = assemble_prompt(core_skills, routing, mode_skills, learned, skill_catalog)
 
@@ -294,21 +307,23 @@ def run_campaign(
     satellites: Optional[dict] = None,
     skill_catalog: Optional[SkillCatalog] = None,
     backend: Optional[busmod.BusBackend] = None,
+    store: Optional[SkillStore] = None,
 ) -> CampaignReport:
-    """Sequential multi-round campaign over a shared evolution workspace."""
-    workspace = Path(workspace)
+    """Sequential multi-round campaign over a shared evolution workspace,
+    whose one ``SkillStore`` (``store``, or a new one) serves every round."""
+    store = _workspace_store(Path(workspace), store)
     satellites = satellites or load_satellite_catalog()
     provider_factory = provider_factory or ScriptedProvider
     report = CampaignReport()
     for index in range(rounds):
         episode_id = f"ep-{index + 1:06d}"
         config = replace(
-            base, episode_id=episode_id, workspace=workspace,
-            trajectory_path=workspace / f"{episode_id}.jsonl", evolve=True,
+            base, episode_id=episode_id, workspace=store.workspace,
+            trajectory_path=store.trajectory_path(episode_id), evolve=True,
         )
         result = run_episode(
             config, provider=provider_factory(), satellites=satellites,
-            skill_catalog=skill_catalog, backend=backend,
+            skill_catalog=skill_catalog, backend=backend, store=store,
         )
         report.rounds.append(
             {

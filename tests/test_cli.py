@@ -211,6 +211,54 @@ def test_workspace_that_is_a_file_exits_three_before_any_episode(runner, tmp_pat
     assert afile.read_text(encoding="utf-8") == ""
 
 
+@pytest.mark.parametrize("command", [["run", "--evolve"], ["evolve", "--rounds", "1"]])
+def test_malformed_history_exits_three_before_any_episode(runner, tmp_path, command):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "episodes.jsonl").write_text("not json\n", encoding="utf-8")
+    result = runner.invoke(main, command + ["--workspace", str(ws)])
+    assert result.exit_code == 3, result.output
+    assert f"configuration error: {ws / 'episodes.jsonl'} line 1: " in result.output
+    assert sorted(p.name for p in ws.iterdir()) == ["episodes.jsonl"]
+
+
+def malformed_learned_workspace(tmp_path):
+    ws = tmp_path / "ws"
+    (ws / "learned").mkdir(parents=True)
+    (ws / "learned" / "x.v1.skill").write_text("name: x\ncategory: learned\n",
+                                              encoding="utf-8")
+    return ws
+
+
+def test_skills_list_with_a_malformed_learned_skill_exits_three(runner, tmp_path):
+    ws = malformed_learned_workspace(tmp_path)
+    result = runner.invoke(main, ["skills", "list", "--workspace", str(ws)])
+    assert result.exit_code == 3, result.output
+    assert "configuration error: " in result.output
+    assert "x.v1.skill" in result.output
+
+
+def test_skills_audit_with_a_malformed_audit_log_exits_three(runner, tmp_path):
+    ws = tmp_path / "ws"
+    (ws / "learned").mkdir(parents=True)
+    (ws / "learned" / "audit.log").write_text('{"verdict": "accepted"}\n[]\n',
+                                              encoding="utf-8")
+    result = runner.invoke(main, ["skills", "audit", "--workspace", str(ws)])
+    assert result.exit_code == 3, result.output
+    assert "audit.log line 2: not a JSON object" in result.output
+
+
+@pytest.mark.parametrize("command", [["run"], ["evolve", "--rounds", "1"]])
+def test_malformed_learned_skill_exits_three_before_any_episode(runner, tmp_path,
+                                                                command):
+    ws = malformed_learned_workspace(tmp_path)
+    result = runner.invoke(main, command + ["--workspace", str(ws)])
+    assert result.exit_code == 3, result.output
+    assert "configuration error: " in result.output
+    assert "x.v1.skill" in result.output
+    assert sorted(p.name for p in ws.iterdir()) == ["learned"]
+
+
 def test_report_recomputes_outcome(runner, tmp_path):
     traj = tmp_path / "t.jsonl"
     assert runner.invoke(

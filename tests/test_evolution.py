@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -408,3 +410,41 @@ def test_failed_rewrite_keeps_the_active_version(store, monkeypatch):
     monkeypatch.undo()
     assert store.view == SkillStore(store.workspace).load_all()
     assert store.view[name][0].version == 1
+
+
+def test_failed_history_append_leaves_the_tail_unchanged(tmp_path, monkeypatch):
+    store = SkillStore(tmp_path)
+    store.record_episode(EpisodeSummary(**summary_dict(episode_id="ep-000001")))
+    before = store.history()
+
+    def disk_full(path, record):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(SkillStore, "_append_jsonl", staticmethod(disk_full))
+    with pytest.raises(OSError):
+        store.record_episode(EpisodeSummary(**summary_dict(episode_id="ep-000002")))
+    monkeypatch.undo()
+    assert store.history() == before == SkillStore(tmp_path).history()
+
+
+def test_history_parses_only_the_reflection_tail(tmp_path):
+    lines = ["not json"] * 5 + [
+        json.dumps(summary_dict(episode_id=f"ep-{i:06d}")) for i in range(1, 5)
+    ]
+    (tmp_path / "episodes.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    history = SkillStore(tmp_path).history()
+    assert [s.episode_id for s in history] == ["ep-000002", "ep-000003", "ep-000004"]
+    assert len(history) == evolution.REFLECTION_HISTORY
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("not json", "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"episode_id": "ep-000001"}', "not an episode summary"),
+])
+def test_malformed_history_line_is_named_by_file_and_line(tmp_path, line, problem):
+    good = json.dumps(summary_dict())
+    (tmp_path / "episodes.jsonl").write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(evolution.EvolutionError) as info:
+        SkillStore(tmp_path).history()
+    assert str(info.value).startswith(f"{tmp_path / 'episodes.jsonl'} line 3: {problem}")

@@ -1,10 +1,15 @@
+import copy
+import json
+from pathlib import Path
+
 import pytest
 
-from proxagent import runner
+from proxagent import evolution, runner
 from proxagent.bus import InProcessBus
-from proxagent.evolution import SkillStore
+from proxagent.evolution import REFLECTION_HISTORY, SkillStore
 from proxagent.env import evaluate, load_satellite_catalog, make_task
 from proxagent.reasoning import (
+    CALL_REFLECT,
     CALL_ROUTE,
     DecisionProvider,
     ScriptedPolicyConfig,
@@ -156,8 +161,8 @@ def test_skill_learned_in_one_round_is_in_the_next_rounds_prompt(satellites, tmp
     assert learned_name in second
 
 
-def test_campaign_reads_the_learned_store_once_per_round(satellites, tmp_path,
-                                                        monkeypatch):
+def test_campaign_reads_the_learned_store_once_per_campaign(satellites, tmp_path,
+                                                           monkeypatch):
     reads = []
     load_all = SkillStore.load_all
 
@@ -166,10 +171,87 @@ def test_campaign_reads_the_learned_store_once_per_round(satellites, tmp_path,
         return load_all(store)
 
     monkeypatch.setattr(SkillStore, "load_all", counting_load_all)
-    report = run_campaign(config(), 2, tmp_path / "ws", provider_factory=induced_provider,
+    report = run_campaign(config(), 3, tmp_path / "ws", provider_factory=induced_provider,
                           satellites=satellites)
     assert report.rounds[0]["evolution"]["accepted"] is True
-    assert len(reads) == 2
+    assert len(reads) == 1
+
+
+def test_campaign_opens_the_history_for_reading_once(satellites, tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    run_campaign(config(), 4, ws, satellites=satellites)
+    history_reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if Path(file) == ws / "episodes.jsonl" and "r" in mode:
+            history_reads.append(file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "open", counting_open, raising=False)
+    run_campaign(config(), 30, ws, provider_factory=induced_provider, satellites=satellites)
+    assert len(history_reads) == 1
+    monkeypatch.undo()
+    assert len((ws / "episodes.jsonl").read_text().splitlines()) == 34
+
+
+def test_campaign_store_history_matches_the_workspace_after_every_round(satellites,
+                                                                       tmp_path):
+    ws = tmp_path / "ws"
+    store = SkillStore(ws)
+    tails = []
+
+    def checking_factory():
+        tails.append((store.history(), SkillStore(ws).history()))
+        return induced_provider()
+
+    report = run_campaign(config(), 5, ws, provider_factory=checking_factory,
+                          satellites=satellites, store=store)
+    tails.append((store.history(), SkillStore(ws).history()))
+    assert report.rounds[0]["evolution"]["accepted"] is True
+    assert [len(fresh) for _kept, fresh in tails] == [0, 1, 2, 3, 3, 3]
+    for kept, fresh in tails:
+        assert kept == fresh
+
+
+def test_history_handed_to_reflection_cannot_change_the_store(satellites, tmp_path):
+    seen = []
+
+    class MutatingReflector(DecisionProvider):
+        identity = "mutating-reflector"
+
+        def __init__(self):
+            self.inner = induced_provider()
+
+        def reset_episode(self, episode_id=""):
+            self.inner.reset_episode(episode_id)
+
+        def complete(self, request):
+            if request.call_kind == CALL_REFLECT:
+                history = request.extra["history"]
+                seen.append(copy.deepcopy(history))
+                for record in history:
+                    record["movement"].clear()
+                    record["perception"].append({"step": -1})
+                    record["notes"].append("tampered")
+                history.clear()
+            return self.inner.complete(request)
+
+    ws = tmp_path / "ws"
+    run_campaign(config(), 5, ws, provider_factory=MutatingReflector, satellites=satellites)
+    lines = (ws / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+    recorded = [json.loads(line) for line in lines]
+    assert seen == [recorded[max(0, i - REFLECTION_HISTORY):i] for i in range(5)]
+
+
+def test_a_store_of_another_workspace_is_refused(satellites, tmp_path):
+    other = SkillStore(tmp_path / "other")
+    with pytest.raises(RunnerError):
+        run_episode(config(workspace=tmp_path / "ws"), satellites=satellites, store=other)
+    with pytest.raises(RunnerError):
+        run_episode(config(), satellites=satellites, store=other)
+    with pytest.raises(RunnerError):
+        run_campaign(config(), 1, tmp_path / "ws", satellites=satellites, store=other)
+    assert not (tmp_path / "ws").exists() and not other.workspace.exists()
 
 
 def test_shipped_catalog_is_loaded_once_per_process(satellites, monkeypatch):

@@ -21,8 +21,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class BusError(Exception):
@@ -112,8 +111,12 @@ def json_copy(value, where: str):
             if not isinstance(name, str):
                 raise SchemaViolation(f"{where}: key {name!r} is not a string")
             kind = type(item)
-            if kind is float:  # the common case, checked inline
+            # the common cases, checked inline
+            if kind is float:
                 if not math.isfinite(item):
+                    raise SchemaViolation(f"{where}.{name}: not a finite number in float range")
+            elif kind is int:
+                if not is_finite_number(item):
                     raise SchemaViolation(f"{where}.{name}: not a finite number in float range")
             elif kind not in _PLAIN:
                 item = json_copy(item, f"{where}.{name}")
@@ -130,17 +133,27 @@ def json_copy(value, where: str):
     raise SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
 
 
+# CHANNEL_SCHEMAS compiled for validate_payload: per key, one
+# (field, exact types, accepted types) entry per required field.
+_FIELD_CHECKS: dict[str, tuple[tuple[str, frozenset, tuple], ...]] = {
+    key: tuple((name, frozenset(types), types) for name, types in schema.items())
+    for key, schema in CHANNEL_SCHEMAS.items()
+}
+
+
 def validate_payload(key: str, record) -> dict:
     """Validate a record against the key's schema; return a private copy."""
     check_key(key)
     if not isinstance(record, dict):
         raise SchemaViolation(f"payload for {key} must be a JSON object")
-    schema = CHANNEL_SCHEMAS[key]
-    for field, types in schema.items():
+    for field, exact, types in _FIELD_CHECKS[key]:
         if field not in record:
             raise SchemaViolation(f"payload for {key} missing field {field!r}")
         value = record[field]
-        # bool is an int subclass; reject bools where a number is expected.
+        if type(value) in exact:
+            continue
+        # a subclass, such as an IntEnum, is accepted; bool is an int
+        # subclass, rejected where a number is expected
         if isinstance(value, bool) and bool not in types:
             raise SchemaViolation(f"{key}.{field}: expected {types}, got bool")
         if not isinstance(value, types):
@@ -155,8 +168,10 @@ def encode(record: dict) -> bytes:
     return json.dumps(record, sort_keys=True, allow_nan=False).encode("utf-8")
 
 
-@dataclass(frozen=True)
-class BusMessage:
+_CONTAINERS = frozenset({dict, list})  # the container types json_copy makes
+
+
+class BusMessage(NamedTuple):
     key: str
     payload: dict  # the validated record, owned by the bus: read it via record()
     seq: int
@@ -166,7 +181,7 @@ class BusMessage:
         """The payload, as a copy the caller may change freely."""
         record = dict(self.payload)
         for name, value in record.items():
-            if isinstance(value, (dict, list)):  # e.g. cmd/terminate's report
+            if type(value) in _CONTAINERS:  # e.g. cmd/terminate's report
                 record[name] = copy.deepcopy(value)
         return record
 
@@ -217,12 +232,7 @@ class InProcessBus(BusBackend):
         payload = validate_payload(key, record)
         with self._lock:
             self._seq[key] += 1
-            msg = BusMessage(
-                key=key,
-                payload=payload,
-                seq=self._seq[key],
-                timestamp=int(time.time() * 1000),
-            )
+            msg = BusMessage(key, payload, self._seq[key], int(time.time() * 1000))
             self._latest[key] = msg
             handlers = list(self._subs[key])
             for handler in handlers:

@@ -100,13 +100,22 @@ class Pose:
             [-sp, cp * sr, cp * cr],
         ]
 
+    # Each component adds its three products to 0.0 left to right, as sum()
+    # did before Python 3.12: the rounding the recorded trajectories have.
+
     def body_to_world(self, v: tuple[float, float, float]) -> tuple[float, float, float]:
-        r = self.rotation()
-        return tuple(sum(r[i][j] * v[j] for j in range(3)) for i in range(3))
+        (a, b, c), (d, e, f), (g, h, i) = self.rotation()
+        x, y, z = v
+        return (0.0 + a * x + b * y + c * z,
+                0.0 + d * x + e * y + f * z,
+                0.0 + g * x + h * y + i * z)
 
     def world_to_body(self, v: tuple[float, float, float]) -> tuple[float, float, float]:
-        r = self.rotation()
-        return tuple(sum(r[j][i] * v[j] for j in range(3)) for i in range(3))
+        (a, b, c), (d, e, f), (g, h, i) = self.rotation()
+        x, y, z = v
+        return (0.0 + a * x + d * y + g * z,
+                0.0 + b * x + e * y + h * z,
+                0.0 + c * x + f * y + i * z)
 
 
 @dataclass
@@ -283,8 +292,10 @@ class SimEnv:
         """Apply a body-frame pose delta. Raises StepLimitExceeded on bounds."""
         # float() first: an integer too large for float arithmetic must fail
         # the bounds checks below, not overflow inside them
-        dx, dy, dz = (float(delta.get(k, 0.0)) for k in ("dx", "dy", "dz"))
-        dyaw, dpitch, droll = (float(delta.get(k, 0.0)) for k in ("dyaw", "dpitch", "droll"))
+        get = delta.get
+        dx, dy, dz = float(get("dx", 0.0)), float(get("dy", 0.0)), float(get("dz", 0.0))
+        dyaw, dpitch = float(get("dyaw", 0.0)), float(get("dpitch", 0.0))
+        droll = float(get("droll", 0.0))
         if math.sqrt(dx * dx + dy * dy + dz * dz) > MAX_STEP_TRANSLATION + 1e-9:
             raise StepLimitExceeded(
                 f"translation norm exceeds {MAX_STEP_TRANSLATION} m"

@@ -59,7 +59,7 @@ DEFAULT_BLACKLIST = (
     "skip quality gate",
 )
 
-MOVEMENT_DIGEST_EDGE = 10  # keep first/last 10 movement entries
+MOVEMENT_DIGEST_EDGE = 10  # keep first/last 10 movement and perception entries
 DEFAULT_TOP_K = 2
 REFLECTION_HISTORY = 3  # recent prior episodes consulted during reflection
 
@@ -89,11 +89,21 @@ class EpisodeSummary:
     movement: list[dict] = field(default_factory=list)
     movement_omitted: int = 0
     perception: list[dict] = field(default_factory=list)
+    perception_omitted: int = 0
     max_attempted_translation: float = 0.0
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return dict(vars(self))
+
+
+def _digest_edges(entries: list[dict]) -> tuple[list[dict], int]:
+    """The first and last ``MOVEMENT_DIGEST_EDGE`` entries, and how many
+    were left out between them."""
+    omitted = len(entries) - 2 * MOVEMENT_DIGEST_EDGE
+    if omitted <= 0:
+        return entries, 0
+    return entries[:MOVEMENT_DIGEST_EDGE] + entries[-MOVEMENT_DIGEST_EDGE:], omitted
 
 
 def summarize_episode(
@@ -122,10 +132,8 @@ def summarize_episode(
                 "visible": obs.get("visible"),
             }
         )
-    omitted = 0
-    if len(movement) > 2 * MOVEMENT_DIGEST_EDGE:
-        omitted = len(movement) - 2 * MOVEMENT_DIGEST_EDGE
-        movement = movement[:MOVEMENT_DIGEST_EDGE] + movement[-MOVEMENT_DIGEST_EDGE:]
+    movement, movement_omitted = _digest_edges(movement)
+    perception, perception_omitted = _digest_edges(perception)
     reason = outcome.reason if trajectory.steps else "error"
     return EpisodeSummary(
         episode_id=episode_id,
@@ -136,8 +144,9 @@ def summarize_episode(
         steps=outcome.steps,
         reason=reason,
         movement=movement,
-        movement_omitted=omitted,
+        movement_omitted=movement_omitted,
         perception=perception,
+        perception_omitted=perception_omitted,
         max_attempted_translation=round(max_translation, 4),
     )
 
@@ -310,22 +319,26 @@ class SkillStore:
         # summaries as marshal bytes, so every read of the tail is a private
         # copy (marshal: the quickest copy of JSON-shaped data, and built in)
         self._tail: Optional[deque[bytes]] = None
+        self._episodes = 0  # summaries in episodes.jsonl, once _tail is read
 
     def trajectory_path(self, episode_id: str) -> Path:
         return self.workspace / f"{episode_id}.jsonl"
 
     @staticmethod
-    def _read_jsonl(path: Path, last: Optional[int] = None) -> list[tuple[int, dict]]:
-        """(line number, record) for each non-blank line of ``path``, or for
-        the last ``last`` of them only; a line that is not a JSON object is
-        an error naming the file and the line."""
+    def _read_jsonl(path: Path, last: Optional[int] = None) -> tuple[int, list[tuple[int, dict]]]:
+        """The number of non-blank lines of ``path``, and (line number,
+        record) for each of them, or for the last ``last`` of them only; a
+        line that is not a JSON object is an error naming the file and the
+        line."""
         if not path.exists():
-            return []
+            return 0, []
+        count = 0
+        lines: deque[tuple[int, str]] = deque(maxlen=last)
         with open(path, encoding="utf-8") as fh:
-            lines = deque(
-                ((number, line) for number, line in enumerate(fh, 1) if line.strip()),
-                maxlen=last,
-            )
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    count += 1
+                    lines.append((number, line))
         records = []
         for number, line in lines:
             try:
@@ -335,7 +348,7 @@ class SkillStore:
             if not isinstance(record, dict):
                 raise EvolutionError(f"{path} line {number}: not a JSON object")
             records.append((number, record))
-        return records
+        return count, records
 
     @staticmethod
     def _append_jsonl(path: Path, record: dict) -> None:
@@ -365,12 +378,11 @@ class SkillStore:
 
     # -- episode history -----------------------------------------------
 
-    def history(self) -> list[EpisodeSummary]:
-        """The workspace's last ``REFLECTION_HISTORY`` episode summaries,
-        oldest first, as copies: nothing done to them reaches the store."""
+    def _read_history(self) -> deque[bytes]:
         if self._tail is None:
             tail: deque[bytes] = deque(maxlen=REFLECTION_HISTORY)
-            for number, record in self._read_jsonl(self.history_path, REFLECTION_HISTORY):
+            count, records = self._read_jsonl(self.history_path, REFLECTION_HISTORY)
+            for number, record in records:
                 try:
                     EpisodeSummary(**record)
                 except TypeError as exc:
@@ -378,14 +390,25 @@ class SkillStore:
                         f"{self.history_path} line {number}: not an episode summary ({exc})"
                     ) from None
                 tail.append(marshal.dumps(record))
-            self._tail = tail
-        return [EpisodeSummary(**marshal.loads(entry)) for entry in self._tail]
+            self._tail, self._episodes = tail, count
+        return self._tail
+
+    def history(self) -> list[EpisodeSummary]:
+        """The workspace's last ``REFLECTION_HISTORY`` episode summaries,
+        oldest first, as copies: nothing done to them reaches the store."""
+        return [EpisodeSummary(**marshal.loads(entry)) for entry in self._read_history()]
+
+    def episode_count(self) -> int:
+        """How many episode summaries the workspace holds."""
+        self._read_history()
+        return self._episodes
 
     def record_episode(self, summary: EpisodeSummary) -> None:
         record = summary.to_dict()
         self._append_jsonl(self.history_path, record)
         if self._tail is not None:  # else the first read finds it in the file
             self._tail.append(marshal.dumps(record))
+            self._episodes += 1
 
     # -- audit ---------------------------------------------------------
 
@@ -393,7 +416,7 @@ class SkillStore:
         self._append_jsonl(self.audit_path, record)
 
     def audit_records(self) -> list[dict]:
-        return [record for _number, record in self._read_jsonl(self.audit_path)]
+        return [record for _number, record in self._read_jsonl(self.audit_path)[1]]
 
 
 def quality_gate(

@@ -310,13 +310,16 @@ def run_campaign(
     store: Optional[SkillStore] = None,
 ) -> CampaignReport:
     """Sequential multi-round campaign over a shared evolution workspace,
-    whose one ``SkillStore`` (``store``, or a new one) serves every round."""
+    whose one ``SkillStore`` (``store``, or a new one) serves every round.
+    Rounds are numbered after the episodes the workspace already holds, so
+    each episode id names one episode of the workspace."""
     store = _workspace_store(Path(workspace), store)
     satellites = satellites or load_satellite_catalog()
     provider_factory = provider_factory or ScriptedProvider
     report = CampaignReport()
+    first = store.episode_count() + 1
     for index in range(rounds):
-        episode_id = f"ep-{index + 1:06d}"
+        episode_id = f"ep-{first + index:06d}"
         config = replace(
             base, episode_id=episode_id, workspace=store.workspace,
             trajectory_path=store.trajectory_path(episode_id), evolve=True,

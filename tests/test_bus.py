@@ -1,7 +1,12 @@
+import copy
+import enum
 import json
+import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxagent import bus
 
@@ -189,3 +194,180 @@ def test_make_backend_names():
     assert isinstance(bus.make_backend("inprocess"), bus.InProcessBus)
     with pytest.raises(bus.BusError):
         bus.make_backend("zeromq")
+
+
+# -- the compiled checks against the two-pass reference -----------------
+#
+# The validation and copy code as it was before the schema was compiled
+# into per-key checks, kept here as the reference: for any record, the
+# compiled code must give an equal private copy or raise the same error.
+
+
+_REFERENCE_PLAIN = frozenset({str, bool, type(None)})
+
+
+def reference_json_copy(value, where):
+    if isinstance(value, dict):
+        record = {}
+        for name, item in value.items():
+            if not isinstance(name, str):
+                raise bus.SchemaViolation(f"{where}: key {name!r} is not a string")
+            kind = type(item)
+            if kind is float:
+                if not math.isfinite(item):
+                    raise bus.SchemaViolation(
+                        f"{where}.{name}: not a finite number in float range")
+            elif kind not in _REFERENCE_PLAIN:
+                item = reference_json_copy(item, f"{where}.{name}")
+            record[name] = item
+        return record
+    if isinstance(value, list):
+        return [reference_json_copy(item, f"{where}[{i}]") for i, item in enumerate(value)]
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, (int, float)):
+        if not bus.is_finite_number(value):
+            raise bus.SchemaViolation(f"{where}: not a finite number in float range")
+        return value
+    raise bus.SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
+
+
+def reference_validate_payload(key, record):
+    if key not in bus.CONTRACT_KEYS:
+        raise bus.UnknownKey(f"not a contract key: {key!r}")
+    if not isinstance(record, dict):
+        raise bus.SchemaViolation(f"payload for {key} must be a JSON object")
+    for field, types in bus.CHANNEL_SCHEMAS[key].items():
+        if field not in record:
+            raise bus.SchemaViolation(f"payload for {key} missing field {field!r}")
+        value = record[field]
+        if isinstance(value, bool) and bool not in types:
+            raise bus.SchemaViolation(f"{key}.{field}: expected {types}, got bool")
+        if not isinstance(value, types):
+            raise bus.SchemaViolation(
+                f"{key}.{field}: expected {types}, got {type(value).__name__}"
+            )
+    return reference_json_copy(record, key)
+
+
+def reference_record(payload):
+    record = dict(payload)
+    for name, value in record.items():
+        if isinstance(value, (dict, list)):
+            record[name] = copy.deepcopy(value)
+    return record
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10**400  # an IntEnum beyond float range
+
+
+class Metres(float):
+    pass
+
+
+class Label(str):
+    pass
+
+
+_scalars = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**1023, 2**1024, -(2**1024), 10**400, -(10**400)]),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([Level.LOW, Level.HIGH, Metres(2.5), Metres("inf"), Label("a")]),
+    st.text(max_size=5),
+    st.none(),
+    st.sampled_from([(1.0, 2.0), b"raw", object(), {1.0}]),
+)
+_keys = st.one_of(st.text(max_size=5), st.integers(), st.none(), st.just(Label("k")))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_keys, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def keyed_records(draw):
+    key = draw(st.sampled_from(bus.CONTRACT_KEYS + ("sensor/thermal/latest",)))
+    if draw(st.integers(0, 19)) == 0:  # not a record at all
+        return key, draw(st.one_of(_values, st.just(b"{}")))
+    record = {}
+    for field, types in bus.CHANNEL_SCHEMAS.get(key, {}).items():
+        choice = draw(st.integers(0, 9))
+        if choice == 0:
+            continue  # missing
+        if choice <= 5:  # a value of an accepted type, as the env sends
+            kind = draw(st.sampled_from(types))
+            strategy = {bool: st.booleans(), int: st.integers(), float: st.floats(),
+                        type(None): st.none()}[kind]
+            record[field] = draw(strategy)
+        else:
+            record[field] = draw(_values)
+    record.update(draw(st.dictionaries(_keys, _values, max_size=3)))
+    return key, record
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def containers(value):
+    """The ids of every dict and list in ``value``, at any depth."""
+    found = set()
+    if isinstance(value, (dict, list)):
+        found.add(id(value))
+        for item in value.values() if isinstance(value, dict) else value:
+            found |= containers(item)
+    return found
+
+
+@given(keyed_records())
+@settings(max_examples=400, deadline=None)
+def test_compiled_validation_matches_the_reference(case):
+    key, record = case
+    got = outcome(bus.validate_payload, key, record)
+    want = outcome(reference_validate_payload, key, record)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    copied = got[1]
+    assert repr(copied) == repr(want[1])  # equal, with the same types
+    assert not containers(copied) & containers(record)
+    message = bus.BusMessage(key, copied, 1, 0)
+    private = message.record()
+    assert repr(private) == repr(reference_record(copied))
+    assert not containers(private) & containers(copied)
+
+
+@given(_values)
+@settings(max_examples=300, deadline=None)
+def test_json_copy_matches_the_reference(value):
+    got = outcome(bus.json_copy, value, "report")
+    want = outcome(reference_json_copy, value, "report")
+    assert got[0] == want[0]
+    assert (repr(got[1]) if got[0] == "ok" else got[1]) == (
+        repr(want[1]) if want[0] == "ok" else want[1])
+
+
+def test_subclasses_pass_the_schema_and_bools_do_not():
+    delta = {"dx": Level.LOW, "dy": Metres(0.5), "dz": 0, "dyaw": 0.0, "dpitch": 0.0,
+             "droll": 0.0}
+    assert bus.validate_payload(bus.CMD_POSE_DELTA, delta) == delta
+    with pytest.raises(bus.SchemaViolation, match="dx: not a finite number"):
+        bus.validate_payload(bus.CMD_POSE_DELTA, {**delta, "dx": Level.HIGH})
+    with pytest.raises(bus.SchemaViolation, match=r"seq: expected \(<class 'int'>,\), got bool"):
+        bus.validate_payload(bus.SENSOR_RGB_NOTIFY, {"seq": True})
+
+
+def test_bus_message_is_immutable():
+    message = bus.BusMessage(bus.CMD_TERMINATE, {}, 1, 0)
+    with pytest.raises(AttributeError):
+        message.seq = 2

@@ -81,6 +81,26 @@ def test_summary_is_bounded_and_tracks_max_translation():
     assert summary.reason == "timeout"
 
 
+def test_summary_perception_is_bounded_like_movement():
+    outcome = Outcome(steps=50, reason="timeout", success=False)
+    summary = summarize_episode(make_trajectory(50), outcome, "rendezvous", "ep-000001")
+    assert [entry["step"] for entry in summary.perception] == [*range(10), *range(40, 50)]
+    assert summary.perception_omitted == 30
+    longer = summarize_episode(make_trajectory(500), outcome, "rendezvous", "ep-000001")
+    assert len(longer.perception) == len(longer.movement) == 20
+    short = summarize_episode(make_trajectory(12), outcome, "rendezvous", "ep-000001")
+    assert len(short.perception) == 12
+    assert short.perception_omitted == 0
+
+
+def test_summary_line_without_perception_omitted_still_loads(tmp_path):
+    record = summary_dict()
+    assert "perception_omitted" not in record  # as written before the field existed
+    (tmp_path / "episodes.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (summary,) = SkillStore(tmp_path).history()
+    assert summary.perception_omitted == 0
+
+
 def test_summary_is_deterministic():
     traj = make_trajectory(12)
     outcome = Outcome(steps=12, reason="timeout", success=False)

@@ -314,6 +314,24 @@ def test_campaign_records_each_round_in_the_store_history(satellites, tmp_path):
     assert [s.episode_id for s in SkillStore(ws).history()] == ["ep-000001", "ep-000002"]
 
 
+def test_campaigns_on_one_workspace_number_rounds_after_its_episodes(satellites, tmp_path):
+    ws = tmp_path / "ws"
+    first = run_campaign(config(), 2, ws, provider_factory=induced_provider,
+                         satellites=satellites)
+    kept = (ws / "ep-000001.jsonl").read_bytes()
+    second = run_campaign(config(), 1, ws, satellites=satellites)
+    store = SkillStore(ws)
+    third = run_campaign(config(), 2, ws, satellites=satellites, store=store)
+    fourth = run_campaign(config(), 1, ws, satellites=satellites, store=store)
+    ids = [f"ep-{i:06d}" for i in range(1, 7)]
+    assert [row["episode_id"] for report in (first, second, third, fourth)
+            for row in report.rounds] == ids
+    history = (ws / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["episode_id"] for line in history] == ids
+    assert sorted(path.name for path in ws.glob("ep-*.jsonl")) == [f"{i}.jsonl" for i in ids]
+    assert (ws / "ep-000001.jsonl").read_bytes() == kept
+
+
 def test_episodes_back_to_back_on_one_bus_match_fresh_buses(satellites, tmp_path):
     shared = InProcessBus()
     for index, (kind, seed) in enumerate(

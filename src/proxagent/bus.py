@@ -163,9 +163,17 @@ def validate_payload(key: str, record) -> dict:
     return json_copy(record, key)
 
 
+# The program's two JSON text formats, each encoder built once: json.dumps
+# with any option builds a new JSONEncoder on every call. Both give the text
+# of json.dumps(value, sort_keys=True), the strict one raising ValueError on
+# NaN or Infinity as json.dumps(..., allow_nan=False) does.
+dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+dumps_strict = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
 def encode(record: dict) -> bytes:
     """The wire form of a record: sorted-key UTF-8 JSON, never NaN or Infinity."""
-    return json.dumps(record, sort_keys=True, allow_nan=False).encode("utf-8")
+    return dumps_strict(record).encode("utf-8")
 
 
 _CONTAINERS = frozenset({dict, list})  # the container types json_copy makes

@@ -17,8 +17,8 @@ hand-authored skills; rejections are recorded in an append-only audit log.
 
 One store serves every episode of a command that uses its workspace: it
 reads ``learned/`` and the tail of ``episodes.jsonl`` once and keeps both
-current as it writes. Reading the workspace creates nothing; the first
-write makes the directories it needs.
+current as it writes. Reading the workspace creates nothing; a write makes
+the directories it needs only when it finds them missing.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+from .bus import dumps_sorted
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
-from .trajectory import Outcome, Trajectory
+from .trajectory import Outcome, Trajectory, open_for_write
 
 ACTION_CREATE = "create"
 ACTION_OVERLAY = "overlay"
@@ -309,7 +310,12 @@ class SkillStore:
     ``REFLECTION_HISTORY`` lines into a bounded tail that ``record_episode``
     extends. Both hold only while the store is the workspace's one writer:
     a workspace must not be written by two stores, or two processes, at
-    once."""
+    once.
+
+    Reading creates nothing. ``record_episode`` and ``audit`` append one
+    sorted-key JSON line each, and the first append to a missing
+    workspace, or a missing ``learned/``, makes it; an append into a
+    directory that exists makes no ``mkdir`` call."""
 
     def __init__(self, workspace: Path):
         self.workspace = Path(workspace)
@@ -352,9 +358,11 @@ class SkillStore:
 
     @staticmethod
     def _append_jsonl(path: Path, record: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        """Append ``record`` as one sorted-key JSON line; the first append
+        to a missing directory makes it."""
+        line = dumps_sorted(record) + "\n"
+        with open_for_write(path, "a") as fh:
+            fh.write(line)
 
     # -- learned skills ------------------------------------------------
 

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import is_finite_number
+from .bus import dumps_sorted, is_finite_number
 from .tools import (
     CATEGORY_CONTROL,
     ToolCall,
@@ -108,7 +108,7 @@ _SELECT_LINE = re.compile(r"^SELECT (?P<i>\d+)\s*$")
 
 
 def format_tool_call(tool: str, args: dict) -> str:
-    return f"TOOL {tool} ARGS {json.dumps(args, sort_keys=True)}"
+    return f"TOOL {tool} ARGS {dumps_sorted(args)}"
 
 
 def _lines(text) -> list[str]:
@@ -219,7 +219,7 @@ def memory_line(record: dict) -> str:
     """One step record as the memory text shows it."""
     return (
         f"step {record.get('step')}: {record.get('tool')}"
-        f"({json.dumps(record.get('args', {}), sort_keys=True)}) -> "
+        f"({dumps_sorted(record.get('args', {}))}) -> "
         f"{record.get('result_digest', '')}"
     )
 
@@ -275,7 +275,7 @@ def update_memory(
                 memory.long_term = template_summary(stats)
         except Exception:
             # summarizer failure degrades to raw-concatenation truncation
-            raw = memory.long_term + " | " + json.dumps(evicted, sort_keys=True)
+            raw = memory.long_term + " | " + dumps_sorted(evicted)
             memory.long_term = raw[-2000:]
     return memory
 
@@ -302,9 +302,12 @@ class ScriptedPolicyConfig:
     nominal_gain: float = 1.0
 
 
-_DIRECTIVE_MAX_STEP = re.compile(r"max_forward_step:\s*([0-9.]+)")
+# one decimal number ("2", "2.", "2.5", ".5"): a period after its fraction,
+# such as the one closing a sentence, is not part of it
+_DECIMAL = r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_DIRECTIVE_MAX_STEP = re.compile(r"max_forward_step:\s*" + _DECIMAL)
 _DIRECTIVE_CAP = re.compile(
-    r"cap_forward_step:\s*([0-9.]+)\s+within_range_m:\s*([0-9.]+)"
+    r"cap_forward_step:\s*" + _DECIMAL + r"\s+within_range_m:\s*" + _DECIMAL
 )
 
 
@@ -639,7 +642,7 @@ class RemoteProvider(DecisionProvider):
         system = request.prompt
         if request.memory_text:
             system += "\n\nMemory:\n" + request.memory_text
-        user = json.dumps(
+        user = dumps_sorted(
             {
                 "observation": request.observation,
                 "visible_tools": [t.name for t in request.visible_tools],
@@ -647,8 +650,7 @@ class RemoteProvider(DecisionProvider):
                 "extra": {
                     k: v for k, v in request.extra.items() if k != "candidates"
                 },
-            },
-            sort_keys=True,
+            }
         )
         user += "\n" + self._GRAMMAR_HINTS.get(request.call_kind, "")
         if request.hint:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -232,7 +231,7 @@ def run_episode(
             result = dispatcher.dispatch(call)
             post_obs = _latest_observation(dispatcher)
 
-            digest = json.dumps(result.payload, sort_keys=True)[:120]
+            digest = busmod.dumps_sorted(result.payload)[:120]
             memory = update_memory(
                 memory,
                 {
@@ -274,9 +273,7 @@ def run_episode(
 
     # -- phase 3: teardown ---------------------------------------------
     if config.trajectory_path is not None:
-        path = Path(config.trajectory_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        trajectory.write(path)
+        trajectory.write(Path(config.trajectory_path))
 
     outcome = evaluate(trajectory, task, satellites[task.satellite_id])
     evolution_event = None

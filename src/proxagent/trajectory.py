@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import IO, Optional
+
+from .bus import dumps_strict
 
 ENDED_TERMINATE = "terminate"
 ENDED_TIMEOUT = "timeout"
@@ -17,6 +19,17 @@ ENDED_COLLISION = "collision"
 ENDED_ERROR = "error"
 
 SCHEMA_VERSION = 1
+
+
+def open_for_write(path: Path, mode: str = "w") -> IO[str]:
+    """``open(path, mode)`` as UTF-8 text. A missing parent directory is
+    made, with its own missing parents, only when the open fails for want
+    of it; a parent that is a file still raises."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, mode, encoding="utf-8")
 
 
 @dataclass
@@ -30,7 +43,7 @@ class StepRecord:
     provider_calls: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, allow_nan=False)
+        return dumps_strict(vars(self))
 
 
 @dataclass
@@ -40,15 +53,17 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
-        """Write the log; a NaN or Infinity anywhere raises ValueError."""
-        with open(path, "w", encoding="utf-8") as fh:
-            header = dict(self.meta)
-            header["schema_version"] = SCHEMA_VERSION
-            fh.write(json.dumps({"header": header}, sort_keys=True, allow_nan=False) + "\n")
-            for record in self.steps:
-                fh.write(record.to_json() + "\n")
-                fh.flush()
-            fh.write(json.dumps({"ended_by": self.ended_by}, sort_keys=True) + "\n")
+        """Write the log in one call, making its directory if it is missing.
+        Every line is encoded first, so a NaN or Infinity anywhere raises
+        ValueError before the file is opened."""
+        header = dict(self.meta)
+        header["schema_version"] = SCHEMA_VERSION
+        lines = [dumps_strict({"header": header})]
+        lines.extend(record.to_json() for record in self.steps)
+        lines.append(dumps_strict({"ended_by": self.ended_by}))
+        text = "\n".join(lines) + "\n"
+        with open_for_write(path) as fh:
+            fh.write(text)
 
     @classmethod
     def read(cls, path: Path) -> "Trajectory":

@@ -371,3 +371,42 @@ def test_bus_message_is_immutable():
     message = bus.BusMessage(bus.CMD_TERMINATE, {}, 1, 0)
     with pytest.raises(AttributeError):
         message.seq = 2
+
+
+# -- the prebuilt encoders against the stdlib ----------------------------
+
+_json_text = st.one_of(
+    st.text(max_size=6),  # non-ASCII included
+    st.sampled_from(['"', "\\", "\n\t\x00", " ", "é", "\U0001f600", "\ud800"]),
+)
+_json_values = st.recursive(
+    st.one_of(
+        st.booleans(), st.none(), st.integers(), _json_text,
+        st.sampled_from([2**1024, -(10**400)]),  # beyond float range
+        st.floats(),  # NaN and the infinities included
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_json_text, inner, max_size=3),
+        # mixed key types: sorting them fails the same way in both
+        st.dictionaries(st.one_of(_json_text, st.integers()), inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+@given(_json_values)
+@settings(max_examples=400, deadline=None)
+def test_prebuilt_encoders_match_json_dumps(value):
+    assert outcome(bus.dumps_sorted, value) == outcome(
+        lambda v: json.dumps(v, sort_keys=True), value)
+    assert outcome(bus.dumps_strict, value) == outcome(
+        lambda v: json.dumps(v, sort_keys=True, allow_nan=False), value)
+
+
+def test_prebuilt_encoders_refuse_a_circular_record():
+    record = {"a": 1}
+    record["self"] = record
+    for dumps in (bus.dumps_sorted, bus.dumps_strict):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dumps(record)

@@ -319,6 +319,16 @@ def test_every_episode_command_uses_skills_root(runner, tmp_path):
     assert "approach" in result.output
 
 
+def test_a_skill_sentence_ending_in_a_directive_runs(runner, tmp_path):
+    skills = tmp_path / "skills"
+    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
+    with open(skills / "core" / "safety-constraints.skill", "a", encoding="utf-8") as fh:
+        fh.write("Never exceed max_forward_step: 2.0.\n")
+    config = _config(tmp_path, f"skills_root: {skills}\n")
+    result = runner.invoke(main, ["run", "--config", config])
+    assert result.exit_code == 0, result.output
+
+
 def _broken_skills_root(tmp_path, broken):
     skills = tmp_path / "skills"
     if broken == "not a directory":

@@ -393,6 +393,15 @@ def test_reading_a_store_creates_nothing(tmp_path):
     assert not (tmp_path / "ws").exists()
 
 
+def test_first_writes_make_the_directories_they_need(tmp_path):
+    store = SkillStore(tmp_path / "ws" / "nested")
+    store.record_episode(EpisodeSummary(**summary_dict()))
+    assert store.history_path.is_file() and not store.learned_dir.exists()
+    assert [s.episode_id for s in SkillStore(store.workspace).history()] == ["ep-000001"]
+    store.audit({"episode_id": "ep-000001", "accepted": True})
+    assert store.audit_records() == [{"accepted": True, "episode_id": "ep-000001"}]
+
+
 def test_store_view_follows_every_mutation_and_gates_a_resubmission(store):
     name = seeded(store)
     assert store.view == SkillStore(store.workspace).load_all()

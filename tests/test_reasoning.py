@@ -232,6 +232,19 @@ def test_scripted_honors_learned_step_directives():
     assert reasoning.parse_tool_call(raw, VISIBLE).args["dx"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("prompt, directives", [
+    ("Never exceed max_forward_step: 2.0.", (2.0, None)),
+    ("max_forward_step: 1.5. Then max_forward_step: .5, or max_forward_step: 3.",
+     (0.5, None)),
+    ("cap_forward_step: 0.5 within_range_m: 5.0.", (6.0, (0.5, 5.0))),
+    ("cap_forward_step: 1. within_range_m: 4", (6.0, (1.0, 4.0))),
+    ("max_forward_step: . and max_forward_step: none", (6.0, None)),  # no digits: ignored
+])
+def test_a_directive_is_one_number_even_at_the_end_of_a_sentence(prompt, directives):
+    provider = reasoning.ScriptedProvider(reasoning.ScriptedPolicyConfig(max_forward_step=6.0))
+    assert provider._directives(prompt) == directives
+
+
 def test_scripted_vision_estimate_overshoots():
     provider = reasoning.ScriptedProvider()
     # without lidar the monocular estimate is biased 3x long

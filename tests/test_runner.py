@@ -392,3 +392,46 @@ def test_trajectory_never_writes_nan_or_infinity(tmp_path):
         step.to_json()
     with pytest.raises(ValueError):
         Trajectory(meta={"seed": float("nan")}).write(tmp_path / "t.jsonl")
+
+
+def test_the_trajectory_directory_is_made_by_the_write_not_the_runner(satellites, tmp_path,
+                                                                       monkeypatch):
+    path = tmp_path / "runs" / "nested" / "t.jsonl"
+    parent_existed = []
+    write = Trajectory.write
+
+    def spy(self, where):
+        parent_existed.append(where.parent.exists())
+        write(self, where)
+
+    monkeypatch.setattr(Trajectory, "write", spy)
+    result = run_episode(config(trajectory_path=path), satellites=satellites)
+    assert parent_existed == [False]
+    assert Trajectory.read(path).steps == result.trajectory.steps
+
+
+def test_a_trajectory_write_makes_a_directory_only_when_it_is_missing(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    step = StepRecord(step=0, observation={"range": 1.5}, call={"tool": "t"}, result={})
+    trajectory = Trajectory(steps=[step, step], ended_by="terminate", meta={"seed": 1})
+    trajectory.write(tmp_path / "t.jsonl")
+    assert made == []
+    trajectory.write(tmp_path / "a" / "b" / "t.jsonl")
+    assert made[0] == tmp_path / "a" / "b"
+    assert (tmp_path / "a" / "b" / "t.jsonl").read_bytes() == (tmp_path / "t.jsonl").read_bytes()
+
+
+def test_a_failed_trajectory_write_leaves_nothing_behind(tmp_path):
+    with pytest.raises(ValueError):
+        Trajectory(meta={"seed": float("nan")}).write(tmp_path / "new" / "t.jsonl")
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        Trajectory().write(tmp_path / "file" / "t.jsonl")

@@ -189,7 +189,6 @@ def make_task(
     kind: str,
     satellite_id: str = "CAPSTONE",
     condition: str = "C1",
-    description: Optional[str] = None,
     max_steps: Optional[int] = None,
 ) -> TaskSpec:
     default_desc = {
@@ -203,7 +202,7 @@ def make_task(
         raise EnvError(f"unknown condition: {condition!r}")
     return TaskSpec(
         kind=kind,
-        description=description or default_desc[kind],
+        description=default_desc[kind],
         satellite_id=satellite_id,
         condition=CONDITIONS[condition],
         max_steps=DEFAULT_MAX_STEPS[kind] if max_steps is None else max_steps,

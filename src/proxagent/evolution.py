@@ -242,7 +242,6 @@ def reflect(
         memory_text="",
         visible_tools=[],
         task_kind=summary.task_kind,
-        episode_id=summary.episode_id,
         extra={
             "summary": summary.to_dict(),
             "history": [h.to_dict() for h in history[-REFLECTION_HISTORY:]],
@@ -537,15 +536,12 @@ def materialize(
             )
         else:
             current, current_path = existing[mutation.target]
-            if mutation.action == ACTION_DISABLE:
-                disabled = replace(current, enabled=False)
-                current_path.write_text(render_skill(disabled), encoding="utf-8")
-                existing[disabled.name] = (disabled, current_path)
-                return disabled
-            # the next version of the same learned skill
+            # overlay and rewrite: the next version of the same learned skill
             successor = {"category": LEARNED, "version": current.version + 1,
                          "provenance": provenance}
-            if mutation.action == ACTION_OVERLAY:
+            if mutation.action == ACTION_DISABLE:
+                skill = replace(current, enabled=False)
+            elif mutation.action == ACTION_OVERLAY:
                 skill = replace(
                     current,
                     **successor,
@@ -564,9 +560,12 @@ def materialize(
                 )
             else:
                 raise EvolutionError(f"cannot materialize action {mutation.action!r}")
-        store.learned_dir.mkdir(parents=True, exist_ok=True)
-        path = store.learned_dir / f"{skill.name}.v{skill.version}.skill"
-        path.write_text(render_skill(skill), encoding="utf-8")
+        # a disabled skill keeps its file; any other change is a new version's
+        path = (current_path if mutation.action == ACTION_DISABLE
+                else store.learned_dir / f"{skill.name}.v{skill.version}.skill")
+        text = render_skill(skill)
+        with open_for_write(path) as fh:
+            fh.write(text)
         if mutation.action == ACTION_REWRITE:
             # archived only once its successor is written: a failed write
             # must not leave the skill with no active version

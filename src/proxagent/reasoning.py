@@ -3,9 +3,8 @@
 The decision model is factored into typed provider calls (decide, plan,
 select, reflect, summarize, route). Provider output is line-oriented tagged
 text; anything that does not parse to the call kind's grammar is classified
-malformed, never silently coerced. Scripted and replay providers are
-deterministic; the remote provider speaks a chat-completions-shaped HTTP
-contract.
+malformed, never silently coerced. The scripted provider is deterministic;
+the remote provider speaks a chat-completions-shaped HTTP contract.
 
 Three mode loops produce exactly one committed control-or-terminal tool
 call per outer step: standard (direct, with one optional follow-up after a
@@ -58,10 +57,6 @@ class ProviderTimeout(ReasoningError):
     pass
 
 
-class ReplayMismatch(ReasoningError):
-    pass
-
-
 @dataclass
 class ProviderRequest:
     call_kind: str
@@ -70,8 +65,6 @@ class ProviderRequest:
     memory_text: str
     visible_tools: list[ToolDescriptor]
     task_kind: str = ""
-    step_index: int = 0
-    episode_id: str = ""
     inner_results: list = field(default_factory=list)  # [{"tool", "payload"}]
     extra: dict = field(default_factory=dict)
     hint: str = ""  # retry hint after malformed output
@@ -350,8 +343,6 @@ class ScriptedProvider(DecisionProvider):
                 key=lambda i: RISK_ORDER.get(candidates[i].get("risk"), 3),
             )
             return f"SELECT {best}"
-        if request.call_kind == CALL_SUMMARIZE:
-            return template_summary(request.extra["stats"])
         if request.call_kind == CALL_REFLECT:
             from .evolution import scripted_reflection  # local to avoid cycle
 
@@ -535,64 +526,8 @@ class ScriptedProvider(DecisionProvider):
 
 
 # ---------------------------------------------------------------------------
-# Replay, recording, and remote providers
+# Remote provider
 # ---------------------------------------------------------------------------
-
-
-class ReplayProvider(DecisionProvider):
-    """Replays a recorded transcript; any divergence is a hard error."""
-
-    identity = "replay"
-    kind = "replay"
-
-    def __init__(self, transcript: str):
-        with open(transcript, encoding="utf-8") as fh:
-            self.entries = json.load(fh)["entries"]
-        self._cursor = 0
-
-    def complete(self, request: ProviderRequest) -> str:
-        if self._cursor >= len(self.entries):
-            raise ReplayMismatch("transcript exhausted")
-        entry = self.entries[self._cursor]
-        self._cursor += 1
-        if entry["call_kind"] != request.call_kind or entry["step"] != request.step_index:
-            raise ReplayMismatch(
-                f"expected ({entry['step']}, {entry['call_kind']}), "
-                f"got ({request.step_index}, {request.call_kind})"
-            )
-        return entry["output"]
-
-
-class RecordingProvider(DecisionProvider):
-    """Wraps another provider and records a replayable transcript."""
-
-    kind = "recording"
-
-    def __init__(self, inner: DecisionProvider):
-        self.inner = inner
-        self.identity = f"recording({inner.identity})"
-        self.entries: list[dict] = []
-        self._episode_id = ""
-
-    def reset_episode(self, episode_id: str = "") -> None:
-        self._episode_id = episode_id
-        self.inner.reset_episode(episode_id)
-
-    def complete(self, request: ProviderRequest) -> str:
-        output = self.inner.complete(request)
-        self.entries.append(
-            {
-                "episode": self._episode_id or request.episode_id,
-                "step": request.step_index,
-                "call_kind": request.call_kind,
-                "output": output,
-            }
-        )
-        return output
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"entries": self.entries}, fh, indent=2, sort_keys=True)
 
 
 class RemoteProvider(DecisionProvider):
@@ -683,7 +618,6 @@ class RemoteProvider(DecisionProvider):
 # Per provider kind, the class whose constructor takes its options
 PROVIDER_KINDS = {
     "scripted": ScriptedPolicyConfig,
-    "replay": ReplayProvider,
     "remote": RemoteProvider,
 }
 
@@ -752,7 +686,6 @@ class StepContext:
     dispatcher: object  # a ToolDispatcher
     task_kind: str = ""
     step_index: int = 0
-    episode_id: str = ""
     provider_calls: int = field(default=0, init=False)
     inner: list[dict] = field(default_factory=list, init=False)
     inner_results: list[dict] = field(default_factory=list, init=False)
@@ -769,8 +702,6 @@ class StepContext:
             memory_text=self.memory.memory_text(),
             visible_tools=self.visible if visible is None else visible,
             task_kind=self.task_kind,
-            step_index=self.step_index,
-            episode_id=self.episode_id,
             inner_results=self.inner_results,
             extra=extra or {},
             hint=hint,

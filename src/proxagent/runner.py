@@ -225,7 +225,7 @@ def run_episode(
         for step_index in range(task.max_steps):
             step = step_fn(StepContext(
                 provider_view(obs, visible_names), prompt, memory, visible,
-                provider, dispatcher, task.kind, step_index, config.episode_id,
+                provider, dispatcher, task.kind, step_index,
             ))
             call = step.call
             result = dispatcher.dispatch(call)

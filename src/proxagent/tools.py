@@ -105,37 +105,8 @@ class ToolCatalog:
         self.tools = tuple(tools)
         self.by_name = MappingProxyType({t.name: t for t in tools})
 
-    def __len__(self) -> int:
-        return len(self.tools)
-
     def get(self, name: str) -> Optional[ToolDescriptor]:
         return self.by_name.get(name)
-
-    def schema_document(self) -> dict:
-        """MCP-shaped introspection document for external clients."""
-        entries = []
-        for tool in self.tools:
-            properties = {}
-            required = []
-            for pname, meta in tool.params.items():
-                prop = {"type": meta["type"]}
-                if "unit" in meta:
-                    prop["description"] = f"unit: {meta['unit']}"
-                properties[pname] = prop
-                if meta.get("required"):
-                    required.append(pname)
-            entries.append(
-                {
-                    "name": tool.name,
-                    "description": tool.description,
-                    "inputSchema": {
-                        "type": "object",
-                        "properties": properties,
-                        "required": required,
-                    },
-                }
-            )
-        return {"tools": entries}
 
 
 @functools.cache

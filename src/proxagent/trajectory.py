@@ -67,21 +67,30 @@ class Trajectory:
 
     @classmethod
     def read(cls, path: Path) -> "Trajectory":
+        """Read a log that ``write`` wrote. A line that is not JSON, or not
+        a header, step or footer record, is a ValueError naming the file
+        and the line."""
         traj = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                data = json.loads(line)
-                if "header" in data:
-                    traj.meta = {
-                        k: v for k, v in data["header"].items() if k != "schema_version"
-                    }
-                elif "ended_by" in data:
-                    traj.ended_by = data["ended_by"]
-                else:
-                    traj.steps.append(StepRecord(**data))
+                try:
+                    data = json.loads(line)
+                    if "header" in data:
+                        traj.meta = {
+                            k: v for k, v in data["header"].items() if k != "schema_version"
+                        }
+                    elif "ended_by" in data:
+                        traj.ended_by = data["ended_by"]
+                    else:
+                        traj.steps.append(StepRecord(**data))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path} line {number}: not JSON ({exc.msg})") from None
+                except (TypeError, AttributeError) as exc:
+                    raise ValueError(f"{path} line {number}: not a trajectory record "
+                                     f"({exc})") from None
         return traj
 
 

@@ -83,6 +83,7 @@ def test_shipped_default_config_parses():
     {"tasks": {"docking": {}}},
     {"provider": {"kind": "psychic"}},
     {"bus": {"backend": "carrier-pigeon"}},
+    {"provider": {"kind": "replay"}},
 ])
 def test_config_rejects_wrong_shapes_and_types(record):
     with pytest.raises(ConfigError):
@@ -267,6 +268,26 @@ def test_report_recomputes_outcome(runner, tmp_path):
     result = runner.invoke(main, ["report", "--trajectory", str(traj)])
     assert result.exit_code == 0
     assert result.output.startswith("success")
+
+
+@pytest.mark.parametrize("bad_line,problem", [
+    ("not json", "line 2: not JSON (Expecting value)"),
+    ('{"stepp": 0}', "line 2: not a trajectory record (StepRecord.__init__() got an "
+                     "unexpected keyword argument 'stepp')"),
+    ("[1, 2]", "line 2: not a trajectory record"),
+    ('{"header": 5}', "line 2: not a trajectory record"),
+])
+def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line, problem):
+    traj = tmp_path / "t.jsonl"
+    assert runner.invoke(
+        main, ["run", "--task", "rendezvous", "--trajectory", str(traj)]
+    ).exit_code == 0
+    lines = traj.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, bad_line)
+    traj.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["report", "--trajectory", str(traj)])
+    assert result.exit_code == 3, result.output
+    assert f"configuration error: {traj} {problem}" in result.output
 
 
 def test_full_cross_product_smoke(runner):

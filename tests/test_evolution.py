@@ -425,13 +425,34 @@ def test_store_view_follows_every_mutation_and_gates_a_resubmission(store):
     assert verdict.rejected_by == evolution.REJECT_DUPLICATE
 
 
+def test_mutations_into_an_existing_learned_dir_make_no_directory(store, monkeypatch):
+    name = seeded(store)
+    made = []
+    monkeypatch.setattr(type(store.learned_dir), "mkdir",
+                        lambda path, *args, **kwargs: made.append(path))
+    for episode, mutation in [
+        ("ep-000002", create(content=content(intent="hold pose when the target is lost",
+                                              rule="hold pose until the target is seen"))),
+        ("ep-000003", MutationDecision(action=ACTION_OVERLAY, scope="rendezvous", target=name,
+                                       content=content(rule="also decay steps inside 5 m"))),
+        ("ep-000004", MutationDecision(action=ACTION_REWRITE, scope="rendezvous", target=name,
+                                       content=content(rule="a fully new rule"))),
+        ("ep-000005", MutationDecision(action=ACTION_DISABLE, scope="rendezvous",
+                                       target=name)),
+    ]:
+        assert quality_gate(mutation, store, "rendezvous", episode).accepted
+        materialize(mutation, store, episode_id=episode)
+    assert made == []
+    assert store.view == SkillStore(store.workspace).load_all()
+
+
 def test_failed_rewrite_keeps_the_active_version(store, monkeypatch):
     name = seeded(store)
 
-    def disk_full(self, *args, **kwargs):
+    def disk_full(path, mode="w"):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(type(store.learned_dir), "write_text", disk_full)
+    monkeypatch.setattr(evolution, "open_for_write", disk_full)
     rewrite = MutationDecision(action=ACTION_REWRITE, scope="rendezvous", target=name,
                                content=content(rule="a fully new rule"))
     with pytest.raises(evolution.StoreWriteFailure):

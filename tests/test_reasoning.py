@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,32 +251,6 @@ def test_scripted_vision_estimate_overshoots():
     assert estimate > 2.5 * lidar
 
 
-# -- replay / recording -------------------------------------------------
-
-
-def test_record_then_replay_round_trip(tmp_path):
-    recording = reasoning.RecordingProvider(reasoning.ScriptedProvider())
-    recording.reset_episode("ep-000001")
-    first = recording.complete(request())
-    path = tmp_path / "transcript.json"
-    recording.save(path)
-
-    replay = reasoning.ReplayProvider(path)
-    assert replay.complete(request()) == first
-    with pytest.raises(reasoning.ReplayMismatch):
-        replay.complete(request())  # transcript exhausted
-
-
-def test_replay_detects_divergence(tmp_path):
-    path = tmp_path / "transcript.json"
-    path.write_text(json.dumps(
-        {"entries": [{"episode": "e", "step": 3, "call_kind": "plan", "output": "x"}]}
-    ))
-    replay = reasoning.ReplayProvider(path)
-    with pytest.raises(reasoning.ReplayMismatch):
-        replay.complete(request())  # step/kind mismatch
-
-
 def test_remote_provider_rejects_hot_temperature():
     with pytest.raises(reasoning.ReasoningError):
         reasoning.RemoteProvider("http://localhost:9", "m", temperature=0.9)
@@ -452,8 +424,8 @@ def test_prospective_degrades_on_malformed_select():
     ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "modle": "gpt"},
      r"unknown remote provider options: \['modle'\]"),
     ({"kind": "remote", "model": "gpt"}, r"remote provider options missing: \['endpoint'\]"),
-    ({"kind": "replay"}, r"replay provider options missing: \['transcript'\]"),
-    ({"kind": "replay", "transcript": 7}, "replay provider option transcript must be a string"),
+    ({"kind": "replay"}, "unknown provider kind: 'replay'"),
+    ({"kind": "remote", "endpoint": 7}, "remote provider option endpoint must be a string"),
     ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "temperature": "hot"},
      "remote provider option temperature must be a finite number, got 'hot'"),
     ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "timeout": float("inf")},

@@ -1,8 +1,11 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxagent import evolution, runner
 from proxagent.bus import InProcessBus
@@ -24,8 +27,15 @@ from proxagent.runner import (
     run_episode,
 )
 from proxagent.skills import SkillCatalog
-from proxagent.tools import ToolDispatcher
-from proxagent.trajectory import StepRecord, Trajectory
+from proxagent.tools import ERR_ENV_TIMEOUT, ToolDispatcher, builtin_catalog
+from proxagent.trajectory import (
+    ENDED_COLLISION,
+    ENDED_ERROR,
+    ENDED_TERMINATE,
+    ENDED_TIMEOUT,
+    StepRecord,
+    Trajectory,
+)
 
 
 @pytest.fixture(scope="module")
@@ -435,3 +445,88 @@ def test_a_failed_trajectory_write_leaves_nothing_behind(tmp_path):
     (tmp_path / "file").write_text("")
     with pytest.raises(OSError):
         Trajectory().write(tmp_path / "file" / "t.jsonl")
+
+
+# -- boundary: any provider output -----------------------------------------
+
+_SPECIAL_VALUES = st.sampled_from([
+    "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true", "false", "null", "[]",
+    '{"structure": NaN}', '"1e308 * 10"', '"1 / 0"', '"2 ** 8"', '"(1"',
+])
+_NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str), st.floats(-30, 30).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "9" * 400, "5e-324"]),
+)
+_VALUES = st.one_of(_NUMBERS, st.text(max_size=8).map(json.dumps), _SPECIAL_VALUES)
+
+
+@st.composite
+def _tool_call(draw):
+    """``TOOL <name> ARGS <json>``: mostly a catalog tool with most of its
+    parameters, numbers mostly finite, sometimes an unknown tool, an extra
+    key or args that are not JSON."""
+    tool = draw(st.sampled_from(builtin_catalog().tools))
+    name = tool.name if draw(st.integers(0, 9)) else "self_destruct"
+    keys = [key for key in tool.params if draw(st.integers(0, 7))]
+    if not draw(st.integers(0, 7)):
+        keys.append("x")
+    numeric = {key for key, meta in tool.params.items() if meta["type"] == "number"}
+    args = "{" + ", ".join(
+        f'"{key}": {draw(_NUMBERS if key in numeric and draw(st.integers(0, 4)) else _VALUES)}'
+        for key in keys) + "}"
+    if not draw(st.integers(0, 9)):
+        args = draw(st.text(max_size=12))
+    return f"TOOL {name} ARGS {args}"
+
+
+_LINE = st.one_of(
+    _tool_call(),
+    st.builds("CANDIDATE {}: {} OUTCOME {} RISK {}".format, st.integers(0, 4), _tool_call(),
+              st.text(max_size=8), st.sampled_from(["Low", "Medium", "High", "None"])),
+    st.builds("SELECT {}".format, st.sampled_from(["0", "1", "2", "7", "-1", "x"])),
+    st.text(max_size=40),
+)
+_OUTPUTS = st.lists(_LINE, max_size=4).map("\n".join)
+
+
+class _OneString(DecisionProvider):
+    """Answers every call, summaries included, with one drawn string."""
+
+    identity = "one-string"
+    kind = "fuzz"
+
+    def __init__(self, output):
+        self.output = output
+
+    def complete(self, request):
+        return self.output
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@given(output=_OUTPUTS, kind=st.sampled_from(["rendezvous", "search", "inspection"]))
+@settings(max_examples=150, deadline=None)
+def test_any_provider_output_ends_an_episode_cleanly(satellites, tmp_path_factory, output,
+                                                    kind):
+    path = tmp_path_factory.getbasetemp() / "boundary.jsonl"
+    for mode in ("standard", "react", "prospective"):
+        episode = EpisodeConfig(task=make_task(kind, max_steps=7), mode=mode,
+                                profile="hybrid-nav-code")
+        result = run_episode(episode, provider=_OneString(output),
+                             satellites=satellites)
+        trajectory = result.trajectory
+        assert trajectory.ended_by in {ENDED_TERMINATE, ENDED_TIMEOUT, ENDED_COLLISION,
+                                       ENDED_ERROR}
+        for step in trajectory.steps:
+            assert all(math.isfinite(x) for x in _numbers(step.observation))
+            assert step.result["error_kind"] != ERR_ENV_TIMEOUT
+        trajectory.write(path)

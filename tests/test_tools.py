@@ -80,13 +80,6 @@ def test_visible_tools_keeps_catalog_order():
     assert names == ["brightness_assess", "terminate"]
 
 
-def test_schema_document_is_mcp_shaped():
-    doc = tools.builtin_catalog().schema_document()
-    entry = next(e for e in doc["tools"] if e["name"] == "set_position")
-    assert entry["inputSchema"]["type"] == "object"
-    assert set(entry["inputSchema"]["required"]) == {"dx", "dy", "dz"}
-
-
 # -- arg validation -----------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Operator command-line entry point.
 
 Exit codes: 0 success, 2 task failure, 3 configuration error, 4 episode
-error. Flags override configuration-file values; per-task overrides sit
-between flags and defaults.
+error. Flags override per-task overrides, which override the
+configuration file; a flag left out overrides nothing.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ def run(config_path, task, satellite, condition, profile, mode, seed,
 @click.option("--profiles", type=str, default=None,
               help="Comma-separated profile names; default: all shipped profiles.")
 @click.option("--tasks", "task_list", type=str, default="rendezvous,search")
-@click.option("--condition", type=str, default="C1")
-@click.option("--seed", type=int, default=0)
+@click.option("--condition", type=str, default=None)
+@click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None,
               help="Also write the report as structured JSON.")
 def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
@@ -227,9 +227,9 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--task", type=str, default="rendezvous")
+@click.option("--task", type=str, default=None)
 @click.option("--runs", type=int, default=5)
-@click.option("--condition", type=str, default="C1")
+@click.option("--condition", type=str, default=None)
 @click.option("--mode", type=str, default=None)
 @click.option("--profile", type=str, default=None)
 @click.option("--out", type=click.Path(), default=None)
@@ -273,7 +273,7 @@ def sweep(config_path, task, runs, condition, mode, profile, out) -> None:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--task", type=str, default="rendezvous")
+@click.option("--task", type=str, default=None)
 @click.option("--rounds", type=int, default=5)
 @click.option("--workspace", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), default=None)

@@ -136,7 +136,7 @@ class RootConfig:
             self.effective_run(kind)
 
     def effective_run(self, task: Optional[str] = None, **flags) -> RunSection:
-        """Precedence: command-line flags > per-task overrides > defaults."""
+        """Precedence: flags given (not None) > per-task overrides > ``run``."""
         kind = task or self.run.task
         overrides = _fields(RunSection, self.tasks.get(kind), f"tasks.{kind}", _OVERRIDE_FIELDS)
         flags = {k: v for k, v in flags.items() if v is not None}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -209,6 +210,11 @@ def make_task(
     )
 
 
+# The camera record's fields, in the order the bus contract lists them
+_RGB_FIELDS = tuple(busmod.CHANNEL_SCHEMAS[busmod.SENSOR_RGB])
+_rgb_values = operator.attrgetter(*_RGB_FIELDS)
+
+
 @dataclass
 class Observation:
     visible: bool
@@ -224,17 +230,7 @@ class Observation:
     note: Optional[str] = None
 
     def rgb_payload(self) -> dict:
-        record = {
-            "visible": self.visible,
-            "bearing_az": self.bearing_az,
-            "bearing_el": self.bearing_el,
-            "angular_size": self.angular_size,
-            "mean_brightness": self.mean_brightness,
-            "exposure_gain": self.exposure_gain,
-            "step_index": self.step_index,
-            "collided": self.collided,
-            "true_range": self.true_range,
-        }
+        record = dict(zip(_RGB_FIELDS, _rgb_values(self)))
         if self.note is not None:
             record["note"] = self.note
         return record

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bus import dumps_sorted
+from .env import MAX_STEP_TRANSLATION
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
 from .trajectory import Outcome, Trajectory, open_for_write
@@ -186,8 +187,7 @@ class MutationDecision:
 
 _MUTATION_HEAD = re.compile(r"^MUTATION (?P<action>\S+)\s*$", re.MULTILINE)
 _MUTATION_FIELD = re.compile(
-    r"^(?P<key>TARGET|SCOPE|INTENT|TRIGGER|RULE|CONSTRAINTS|EVIDENCE|JUSTIFY) "
-    r"(?P<value>.*)$"
+    r"^(?P<key>TARGET|SCOPE|%s|JUSTIFY) (?P<value>.*)$" % "|".join(CONTENT_SECTIONS).upper()
 )
 
 
@@ -268,7 +268,7 @@ def fingerprint(scope: str, trigger: str, rule: str) -> str:
 
 
 _SECTION_LINE = re.compile(
-    r"^(?P<key>Intent|Trigger|Rule|Constraints|Evidence):\s*(?P<value>.*)$"
+    r"^(?P<key>%s):\s*(?P<value>.*)$" % "|".join(s.capitalize() for s in CONTENT_SECTIONS)
 )
 
 
@@ -631,7 +631,7 @@ def scripted_reflection(extra: dict) -> str:
     if (
         failed
         and summary.get("reason") == "timeout"
-        and summary.get("max_attempted_translation", 0.0) > 2.0
+        and summary.get("max_attempted_translation", 0.0) > MAX_STEP_TRANSLATION
     ):
         biggest = summary.get("max_attempted_translation")
         return "\n".join(
@@ -642,9 +642,9 @@ def scripted_reflection(extra: dict) -> str:
                 "INTENT cap forward translation steps near the target",
                 "TRIGGER commanded translations rejected by the actuator while closing in",
                 "RULE keep every forward step within the actuator limit "
-                "(max_forward_step: 2.0) and reduce steps close in "
+                f"(max_forward_step: {MAX_STEP_TRANSLATION}) and reduce steps close in "
                 "(cap_forward_step: 0.5 within_range_m: 5.0)",
-                "CONSTRAINTS never command a translation longer than 2.0 m",
+                f"CONSTRAINTS never command a translation longer than {MAX_STEP_TRANSLATION} m",
                 f"EVIDENCE episode {episode} ended by {summary.get('reason')} after "
                 f"{summary.get('steps')} steps with translations up to {biggest} m",
                 "JUSTIFY distance dependent step reduction prevents rejected "

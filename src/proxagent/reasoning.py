@@ -23,12 +23,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bus import dumps_sorted, is_finite_number
-from .tools import (
-    CATEGORY_CONTROL,
-    ToolCall,
-    ToolDescriptor,
-    validate_args,
-)
+from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
+from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
+                    ToolDescriptor, validate_args)
 
 CALL_DECIDE = "decide_action"
 CALL_PLAN = "plan"
@@ -281,18 +278,19 @@ def update_memory(
 @dataclass
 class ScriptedPolicyConfig:
     forward_fraction: float = 0.2
-    min_forward_step: float = 0.1
-    max_forward_step: float = 2.0
-    terminate_range: float = 2.2
-    align_threshold_deg: float = 15.0
-    sweep_step_deg: float = 15.0
-    sweep_limit_deg: float = 90.0
-    brightness_low: float = 40.0
-    brightness_high: float = 220.0
-    lateral_gain_limit: float = 0.5
-    assumed_radius: float = 0.5
-    vision_range_bias: float = 3.0  # monocular overestimation factor
-    nominal_gain: float = 1.0
+    max_forward_step: float = MAX_STEP_TRANSLATION
+
+
+# The scripted policy's fixed settings (its limits are env's and tools')
+MIN_FORWARD_STEP = 0.1
+TERMINATE_RANGE = 2.2
+ALIGN_THRESHOLD_DEG = 15.0
+SWEEP_STEP_DEG = 15.0
+SWEEP_LIMIT_DEG = 90.0  # half-width of the yaw sweep while the target is lost
+LATERAL_GAIN_LIMIT = 0.5
+ASSUMED_RADIUS = 0.5
+VISION_RANGE_BIAS = 3.0  # monocular overestimation factor
+NOMINAL_GAIN = 1.0
 
 
 # one decimal number ("2", "2.", "2.5", ".5"): a period after its fraction,
@@ -306,9 +304,9 @@ _DIRECTIVE_CAP = re.compile(
 
 class ScriptedProvider(DecisionProvider):
     """Deterministic stand-in policy encoding the reported closed-loop behaviors:
-    exposure correction toward nominal gain, a bounded +/-90 degree yaw sweep
-    in 15 degree increments while the target is lost, range-proportional
-    forward steps with step-size decay, and explicit termination near 2 m.
+    exposure correction toward nominal gain, a bounded yaw sweep in 15 degree
+    increments while the target is lost, range-proportional forward steps with
+    step-size decay, and explicit termination near the target.
 
     Honors step-cap directives found in learned-skill prompt sections, which
     closes the self-evolution loop without a live model.
@@ -347,7 +345,7 @@ class ScriptedProvider(DecisionProvider):
             from .evolution import scripted_reflection  # local to avoid cycle
 
             return scripted_reflection(request.extra)
-        return ""  # route: force the gateway's keyword fallback
+        return ""  # route: no answer, so routing takes skills._default_route
 
     # -- internals ----------------------------------------------------
 
@@ -370,12 +368,11 @@ class ScriptedProvider(DecisionProvider):
         return max_step, cap
 
     def _sweep_delta(self) -> float:
-        cfg = self.config
-        if self._sweep_dir > 0 and self._sweep_cum + cfg.sweep_step_deg > cfg.sweep_limit_deg:
+        if self._sweep_dir > 0 and self._sweep_cum + SWEEP_STEP_DEG > SWEEP_LIMIT_DEG:
             self._sweep_dir = -1.0
-        elif self._sweep_dir < 0 and self._sweep_cum - cfg.sweep_step_deg < -cfg.sweep_limit_deg:
+        elif self._sweep_dir < 0 and self._sweep_cum - SWEEP_STEP_DEG < -SWEEP_LIMIT_DEG:
             self._sweep_dir = 1.0
-        delta = self._sweep_dir * cfg.sweep_step_deg
+        delta = self._sweep_dir * SWEEP_STEP_DEG
         self._sweep_cum += delta
         return delta
 
@@ -385,22 +382,21 @@ class ScriptedProvider(DecisionProvider):
         angular = obs.get("angular_size", 0.0)
         if angular <= 0:
             return None
-        center = self.config.assumed_radius / math.tan(math.radians(angular) / 2.0)
-        surface = max(center - self.config.assumed_radius, 0.05)
-        return surface * self.config.vision_range_bias
+        center = ASSUMED_RADIUS / math.tan(math.radians(angular) / 2.0)
+        surface = max(center - ASSUMED_RADIUS, 0.05)
+        return surface * VISION_RANGE_BIAS
 
     def _control_action(self, request: ProviderRequest) -> tuple[str, dict]:
         """The motion/exposure/terminate action the policy wants to commit."""
-        cfg = self.config
         obs = request.observation
         visible_names = {t.name for t in request.visible_tools}
 
         brightness = obs.get("mean_brightness", 128.0)
         if (
-            (brightness < cfg.brightness_low or brightness > cfg.brightness_high)
+            (brightness < BRIGHTNESS_UNDER or brightness > BRIGHTNESS_OVER)
             and "set_exposure" in visible_names
         ):
-            delta = round(cfg.nominal_gain - obs.get("exposure_gain", 1.0), 4)
+            delta = round(NOMINAL_GAIN - obs.get("exposure_gain", 1.0), 4)
             if abs(delta) > 1e-9:
                 return "set_exposure", {"gain_delta": delta}
 
@@ -414,30 +410,31 @@ class ScriptedProvider(DecisionProvider):
         self._sweep_cum, self._sweep_dir = 0.0, 1.0
 
         az, el = obs.get("bearing_az", 0.0), obs.get("bearing_el", 0.0)
-        if abs(az) > cfg.align_threshold_deg or abs(el) > cfg.align_threshold_deg:
+        if abs(az) > ALIGN_THRESHOLD_DEG or abs(el) > ALIGN_THRESHOLD_DEG:
             return "set_attitude", {
-                "dyaw": round(max(-90.0, min(90.0, az)), 3),
-                "dpitch": round(max(-90.0, min(90.0, el)), 3),
+                "dyaw": round(max(-MAX_STEP_ROTATION, min(MAX_STEP_ROTATION, az)), 3),
+                "dpitch": round(max(-MAX_STEP_ROTATION, min(MAX_STEP_ROTATION, el)), 3),
                 "droll": 0.0,
             }
 
         rng = self._range_estimate(obs)
         if rng is None:
             return "set_attitude", {"dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
-        if rng <= cfg.terminate_range:
+        if rng <= TERMINATE_RANGE:
             return "terminate", {"reason": f"target reached at {rng:.2f} m"}
 
         max_step, cap = self._directives(request.prompt)
-        forward = max(cfg.min_forward_step, min(cfg.forward_fraction * rng, max_step))
+        forward = max(MIN_FORWARD_STEP, min(self.config.forward_fraction * rng, max_step))
         if cap is not None and rng < cap[1]:
             forward = min(forward, cap[0])
-        lat = max(-cfg.lateral_gain_limit,
-                  min(cfg.lateral_gain_limit, forward * math.tan(math.radians(az))))
-        vert = max(-cfg.lateral_gain_limit,
-                   min(cfg.lateral_gain_limit, forward * math.tan(math.radians(el))))
+        lat = max(-LATERAL_GAIN_LIMIT,
+                  min(LATERAL_GAIN_LIMIT, forward * math.tan(math.radians(az))))
+        vert = max(-LATERAL_GAIN_LIMIT,
+                   min(LATERAL_GAIN_LIMIT, forward * math.tan(math.radians(el))))
         norm = math.sqrt(forward**2 + lat**2 + vert**2)
-        if norm > 2.0 and forward <= 2.0:
-            scale = 1.999 / norm
+        if norm > MAX_STEP_TRANSLATION and forward <= MAX_STEP_TRANSLATION:
+            # 1 mm inside the cap, so the rounded components stay within it
+            scale = (MAX_STEP_TRANSLATION - 0.001) / norm
             forward, lat, vert = forward * scale, lat * scale, vert * scale
         return "set_position", {
             "dx": round(forward, 4), "dy": round(lat, 4), "dz": round(vert, 4),
@@ -472,14 +469,13 @@ class ScriptedProvider(DecisionProvider):
         }
 
     def _decide(self, request: ProviderRequest) -> tuple[str, dict]:
-        cfg = self.config
         obs = request.observation
         visible_names = {t.name for t in request.visible_tools}
         brightness = obs.get("mean_brightness", 128.0)
 
         # diagnostic first when a perception call is still possible this step
         if (
-            (brightness < cfg.brightness_low or brightness > cfg.brightness_high)
+            (brightness < BRIGHTNESS_UNDER or brightness > BRIGHTNESS_OVER)
             and "brightness_assess" in visible_names
             and not request.inner_results
         ):
@@ -608,11 +604,19 @@ class RemoteProvider(DecisionProvider):
                 timeout=self.timeout,
             )
             response.raise_for_status()
-            return response.json()["choices"][0]["message"]["content"]
+            reply = response.json()
         except requests.Timeout as exc:
             raise ProviderTimeout(str(exc)) from exc
         except requests.RequestException as exc:
             raise ReasoningError(f"remote provider failed: {exc}") from exc
+        path = ""
+        for part in ("choices", 0, "message", "content"):
+            path += f"[{part}]" if isinstance(part, int) else f".{part}"
+            try:
+                reply = reply[part]
+            except (KeyError, IndexError, TypeError):
+                raise ReasoningError(f"remote reply has no {path[1:]}") from None
+        return reply
 
 
 # Per provider kind, the class whose constructor takes its options

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import bus as busmod
-from .env import HALF_FOV_DEG, SatelliteModel
+from .env import HALF_FOV_DEG, GainOutOfRange, SatelliteModel, StepLimitExceeded
 
 
 class ToolError(Exception):
@@ -39,10 +39,10 @@ ERR_INVALID_ARGS = "InvalidArgs"
 ERR_NOT_VISIBLE = "ToolNotVisible"
 ERR_ENV_TIMEOUT = "EnvTimeout"
 ERR_EXPRESSION = "ExpressionError"
-ERR_STEP_LIMIT = "StepLimitExceeded"
-ERR_GAIN_RANGE = "GainOutOfRange"
+ERR_STEP_LIMIT = StepLimitExceeded.__name__
+ERR_GAIN_RANGE = GainOutOfRange.__name__
 ERR_ENV_FAULT = "EnvFault"
-# Observation-note prefixes (exception names) that are error kinds of their own
+# Observation-note prefixes (env exception names) that are error kinds of their own
 _NOTE_ERRORS = frozenset({ERR_STEP_LIMIT, ERR_GAIN_RANGE})
 
 BRIGHTNESS_UNDER = 40.0

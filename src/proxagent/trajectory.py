@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Optional, get_type_hints
 
 from .bus import dumps_strict
 
@@ -46,6 +46,24 @@ class StepRecord:
         return dumps_strict(vars(self))
 
 
+_STEP_TYPES = get_type_hints(StepRecord)
+
+
+def _step_record(data: dict) -> StepRecord:
+    """A step line as a StepRecord; a field not of its annotated type, or a
+    call without a str ``tool`` and a dict ``args``, is a TypeError."""
+    record = StepRecord(**data)
+    for name, wanted in _STEP_TYPES.items():
+        value = getattr(record, name)
+        if not isinstance(value, wanted) or isinstance(value, bool):
+            raise TypeError(f"{name} must be {wanted.__name__}, got {value!r}")
+    if not isinstance(record.call.get("tool"), str):
+        raise TypeError(f"call.tool must be str, got {record.call.get('tool')!r}")
+    if not isinstance(record.call.get("args"), dict):
+        raise TypeError(f"call.args must be dict, got {record.call.get('args')!r}")
+    return record
+
+
 @dataclass
 class Trajectory:
     steps: list[StepRecord] = field(default_factory=list)
@@ -68,8 +86,8 @@ class Trajectory:
     @classmethod
     def read(cls, path: Path) -> "Trajectory":
         """Read a log that ``write`` wrote. A line that is not JSON, or not
-        a header, step or footer record, is a ValueError naming the file
-        and the line."""
+        a header, step or footer record (a step's fields of their annotated
+        types), is a ValueError naming the file and the line."""
         traj = cls()
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
@@ -85,7 +103,7 @@ class Trajectory:
                     elif "ended_by" in data:
                         traj.ended_by = data["ended_by"]
                     else:
-                        traj.steps.append(StepRecord(**data))
+                        traj.steps.append(_step_record(data))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path} line {number}: not JSON ({exc.msg})") from None
                 except (TypeError, AttributeError) as exc:

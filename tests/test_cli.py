@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from proxagent.cli import main
 from proxagent.config import ConfigError, dump_config, load_config, parse_config
+from proxagent.env import SimEnv
 from proxagent.skills import NoDefaults, SkillCatalog, parse_skill_text, render_skill
 
 
@@ -270,12 +271,30 @@ def test_report_recomputes_outcome(runner, tmp_path):
     assert result.output.startswith("success")
 
 
+_STEP = '"step": 0, "observation": {}, "call": {"tool": "x", "args": {}}, "result": {}'
+
+
 @pytest.mark.parametrize("bad_line,problem", [
     ("not json", "line 2: not JSON (Expecting value)"),
     ('{"stepp": 0}', "line 2: not a trajectory record (StepRecord.__init__() got an "
                      "unexpected keyword argument 'stepp')"),
     ("[1, 2]", "line 2: not a trajectory record"),
     ('{"header": 5}', "line 2: not a trajectory record"),
+    ('{"step": 0, "observation": 5, "call": {}, "result": {}}',
+     "line 2: not a trajectory record (observation must be dict, got 5)"),
+    ('{"step": 0, "observation": {}, "call": {}, "result": {}}',
+     "line 2: not a trajectory record (call.tool must be str, got None)"),
+    ('{"step": 0, "observation": {}, "call": {"tool": "x", "args": []}, "result": {}}',
+     "line 2: not a trajectory record (call.args must be dict, got [])"),
+    ('{"step": "0", "observation": {}, "call": {"tool": "x", "args": {}}, "result": {}}',
+     "line 2: not a trajectory record (step must be int, got '0')"),
+    ("{" + _STEP + ', "provider_calls": true}',
+     "line 2: not a trajectory record (provider_calls must be int, got True)"),
+    ("{" + _STEP.replace('"result": {}', '"result": []') + "}",
+     "line 2: not a trajectory record (result must be dict, got [])"),
+    ("{" + _STEP + ', "inner": {}}', "line 2: not a trajectory record (inner must be list"),
+    ("{" + _STEP + ', "memory_hash": 7}',
+     "line 2: not a trajectory record (memory_hash must be str, got 7)"),
 ])
 def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line, problem):
     traj = tmp_path / "t.jsonl"
@@ -507,3 +526,31 @@ def test_remote_provider_option_typo_exits_three(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", config])
     assert result.exit_code == 3, result.output
     assert "unknown remote provider options: ['modle']" in result.output
+
+
+@pytest.mark.parametrize("command,flags,runs", [
+    (["sweep", "--runs", "1"], [], [("search", "C2", 0)]),  # sweep seeds count from 0
+    (["sweep", "--runs", "1"], ["--task", "rendezvous", "--condition", "C3"],
+     [("rendezvous", "C3", 0)]),
+    (["ablate", "--tasks", "search", "--profiles", "hybrid-nav"], [], [("search", "C2", 3)]),
+    (["ablate", "--tasks", "search", "--profiles", "hybrid-nav"],
+     ["--condition", "C1", "--seed", "5"], [("search", "C1", 5)]),
+    (["evolve", "--rounds", "1"], [], [("search", "C2", 3)]),
+    (["evolve", "--rounds", "1"], ["--task", "inspection"], [("inspection", "C2", 3)]),
+])
+def test_an_omitted_flag_leaves_the_config_file_in_force(runner, tmp_path, monkeypatch,
+                                                        command, flags, runs):
+    started = []
+    reset = SimEnv.reset
+
+    def recording_reset(self, task, seed=0):
+        started.append((task.kind, task.condition.id, seed))
+        return reset(self, task, seed=seed)
+
+    monkeypatch.setattr(SimEnv, "reset", recording_reset)
+    config = _config(tmp_path, "run:\n  task: search\n  condition: C2\n  seed: 3\n")
+    if command[0] == "evolve":
+        command = command + ["--workspace", str(tmp_path / "ws")]
+    result = runner.invoke(main, command + flags + ["--config", config])
+    assert result.exit_code == 0, result.output
+    assert started == runs

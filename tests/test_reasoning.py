@@ -1,8 +1,14 @@
+import json
+from types import SimpleNamespace
+
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxagent import reasoning
+from proxagent.env import make_task
+from proxagent.runner import EpisodeConfig, run_episode
 from proxagent.tools import builtin_catalog, builtin_profiles, visible_tools
 
 VISIBLE = visible_tools(builtin_catalog(), builtin_profiles()["hybrid-nav-code"])
@@ -256,6 +262,125 @@ def test_remote_provider_rejects_hot_temperature():
         reasoning.RemoteProvider("http://localhost:9", "m", temperature=0.9)
 
 
+# -- remote provider (requests.post stubbed: nothing leaves the process) --
+
+
+class _Reply:
+    def __init__(self, body, status=200):
+        self.body, self.status = body, status
+
+    def raise_for_status(self):
+        if self.status >= 400:
+            raise requests.HTTPError(f"{self.status} error")
+
+    def json(self):
+        return self.body
+
+
+def _answer(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
+@pytest.fixture()
+def posts(monkeypatch):
+    """Stub ``requests.post``: it records each call's arguments in ``calls``
+    and answers with ``reply``, or raises it if it is an exception."""
+    stub = SimpleNamespace(reply=_Reply(_answer("SELECT 0")), calls=[])
+
+    def post(url, **kwargs):
+        stub.calls.append({"url": url, **kwargs})
+        if isinstance(stub.reply, Exception):
+            raise stub.reply
+        return stub.reply
+
+    monkeypatch.setattr(requests, "post", post)
+    return stub
+
+
+def _remote_request(**over):
+    fields = dict(
+        call_kind=reasoning.CALL_PLAN, prompt="You are the pilot.", observation=obs(),
+        memory_text="step 0: lidar_range({}) -> {}", visible_tools=CONTROL,
+        task_kind="rendezvous",
+        inner_results=[{"tool": "lidar_range", "payload": {"range_m": 3.0}}],
+        extra={"candidates": [{"index": 0}], "history": [1, 2]}, hint="no TOOL line found",
+    )
+    fields.update(over)
+    return reasoning.ProviderRequest(**fields)
+
+
+def test_remote_provider_sends_prompt_memory_observation_and_hints(posts):
+    provider = reasoning.RemoteProvider("http://127.0.0.1:1/v1", "m", temperature=0.1,
+                                        timeout=7.0, api_key="k")
+    assert provider.complete(_remote_request()) == "SELECT 0"
+    (sent,) = posts.calls
+    assert sent["url"] == "http://127.0.0.1:1/v1"
+    assert sent["timeout"] == 7.0
+    assert sent["headers"] == {"Content-Type": "application/json", "Authorization": "Bearer k"}
+    assert sent["json"]["model"] == "m" and sent["json"]["temperature"] == 0.1
+    system, user = sent["json"]["messages"]
+    assert system == {"role": "system",
+                      "content": "You are the pilot.\n\nMemory:\nstep 0: lidar_range({}) -> {}"}
+    assert user["role"] == "user"
+    record, grammar, retry = user["content"].split("\n")
+    assert json.loads(record) == {
+        "observation": obs(),
+        "visible_tools": [t.name for t in CONTROL],
+        "inner_results": [{"tool": "lidar_range", "payload": {"range_m": 3.0}}],
+        "extra": {"history": [1, 2]},  # the candidates are left out
+    }
+    assert grammar == reasoning.RemoteProvider._GRAMMAR_HINTS[reasoning.CALL_PLAN]
+    assert retry == "Previous answer was malformed: no TOOL line found"
+
+
+def test_remote_provider_leaves_out_empty_memory_hint_and_key(posts):
+    provider = reasoning.RemoteProvider("http://127.0.0.1:1/v1", "m")
+    provider.complete(_remote_request(call_kind=reasoning.CALL_DECIDE, memory_text="",
+                                      hint=""))
+    (sent,) = posts.calls
+    assert sent["headers"] == {"Content-Type": "application/json"}
+    system, user = sent["json"]["messages"]
+    assert system["content"] == "You are the pilot."
+    _, grammar = user["content"].split("\n")
+    assert grammar == "Answer with exactly one line: TOOL <name> ARGS <json-object>."
+
+
+def test_remote_provider_timeout_is_a_provider_timeout(posts):
+    posts.reply = requests.Timeout("read timed out")
+    provider = reasoning.RemoteProvider("http://127.0.0.1:1/v1", "m")
+    with pytest.raises(reasoning.ProviderTimeout, match="read timed out"):
+        provider.complete(_remote_request())
+
+
+@pytest.mark.parametrize("body,missing", [
+    ({"error": "quota"}, "choices"),
+    ({"choices": []}, r"choices\[0\]"),
+    ({"choices": [{}]}, r"choices\[0\]\.message"),
+    ({"choices": [{"message": {"role": "assistant"}}]}, r"choices\[0\]\.message\.content"),
+    ([], "choices"),
+])
+def test_a_remote_reply_without_content_is_a_named_reasoning_error(posts, body, missing):
+    posts.reply = _Reply(body)
+    provider = reasoning.RemoteProvider("http://127.0.0.1:1/v1", "m")
+    with pytest.raises(reasoning.ReasoningError, match=f"remote reply has no {missing}$"):
+        provider.complete(_remote_request())
+
+
+@pytest.mark.parametrize("reply,ended_by", [
+    (_Reply(_answer("TOOL terminate ARGS {}")), "terminate"),
+    (_Reply({"error": "quota"}), "error"),
+    (_Reply({"choices": []}), "error"),
+    (_Reply({}, status=429), "error"),
+])
+def test_remote_provider_episode_ends_by_its_answer(posts, reply, ended_by):
+    posts.reply = reply
+    provider = reasoning.RemoteProvider("http://127.0.0.1:1/v1", "m")
+    result = run_episode(EpisodeConfig(task=make_task("rendezvous")), provider=provider)
+    assert result.trajectory.ended_by == ended_by
+    assert len(result.trajectory.steps) == (ended_by == "terminate")
+    assert posts.calls
+
+
 def test_make_provider_kinds(tmp_path):
     assert reasoning.make_provider({"kind": "scripted"}).kind == "scripted"
     scripted = reasoning.make_provider(
@@ -273,6 +398,7 @@ def test_make_provider_kinds(tmp_path):
     ({"max_forward_step": "6"}, "must be a finite number"),
     ({"forward_fraction": True}, "must be a finite number"),
     ({"forward_fraction": float("nan")}, "must be a finite number"),
+    ({"terminate_range": 3.0}, "unknown scripted provider options"),
 ])
 def test_make_provider_rejects_bad_scripted_options(options, problem):
     with pytest.raises(reasoning.ReasoningError, match=problem):

@@ -199,6 +199,28 @@ def test_control_blocks_until_new_observation(rig):
     assert obs["step_index"] == before["step_index"] + 1
 
 
+def test_control_after_the_bridge_closed_times_out_naming_the_tool(rig):
+    dispatcher, bridge, _ = rig
+    dispatcher.obs_timeout = 0.05
+    bridge.close()  # nothing applies the command, so no new observation comes
+    started = time.monotonic()
+    result = dispatcher.dispatch(call("set_position", dx=1.0, dy=0.0, dz=0.0))
+    waited = time.monotonic() - started
+    assert (result.ok, result.error_kind) == (False, tools.ERR_ENV_TIMEOUT)
+    assert result.payload == {"tool": "set_position"}
+    assert 0.05 <= waited < 1.0
+
+
+def test_perception_before_any_camera_record_times_out(satellites):
+    dispatcher = tools.ToolDispatcher(
+        bus.InProcessBus(), tools.builtin_catalog(), tools.builtin_profiles()["hybrid-nav"],
+        satellites, "CAPSTONE", obs_timeout=0.05,
+    )
+    result = dispatcher.dispatch(call("brightness_assess"))
+    assert (result.ok, result.error_kind) == (False, tools.ERR_ENV_TIMEOUT)
+    assert result.payload == {"detail": "no observation yet"}
+
+
 def test_oversized_step_surfaces_step_limit_error(rig):
     dispatcher, _, _ = rig
     result = dispatcher.dispatch(call("set_position", dx=5.0, dy=0.0, dz=0.0))

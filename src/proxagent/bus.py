@@ -51,6 +51,7 @@ CMD_TERMINATE = "cmd/terminate"
 SENSOR_KEYS = (SENSOR_RGB, SENSOR_LIDAR, SENSOR_RGB_NOTIFY)
 COMMAND_KEYS = (CMD_POSE_DELTA, CMD_EXPOSURE, CMD_TERMINATE)
 CONTRACT_KEYS = SENSOR_KEYS + COMMAND_KEYS
+_CONTRACT_KEY_SET = frozenset(CONTRACT_KEYS)
 
 _NUMBER = (int, float)
 
@@ -85,7 +86,7 @@ CHANNEL_SCHEMAS: dict[str, dict[str, tuple]] = {
 
 
 def check_key(key: str) -> None:
-    if key not in CONTRACT_KEYS:
+    if key not in _CONTRACT_KEY_SET:
         raise UnknownKey(f"not a contract key: {key!r}")
 
 

@@ -232,20 +232,22 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
 @click.option("--condition", type=str, default=None)
 @click.option("--mode", type=str, default=None)
 @click.option("--profile", type=str, default=None)
+@click.option("--seed", type=int, default=None, help="The first seed of the sweep.")
 @click.option("--out", type=click.Path(), default=None)
-def sweep(config_path, task, runs, condition, mode, profile, out) -> None:
+def sweep(config_path, task, runs, condition, mode, profile, seed, out) -> None:
     """Run one task over consecutive seeds and report the pass count."""
     with _config_errors():
         if runs < 1:
             raise ConfigError(f"--runs must be >= 1, got {runs}")
         root = _load_root(config_path)
         effective = root.effective_run(task=task, condition=condition,
-                                       mode=mode, profile=profile)
+                                       mode=mode, profile=profile, seed=seed)
+        seeds = range(effective.seed, effective.seed + runs)
         episodes = [replace(effective, seed=seed).episode_config(f"sweep-{seed:04d}")
-                    for seed in range(runs)]
+                    for seed in seeds]
         setup = Setup(root, episodes)
     records = []
-    for seed, episode in enumerate(episodes):
+    for seed, episode in zip(seeds, episodes):
         outcome = error = None
         try:
             outcome = setup.run(episode).outcome

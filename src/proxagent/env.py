@@ -17,7 +17,8 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -76,6 +77,10 @@ def wrap_180(angle: float) -> float:
     return (angle + 180.0) % 360.0 - 180.0
 
 
+Matrix = tuple[tuple[float, float, float], ...]
+_attitude_bits = struct.Struct("3d").pack
+
+
 @dataclass
 class Pose:
     x: float = 0.0
@@ -90,16 +95,27 @@ class Pose:
         self.pitch = max(-90.0, min(90.0, self.pitch))
         self.roll = wrap_180(self.roll)
 
-    def rotation(self) -> list[list[float]]:
-        """Body-to-world rotation matrix, Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-        cy, sy = math.cos(math.radians(self.yaw)), math.sin(math.radians(self.yaw))
-        cp, sp = math.cos(math.radians(self.pitch)), math.sin(math.radians(self.pitch))
-        cr, sr = math.cos(math.radians(self.roll)), math.sin(math.radians(self.roll))
-        return [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
+    # The matrix of the attitude it was last computed for, which that
+    # attitude's exact bits name: -0.0 and 0.0 each get their own.
+    _attitude: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _matrix: Optional[Matrix] = field(default=None, init=False, repr=False, compare=False)
+
+    def rotation(self) -> Matrix:
+        """Body-to-world rotation matrix, Rz(yaw) @ Ry(pitch) @ Rx(roll),
+        computed once per attitude: a step's motion and the observation
+        after it share one."""
+        attitude = _attitude_bits(self.yaw, self.pitch, self.roll)
+        if attitude != self._attitude:
+            cy, sy = math.cos(math.radians(self.yaw)), math.sin(math.radians(self.yaw))
+            cp, sp = math.cos(math.radians(self.pitch)), math.sin(math.radians(self.pitch))
+            cr, sr = math.cos(math.radians(self.roll)), math.sin(math.radians(self.roll))
+            self._matrix = (
+                (cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr),
+                (sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr),
+                (-sp, cp * sr, cp * cr),
+            )
+            self._attitude = attitude
+        return self._matrix
 
     # Each component adds its three products to 0.0 left to right, as sum()
     # did before Python 3.12: the rounding the recorded trajectories have.

@@ -120,6 +120,8 @@ def _parse_args(match: re.Match, visible: list[ToolDescriptor]) -> dict:
         args = json.loads(match.group("args"))
     except ValueError as exc:
         raise MalformedOutput(f"args are not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedOutput("args nest too deeply to parse") from exc
     problem = validate_args(tool, args)
     if problem is not None:
         raise MalformedOutput(problem)
@@ -296,9 +298,13 @@ NOMINAL_GAIN = 1.0
 # one decimal number ("2", "2.", "2.5", ".5"): a period after its fraction,
 # such as the one closing a sentence, is not part of it
 _DECIMAL = r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
-_DIRECTIVE_MAX_STEP = re.compile(r"max_forward_step:\s*" + _DECIMAL)
-_DIRECTIVE_CAP = re.compile(
-    r"cap_forward_step:\s*" + _DECIMAL + r"\s+within_range_m:\s*" + _DECIMAL
+# a directive's name in any letter case, then ":" or "=", then its number
+_ASSIGN = r"\s*[:=]\s*"
+_DIRECTIVE_MAX_STEP = re.compile(r"max_forward_step" + _ASSIGN + _DECIMAL, re.IGNORECASE)
+_DIRECTIVE_CAP = re.compile(  # the cap's two fields apart by blanks, a comma or both
+    r"cap_forward_step" + _ASSIGN + _DECIMAL
+    + r"(?:\s*,\s*|\s+)within_range_m" + _ASSIGN + _DECIMAL,
+    re.IGNORECASE,
 )
 
 
@@ -317,6 +323,8 @@ class ScriptedProvider(DecisionProvider):
 
     def __init__(self, config: Optional[ScriptedPolicyConfig] = None):
         self.config = config or ScriptedPolicyConfig()
+        self._directive_prompt: Optional[str] = None  # the prompt _directive_values is of
+        self._directive_values = None
         self.reset_episode()
 
     def reset_episode(self, episode_id: str = "") -> None:
@@ -358,14 +366,18 @@ class ScriptedProvider(DecisionProvider):
                 self._gathered_kb = payload
 
     def _directives(self, prompt: str) -> tuple[float, Optional[tuple[float, float]]]:
-        max_step = self.config.max_forward_step
-        for match in _DIRECTIVE_MAX_STEP.finditer(prompt):
-            max_step = min(max_step, float(match.group(1)))
-        cap = None
-        match = _DIRECTIVE_CAP.search(prompt)
-        if match is not None:
-            cap = (float(match.group(1)), float(match.group(2)))
-        return max_step, cap
+        """The step limit and cap for ``prompt``, parsed once per prompt text:
+        an episode's prompt is the same at every step."""
+        if prompt != self._directive_prompt:
+            max_step = self.config.max_forward_step
+            for match in _DIRECTIVE_MAX_STEP.finditer(prompt):
+                max_step = min(max_step, float(match.group(1)))
+            cap = None
+            match = _DIRECTIVE_CAP.search(prompt)
+            if match is not None:
+                cap = (float(match.group(1)), float(match.group(2)))
+            self._directive_prompt, self._directive_values = prompt, (max_step, cap)
+        return self._directive_values
 
     def _sweep_delta(self) -> float:
         if self._sweep_dir > 0 and self._sweep_cum + SWEEP_STEP_DEG > SWEEP_LIMIT_DEG:

@@ -140,8 +140,7 @@ def is_terminated(call_tool: str, obs: dict, step_count: int, max_steps: int) ->
     return None
 
 
-def _latest_observation(dispatcher: ToolDispatcher) -> dict:
-    obs = dispatcher.latest_observation()
+def _observation(obs: Optional[dict]) -> dict:
     if obs is None:
         raise RunnerError("no observation on the bus")
     return obs
@@ -221,7 +220,7 @@ def run_episode(
     # -- phase 2: closed loop ------------------------------------------
     ended_by = ENDED_TIMEOUT
     try:
-        obs = _latest_observation(dispatcher)
+        obs = _observation(dispatcher.latest_observation())
         for step_index in range(task.max_steps):
             step = step_fn(StepContext(
                 provider_view(obs, visible_names), prompt, memory, visible,
@@ -229,7 +228,7 @@ def run_episode(
             ))
             call = step.call
             result = dispatcher.dispatch(call)
-            post_obs = _latest_observation(dispatcher)
+            post_obs = _observation(dispatcher.observation_after(result))
 
             digest = busmod.dumps_sorted(result.payload)[:120]
             memory = update_memory(

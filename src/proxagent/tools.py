@@ -16,6 +16,7 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -213,9 +214,12 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
             return f"unknown arg {pname!r}"
         expected = meta["type"]
         if expected == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if type(value) is float:  # the common case, checked inline
+                if not math.isfinite(value):
+                    return f"arg {pname!r} must be finite"
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 return f"arg {pname!r} must be a number"
-            if not busmod.is_finite_number(value):
+            elif not busmod.is_finite_number(value):
                 return f"arg {pname!r} must be finite"
         elif expected == "string":
             if not isinstance(value, str):
@@ -227,6 +231,8 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
                 busmod.json_copy(value, pname)
             except busmod.SchemaViolation as exc:
                 return f"arg {exc}"
+            except RecursionError:
+                return f"arg {pname!r} nests too deeply"
     return None
 
 
@@ -236,6 +242,8 @@ def safe_eval(expression: str) -> float:
         tree = ast.parse(expression, mode="eval")
     except (SyntaxError, ValueError) as exc:
         raise ToolError(f"parse error: {exc}") from exc
+    except RecursionError as exc:  # e.g. a chain of thousands of operators
+        raise ToolError("expression nests too deeply to parse") from exc
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -266,6 +274,8 @@ def safe_eval(expression: str) -> float:
         value = walk(tree)
     except OverflowError as exc:  # e.g. a huge integer divided into a float
         raise ToolError(f"overflow: {exc}") from exc
+    except RecursionError as exc:
+        raise ToolError("expression nests too deeply to evaluate") from exc
     if not busmod.is_finite_number(value):
         raise ToolError("result is not a finite number in float range")
     return value
@@ -308,19 +318,37 @@ class ToolDispatcher:
         rgb = self.backend.get_latest(busmod.SENSOR_RGB)
         if rgb is None:
             return None
+        return self._with_lidar(rgb.record())
+
+    def observation_after(self, result: ToolResult) -> Optional[dict]:
+        """The observation after a dispatched call, as ``latest_observation``
+        gives it. After a motion or exposure command it is the camera record
+        the result carries plus the latest LiDAR reading, which the bridge
+        publishes before the camera record; otherwise it is read anew."""
+        rgb = result.payload.get("observation")
+        if rgb is None:
+            return self.latest_observation()
+        return self._with_lidar(dict(rgb))
+
+    def _with_lidar(self, record: dict) -> dict:
         lidar = self.backend.get_latest(busmod.SENSOR_LIDAR)
-        record = rgb.record()
         record["lidar_range"] = lidar.record()["range_m"] if lidar else None
         return record
 
     def _await_new_observation(self, prev_seq: int) -> Optional[dict]:
-        deadline = time.monotonic() + self.obs_timeout
-        while time.monotonic() < deadline:
+        # the clock starts after the first read: in process, the bridge has
+        # published before publish returns, so that read usually finds it
+        deadline = None
+        while True:
             msg = self.backend.get_latest(busmod.SENSOR_RGB)
             if msg is not None and msg.seq > prev_seq:
                 return msg.record()
+            now = time.monotonic()
+            if deadline is None:
+                deadline = now + self.obs_timeout
+            elif now >= deadline:
+                return None
             time.sleep(0.001)
-        return None
 
     # -- dispatch ------------------------------------------------------
 
@@ -349,6 +377,7 @@ class ToolDispatcher:
             self.backend.publish(busmod.CMD_TERMINATE, payload)
             return ToolResult(True, {"terminated": True})
 
+        # read, not tracked: a camera on its own clock publishes between commands
         prev = self.backend.get_latest(busmod.SENSOR_RGB)
         prev_seq = prev.seq if prev else 0
         if tool.name in ("set_position", "set_attitude"):

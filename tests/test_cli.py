@@ -529,9 +529,9 @@ def test_remote_provider_option_typo_exits_three(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command,flags,runs", [
-    (["sweep", "--runs", "1"], [], [("search", "C2", 0)]),  # sweep seeds count from 0
-    (["sweep", "--runs", "1"], ["--task", "rendezvous", "--condition", "C3"],
-     [("rendezvous", "C3", 0)]),
+    (["sweep", "--runs", "2"], [], [("search", "C2", 3), ("search", "C2", 4)]),
+    (["sweep", "--runs", "1"], ["--task", "rendezvous", "--condition", "C3", "--seed", "5"],
+     [("rendezvous", "C3", 5)]),
     (["ablate", "--tasks", "search", "--profiles", "hybrid-nav"], [], [("search", "C2", 3)]),
     (["ablate", "--tasks", "search", "--profiles", "hybrid-nav"],
      ["--condition", "C1", "--seed", "5"], [("search", "C1", 5)]),

@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxagent import bus, env
@@ -72,6 +72,40 @@ def test_pose_transforms_round_exactly_as_the_sum_reference(yaw, pitch, roll, v)
     for got, want in ((pose.body_to_world(v), reference_body_to_world(pose, v)),
                       (pose.world_to_body(v), reference_world_to_body(pose, v))):
         assert [c.hex() for c in got] == [c.hex() for c in want]
+
+
+# Pose.rotation as it was before each attitude's matrix was kept, as the
+# reference: the kept matrix must equal it bit for bit.
+def reference_rotation(pose):
+    cy, sy = math.cos(math.radians(pose.yaw)), math.sin(math.radians(pose.yaw))
+    cp, sp = math.cos(math.radians(pose.pitch)), math.sin(math.radians(pose.pitch))
+    cr, sr = math.cos(math.radians(pose.roll)), math.sin(math.radians(pose.roll))
+    return [
+        [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+        [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+        [-sp, cp * sr, cp * cr],
+    ]
+
+
+def _hex(matrix):
+    return [[c.hex() for c in row] for row in matrix]
+
+
+_angles = st.one_of(st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0, -180.0]), _finite)
+
+
+@given(attitudes=st.lists(st.tuples(_angles, _angles, _angles), min_size=1, max_size=6),
+       normalize=st.booleans())
+@example(attitudes=[(90.0, 0.0, 0.0), (90.0, 0.0, -0.0)], normalize=False)  # signed zeros
+@settings(max_examples=300, deadline=None)
+def test_kept_rotation_is_the_formula_bit_for_bit(attitudes, normalize):
+    pose = env.Pose()
+    for yaw, pitch, roll in attitudes:
+        pose.yaw, pose.pitch, pose.roll = yaw, pitch, roll
+        if normalize:
+            pose.normalize()
+        for _ in range(2):  # computed, then kept
+            assert _hex(pose.rotation()) == _hex(reference_rotation(pose))
 
 
 # -- reset and observation ---------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -64,6 +65,20 @@ def test_tool_call_grammar_round_trip():
 def test_malformed_decide_outputs_raise(text):
     with pytest.raises(reasoning.MalformedOutput):
         reasoning.parse_tool_call(text, VISIBLE)
+
+
+@pytest.mark.parametrize("report", [
+    pytest.param("[" * 5000 + "]" * 5000, id="list-5000"),  # beyond json.loads
+    pytest.param('{"a": ' * 990 + "1" + "}" * 990, id="object-990"),
+])
+def test_deeply_nested_args_are_malformed_output(report):
+    text = 'TOOL terminate ARGS {"report": ' + report + "}"
+    with pytest.raises(reasoning.MalformedOutput):
+        reasoning.parse_tool_call(text, VISIBLE)
+    provider = _QueueProvider([text, text])
+    result = run_episode(EpisodeConfig(task=make_task("inspection")), provider=provider)
+    assert result.trajectory.ended_by == "error"
+    assert provider.calls == [reasoning.CALL_DECIDE] * 2  # the retry, then the end
 
 
 def test_candidate_grammar():
@@ -243,10 +258,58 @@ def test_scripted_honors_learned_step_directives():
     ("cap_forward_step: 0.5 within_range_m: 5.0.", (6.0, (0.5, 5.0))),
     ("cap_forward_step: 1. within_range_m: 4", (6.0, (1.0, 4.0))),
     ("max_forward_step: . and max_forward_step: none", (6.0, None)),  # no digits: ignored
+    # any letter case, ":" or "=", a comma between the cap's two fields
+    ("cap_forward_step: 0.5, within_range_m: 5.0", (6.0, (0.5, 5.0))),
+    ("max_forward_step = 2.0", (2.0, None)),
+    ("Max_Forward_Step: 2.0", (2.0, None)),
+    ("CAP_FORWARD_STEP=1,WITHIN_RANGE_M = 4.", (6.0, (1.0, 4.0))),
 ])
 def test_a_directive_is_one_number_even_at_the_end_of_a_sentence(prompt, directives):
     provider = reasoning.ScriptedProvider(reasoning.ScriptedPolicyConfig(max_forward_step=6.0))
     assert provider._directives(prompt) == directives
+
+
+# ScriptedProvider._directives as it was before the parse was kept per prompt
+# text and took other letter cases, "=" and a comma, kept as the reference:
+# on the canonical form both must read the same directives.
+_REFERENCE_DECIMAL = r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_REFERENCE_MAX_STEP = re.compile(r"max_forward_step:\s*" + _REFERENCE_DECIMAL)
+_REFERENCE_CAP = re.compile(
+    r"cap_forward_step:\s*" + _REFERENCE_DECIMAL + r"\s+within_range_m:\s*" + _REFERENCE_DECIMAL
+)
+
+
+def reference_directives(prompt, max_step):
+    for match in _REFERENCE_MAX_STEP.finditer(prompt):
+        max_step = min(max_step, float(match.group(1)))
+    cap = None
+    match = _REFERENCE_CAP.search(prompt)
+    if match is not None:
+        cap = (float(match.group(1)), float(match.group(2)))
+    return max_step, cap
+
+
+_NUMBER_TEXT = st.from_regex(r"[0-9]{1,3}(\.[0-9]{0,3})?|\.[0-9]{1,3}", fullmatch=True)
+_BLANKS = st.text(" \t\n", max_size=2)
+_DIRECTIVE_TEXT = st.one_of(
+    st.builds("max_forward_step:{}{}".format, _BLANKS, _NUMBER_TEXT),
+    st.builds("cap_forward_step:{}{} {}within_range_m:{}{}".format,
+              _BLANKS, _NUMBER_TEXT, _BLANKS, _BLANKS, _NUMBER_TEXT),
+)
+# prose without ":" or "=", so every directive in a prompt is a canonical one
+_PROSE = st.text(st.characters(blacklist_characters=":="), max_size=30)
+_PROMPTS = st.lists(st.one_of(_DIRECTIVE_TEXT, _PROSE), max_size=6).map("".join)
+
+
+@given(prompts=st.lists(_PROMPTS, min_size=1, max_size=3),
+       order=st.lists(st.integers(0, 2), max_size=8),
+       limit=st.floats(0.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_per_prompt_directives_match_the_reference_scan(prompts, order, limit):
+    provider = reasoning.ScriptedProvider(reasoning.ScriptedPolicyConfig(max_forward_step=limit))
+    for index in order + list(range(len(prompts))):  # repeats are answered from the parse
+        prompt = prompts[index % len(prompts)]
+        assert provider._directives(prompt) == reference_directives(prompt, limit)
 
 
 def test_scripted_vision_estimate_overshoots():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxagent import evolution, runner
-from proxagent.bus import InProcessBus
+from proxagent.bus import SENSOR_LIDAR, SENSOR_RGB, InProcessBus
 from proxagent.evolution import REFLECTION_HISTORY, SkillStore
 from proxagent.env import evaluate, load_satellite_catalog, make_task
 from proxagent.reasoning import (
@@ -27,7 +27,12 @@ from proxagent.runner import (
     run_episode,
 )
 from proxagent.skills import SkillCatalog
-from proxagent.tools import ERR_ENV_TIMEOUT, ToolDispatcher, builtin_catalog
+from proxagent.tools import (
+    CATEGORY_PERCEPTION,
+    ERR_ENV_TIMEOUT,
+    ToolDispatcher,
+    builtin_catalog,
+)
 from proxagent.trajectory import (
     ENDED_COLLISION,
     ENDED_ERROR,
@@ -359,20 +364,66 @@ def test_episodes_back_to_back_on_one_bus_match_fresh_buses(satellites, tmp_path
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
-def test_each_step_reads_the_observation_once(satellites, monkeypatch):
-    reads = []
-    latest = ToolDispatcher.latest_observation
+class _ReadLog(InProcessBus):
+    """The in-process bus, logging the key of every read."""
 
-    def counted(self):
-        reads.append(1)
-        return latest(self)
+    def __init__(self):
+        super().__init__()
+        self.reads = []
 
-    monkeypatch.setattr(ToolDispatcher, "latest_observation", counted)
+    def get_latest(self, key):
+        self.reads.append(key)
+        return super().get_latest(key)
+
+
+def test_each_step_reads_the_bus_three_times(satellites):
+    catalog = builtin_catalog()
+    perception_calls = 0
     for mode in ("standard", "react", "prospective"):
-        reads.clear()
-        result = run_episode(config(mode=mode), satellites=satellites)
-        # the read before the first step, then one after each committed call
-        assert len(reads) == len(result.trajectory.steps) + 1
+        for condition in ("C1", "C2"):  # C2 starts underexposed: perception calls
+            backend = _ReadLog()
+            result = run_episode(config(mode=mode, task=make_task("rendezvous",
+                                                                  condition=condition)),
+                                 satellites=satellites, backend=backend)
+            # camera and LiDAR before step 0; in each step, both for each
+            # perception call, then after a motion or exposure command the
+            # sequence before publishing, the awaited camera record and the
+            # LiDAR, and after terminate the latest camera record and LiDAR
+            want = [SENSOR_RGB, SENSOR_LIDAR]
+            for step in result.trajectory.steps:
+                for inner in step.inner:
+                    if catalog.get(inner["tool"]).category == CATEGORY_PERCEPTION:
+                        want += [SENSOR_RGB, SENSOR_LIDAR]
+                        perception_calls += 1
+                if step.call["tool"] == "terminate":
+                    want += [SENSOR_RGB, SENSOR_LIDAR]
+                else:
+                    want += [SENSOR_RGB, SENSOR_RGB, SENSOR_LIDAR]
+            assert backend.reads == want
+            assert result.trajectory.ended_by == ENDED_TERMINATE
+    assert perception_calls
+
+
+def test_the_observation_after_a_command_is_the_latest_one(satellites):
+    """The step's observation built from the control result equals a fresh
+    read of the latest camera record and LiDAR, for every committed call."""
+    latest = []
+    observation_after = ToolDispatcher.observation_after
+
+    def checked(self, result):
+        obs = observation_after(self, result)
+        latest.append(obs == self.latest_observation())
+        return obs
+
+    for mode in ("standard", "react", "prospective"):
+        for kind, condition in (("rendezvous", "C3"), ("search", "C2")):
+            latest.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ToolDispatcher, "observation_after", checked)
+                result = run_episode(
+                    config(mode=mode, task=make_task(kind, condition=condition)),
+                    satellites=satellites)
+            assert latest == [True] * len(result.trajectory.steps)
 
 
 class _NanReport(DecisionProvider):
@@ -458,7 +509,14 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1e308", "-1e308", "9" * 400, "5e-324"]),
 )
-_VALUES = st.one_of(_NUMBERS, st.text(max_size=8).map(json.dumps), _SPECIAL_VALUES)
+_DEPTHS = st.one_of(st.integers(1, 6000), st.sampled_from([990, 2000, 3000, 5000]))
+_DEEP_VALUES = st.one_of(  # deep nesting and long operator chains
+    _DEPTHS.map(lambda n: "[" * n + "]" * n),
+    _DEPTHS.map(lambda n: '{"a": ' * n + "1" + "}" * n),
+    _DEPTHS.map(lambda n: json.dumps("1+" * n + "1")),
+)
+_VALUES = st.one_of(_NUMBERS, st.text(max_size=8).map(json.dumps), _SPECIAL_VALUES,
+                    _DEEP_VALUES)
 
 
 @st.composite
@@ -530,3 +588,27 @@ def test_any_provider_output_ends_an_episode_cleanly(satellites, tmp_path_factor
             assert all(math.isfinite(x) for x in _numbers(step.observation))
             assert step.result["error_kind"] != ERR_ENV_TIMEOUT
         trajectory.write(path)
+
+
+class _Answers(DecisionProvider):
+    """Answers the decide calls of an episode in order, then terminates."""
+
+    identity = "answers"
+    kind = "scripted"
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+
+    def complete(self, request):
+        return self.answers.pop(0) if self.answers else "TOOL terminate ARGS {}"
+
+
+def test_a_long_operator_chain_ends_a_react_episode_cleanly(satellites):
+    chain = 'TOOL eval_expr ARGS {"expression": "' + "1+" * 3000 + '1"}'
+    episode = EpisodeConfig(task=make_task("rendezvous"), mode="react",
+                            profile="hybrid-nav-code")
+    result = run_episode(episode, provider=_Answers(chain), satellites=satellites)
+    assert result.trajectory.ended_by == ENDED_TERMINATE
+    (inner,) = result.trajectory.steps[0].inner
+    assert inner["tool"] == "eval_expr"
+    assert inner["result"]["error_kind"] == "ExpressionError"

@@ -99,6 +99,57 @@ def test_validate_args_checks_objects_at_any_depth():
         assert "not a finite number" in tools.validate_args(tool, {"report": report})
 
 
+# validate_args as it was before an exact float was checked inline, kept as
+# the reference: for every value a number parameter can get, the same message.
+def reference_validate_args(tool, args):
+    if not isinstance(args, dict):
+        return "args must be an object"
+    for pname, meta in tool.params.items():
+        if meta.get("required") and pname not in args:
+            return f"missing required arg {pname!r}"
+    for pname, value in args.items():
+        meta = tool.params.get(pname)
+        if meta is None:
+            return f"unknown arg {pname!r}"
+        expected = meta["type"]
+        if expected == "number":
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return f"arg {pname!r} must be a number"
+            if not bus.is_finite_number(value):
+                return f"arg {pname!r} must be finite"
+        elif expected == "string":
+            if not isinstance(value, str):
+                return f"arg {pname!r} must be a string"
+        elif expected == "object":
+            if not isinstance(value, dict):
+                return f"arg {pname!r} must be an object"
+            try:
+                bus.json_copy(value, pname)
+            except bus.SchemaViolation as exc:
+                return f"arg {exc}"
+    return None
+
+
+class _Metres(float):
+    pass
+
+
+_ARG_VALUES = st.one_of(
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, True, False, _Metres("nan"),
+                     _Metres(2.5), 2**1023, 2**1024, -(2**1024), 10**400, "1", None]),
+    st.booleans(), st.integers(),
+)
+
+
+@given(tool=st.sampled_from([t for t in tools.builtin_catalog().tools if t.params]),
+       values=st.lists(_ARG_VALUES, min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_validate_args_matches_the_reference(tool, values):
+    args = dict(zip(tool.params, values))
+    assert tools.validate_args(tool, args) == reference_validate_args(tool, args)
+
+
 # -- expression evaluator ----------------------------------------------
 
 
@@ -120,6 +171,18 @@ def test_safe_eval_arithmetic(expression, value):
 def test_safe_eval_rejects_everything_else(expression):
     with pytest.raises(tools.ToolError):
         tools.safe_eval(expression)
+
+
+@pytest.mark.parametrize("links", [2000, 3000, 100_000])  # walk, then ast.parse, recurse
+def test_a_long_operator_chain_is_a_tool_error(links):
+    with pytest.raises(tools.ToolError, match="nests too deeply"):
+        tools.safe_eval("1+" * links + "1")
+
+
+def test_a_long_operator_chain_is_an_expression_error_result(rig):
+    dispatcher, _, _ = rig
+    result = dispatcher.dispatch(call("eval_expr", expression="1+" * 3000 + "1"))
+    assert not result.ok and result.error_kind == tools.ERR_EXPRESSION
 
 
 # -- dispatch -----------------------------------------------------------

@@ -21,6 +21,7 @@ import json
 import math
 import threading
 import time
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 
@@ -164,12 +165,50 @@ def validate_payload(key: str, record) -> dict:
     return json_copy(record, key)
 
 
-# The program's two JSON text formats, each encoder built once: json.dumps
-# with any option builds a new JSONEncoder on every call. Both give the text
-# of json.dumps(value, sort_keys=True), the strict one raising ValueError on
+def _per_thread(reference: json.JSONEncoder) -> Callable[[object], str]:
+    """``reference.encode``, with the C encoder that ``encode`` builds on
+    every call built once per thread, from the same arguments.
+
+    The encoder keeps the ids of the containers it is inside in its marker
+    dict, the circular-reference check. So it is per thread, since Redis
+    subscriber threads encode too and would see each other's containers as
+    circular; and the markers are cleared when it raises (a NaN refused, a
+    value JSON cannot carry, a recursion too deep), which leaves them
+    behind, so that a later encode of the same container does not fail as
+    circular. An encode from inside another on one thread (a dict
+    subclass's ``items``) finds the markers in use and takes
+    ``reference.encode``."""
+    if c_make_encoder is None:
+        return reference.encode
+    local = threading.local()
+
+    def encode(value) -> str:
+        try:
+            markers, encoder = local.encoder
+        except AttributeError:
+            markers = {}
+            encoder = c_make_encoder(
+                markers, reference.default, encode_basestring_ascii, None,
+                reference.key_separator, reference.item_separator,
+                reference.sort_keys, reference.skipkeys, reference.allow_nan,
+            )
+            local.encoder = markers, encoder
+        if markers:
+            return reference.encode(value)
+        try:
+            return "".join(encoder(value, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encode
+
+
+# The program's two JSON text formats. Both give the text of
+# json.dumps(value, sort_keys=True), the strict one raising ValueError on
 # NaN or Infinity as json.dumps(..., allow_nan=False) does.
-dumps_sorted = json.JSONEncoder(sort_keys=True).encode
-dumps_strict = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+dumps_sorted = _per_thread(json.JSONEncoder(sort_keys=True))
+dumps_strict = _per_thread(json.JSONEncoder(sort_keys=True, allow_nan=False))
 
 
 def encode(record: dict) -> bytes:
@@ -235,7 +274,8 @@ class InProcessBus(BusBackend):
         self._lock = threading.RLock()
         self._seq: dict[str, int] = {key: 0 for key in CONTRACT_KEYS}
         self._latest: dict[str, BusMessage] = {}
-        self._subs: dict[str, list[Handler]] = {key: [] for key in CONTRACT_KEYS}
+        # replaced, never changed in place, so publish iterates it uncopied
+        self._subs: dict[str, tuple[Handler, ...]] = {key: () for key in CONTRACT_KEYS}
 
     def publish(self, key: str, record: dict) -> int:
         payload = validate_payload(key, record)
@@ -243,8 +283,7 @@ class InProcessBus(BusBackend):
             self._seq[key] += 1
             msg = BusMessage(key, payload, self._seq[key], int(time.time() * 1000))
             self._latest[key] = msg
-            handlers = list(self._subs[key])
-            for handler in handlers:
+            for handler in self._subs[key]:
                 try:
                     handler(msg)
                 except Exception:
@@ -260,12 +299,14 @@ class InProcessBus(BusBackend):
     def subscribe(self, key: str, handler: Handler) -> Subscription:
         check_key(key)
         with self._lock:
-            self._subs[key].append(handler)
+            self._subs[key] += (handler,)
 
         def _unsub() -> None:
             with self._lock:
-                if handler in self._subs[key]:
-                    self._subs[key].remove(handler)
+                handlers = list(self._subs[key])
+                if handler in handlers:
+                    handlers.remove(handler)
+                    self._subs[key] = tuple(handlers)
 
         return Subscription(_unsub)
 

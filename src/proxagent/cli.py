@@ -8,7 +8,9 @@ configuration file; a flag left out overrides nothing.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,6 +49,31 @@ def _config_errors():
         sys.exit(EXIT_CONFIG_ERROR)
 
 
+def _lock_workspace(workspace: Path) -> int:
+    """A descriptor holding the exclusive ``flock`` of ``<workspace>/.lock``,
+    which is made, with the workspace, if missing. A lock another process
+    holds is a configuration error: a workspace has one writer at a time."""
+    path = workspace / ".lock"
+    workspace.mkdir(parents=True, exist_ok=True)
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(fd)
+            if isinstance(exc, BlockingIOError):
+                raise ConfigError(f"workspace {str(workspace)!r} is in use") from None
+            raise
+        try:
+            if os.stat(path).st_ino == os.fstat(fd).st_ino:
+                return fd
+        except FileNotFoundError:
+            pass
+        # the file was removed by a setup that failed (Setup.__init__) after
+        # this one opened it: lock the file the path names now
+        os.close(fd)
+
+
 class Setup:
     """What every episode of one command runs with, built once from the
     configuration: a provider per episode from one spec (checked here by
@@ -57,7 +84,11 @@ class Setup:
     catalog, find its task skill by the keyword route the episode takes and
     its reasoning mode's skills in the skill catalog, enabled, and have a
     workspace, if any, that is a directory or does not exist yet, whose
-    learned skills (and, if the episode evolves, history) read cleanly."""
+    learned skills (and, if the episode evolves, history) read cleanly.
+
+    The command holds each of its workspaces' locks until it ends, so a
+    second writer exits 3 before any episode. A setup that fails after
+    taking a lock removes that lock file."""
 
     def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
@@ -65,7 +96,7 @@ class Setup:
         self.satellites = load_satellite_catalog(root.satellite_catalog)
         self.skill_catalog = (SkillCatalog.load(root.skills_root) if root.skills_root
                               else shipped_catalog())
-        self.stores: dict[Path, SkillStore] = {}
+        episodes = list(episodes)
         for episode in episodes:
             if episode.task.satellite_id not in self.satellites:
                 raise ConfigError(f"unknown satellite {episode.task.satellite_id!r}; "
@@ -73,15 +104,35 @@ class Setup:
             route(episode.task.description, episode.task.kind, episode.mode,
                   self.skill_catalog)
             self.skill_catalog.mode_skills(episode.mode)
-            workspace = episode.workspace
-            if workspace is not None:
-                if workspace.exists() and not workspace.is_dir():
-                    raise ConfigError(f"workspace {str(workspace)!r} is not a directory")
-                store = self.stores.setdefault(workspace, SkillStore(workspace))
+        self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
+        self.stores: dict[Path, SkillStore] = {}
+        self._locks: list[tuple[Path, int]] = []
+        try:
+            for episode in episodes:
+                workspace = episode.workspace
+                if workspace is None:
+                    continue
+                if workspace not in self.stores:
+                    if workspace.exists() and not workspace.is_dir():
+                        raise ConfigError(f"workspace {str(workspace)!r} is not a directory")
+                    self._locks.append((workspace / ".lock", _lock_workspace(workspace)))
+                    self.stores[workspace] = SkillStore(workspace)
+                store = self.stores[workspace]
                 store.view  # read now, so a malformed file fails before any episode
                 if episode.evolve:
                     store.history()
-        self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
+        except BaseException:
+            for path, _fd in self._locks:
+                path.unlink()
+            self.close()
+            raise
+        click.get_current_context().call_on_close(self.close)
+
+    def close(self) -> None:
+        """Release the workspace locks."""
+        for _path, fd in self._locks:
+            os.close(fd)
+        self._locks.clear()
 
     def provider(self):
         return make_provider(self.provider_spec)

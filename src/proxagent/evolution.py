@@ -18,7 +18,9 @@ hand-authored skills; rejections are recorded in an append-only audit log.
 One store serves every episode of a command that uses its workspace: it
 reads ``learned/`` and the tail of ``episodes.jsonl`` once and keeps both
 current as it writes. Reading the workspace creates nothing; a write makes
-the directories it needs only when it finds them missing.
+the directories it needs only when it finds them missing. The command-line
+writers hold ``<workspace>/.lock`` (``cli.Setup``), so one command at a
+time writes a workspace.
 """
 
 from __future__ import annotations

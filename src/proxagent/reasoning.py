@@ -107,17 +107,44 @@ def _lines(text) -> list[str]:
     return [line.strip() for line in text.splitlines()]
 
 
+# Args nest at most this many containers deep, the args object counted, so
+# that parsing, checking, carrying and encoding them need the same stack on
+# every call path.
+MAX_ARGS_DEPTH = 100
+# a JSON string (brackets inside it do not nest) or a bracket
+_JSON_STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{}]')
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nests_too_deeply(text: str) -> bool:
+    """Whether JSON ``text`` opens more than ``MAX_ARGS_DEPTH`` containers
+    inside one another, told without recursing."""
+    # each level takes an opening bracket, so most text is cleared unscanned
+    if len(text) <= MAX_ARGS_DEPTH or text.count("[") + text.count("{") <= MAX_ARGS_DEPTH:
+        return False
+    depth = 0
+    for token in _JSON_STRING_OR_BRACKET.findall(text):
+        depth += _NESTING.get(token, 0)
+        if depth > MAX_ARGS_DEPTH:
+            return True
+    return False
+
+
 def _parse_args(match: re.Match, visible: list[ToolDescriptor]) -> dict:
     """The ``args`` of a matched tool line: the tool must be visible, the args
-    JSON, and the JSON must fit the tool's schema."""
+    JSON no deeper than ``MAX_ARGS_DEPTH``, and the JSON must fit the tool's
+    schema."""
     tool_name = match.group("tool")
     for tool in visible:
         if tool.name == tool_name:
             break
     else:
         raise MalformedOutput(f"tool {tool_name!r} not in visible set")
+    text = match.group("args")
+    if _nests_too_deeply(text):
+        raise MalformedOutput("args nest too deeply to parse")
     try:
-        args = json.loads(match.group("args"))
+        args = json.loads(text)
     except ValueError as exc:
         raise MalformedOutput(f"args are not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -293,6 +320,19 @@ LATERAL_GAIN_LIMIT = 0.5
 ASSUMED_RADIUS = 0.5
 VISION_RANGE_BIAS = 3.0  # monocular overestimation factor
 NOMINAL_GAIN = 1.0
+
+# the plan's fixed candidates 1 (when candidate 0 is not a forward step) and
+# 2: their text never changes, so it is built once
+_HOLD_POSE_CANDIDATE = (
+    "CANDIDATE 1: "
+    + format_tool_call("set_attitude", {"dyaw": 0.0, "dpitch": 0.0, "droll": 0.0})
+    + " OUTCOME hold pose and reassess RISK Medium"
+)
+_RETREAT_CANDIDATE = (
+    "CANDIDATE 2: "
+    + format_tool_call("set_position", {"dx": -0.5, "dy": 0.0, "dz": 0.0})
+    + " OUTCOME retreat and widen the view RISK High"
+)
 
 
 # one decimal number ("2", "2.", "2.5", ".5"): a period after its fraction,
@@ -518,18 +558,8 @@ class ScriptedProvider(DecisionProvider):
                 "OUTCOME slower but safer progress RISK Medium"
             )
         else:
-            lines.append(
-                "CANDIDATE 1: "
-                + format_tool_call(
-                    "set_attitude", {"dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
-                )
-                + " OUTCOME hold pose and reassess RISK Medium"
-            )
-        lines.append(
-            "CANDIDATE 2: "
-            + format_tool_call("set_position", {"dx": -0.5, "dy": 0.0, "dz": 0.0})
-            + " OUTCOME retreat and widen the view RISK High"
-        )
+            lines.append(_HOLD_POSE_CANDIDATE)
+        lines.append(_RETREAT_CANDIDATE)
         return "\n".join(lines)
 
 

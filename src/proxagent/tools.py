@@ -16,7 +16,9 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
+import itertools
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -236,8 +238,20 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
     return None
 
 
+# An expression holds at most this many tokens (words or other non-blank
+# characters). Each level of its syntax tree takes at least one, so this
+# bounds how deeply it nests before it is parsed, and parsing and evaluating
+# it need the same stack on every call path.
+MAX_EXPRESSION_TOKENS = 256
+_EXPRESSION_TOKEN = re.compile(r"\w+|\S")
+
+
 def safe_eval(expression: str) -> float:
     """Arithmetic-only expression evaluator: numbers, + - * /, parens, unary minus."""
+    if len(expression) > MAX_EXPRESSION_TOKENS:  # else it has too few characters
+        tokens = _EXPRESSION_TOKEN.finditer(expression)
+        if next(itertools.islice(tokens, MAX_EXPRESSION_TOKENS, None), None) is not None:
+            raise ToolError("expression nests too deeply to parse")
     try:
         tree = ast.parse(expression, mode="eval")
     except (SyntaxError, ValueError) as exc:

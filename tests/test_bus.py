@@ -172,6 +172,24 @@ def test_handler_exception_does_not_break_the_bus():
     assert seen == [1]
 
 
+def test_subscriber_changes_during_a_publish_apply_from_the_next_one():
+    backend = bus.InProcessBus()
+    seen, subs = [], {}
+
+    def first(_msg):
+        seen.append("first")
+        subs["first"].cancel()
+        subs["second"].cancel()
+        backend.subscribe(bus.CMD_TERMINATE, lambda m: seen.append("late"))
+
+    subs["first"] = backend.subscribe(bus.CMD_TERMINATE, first)
+    subs["second"] = backend.subscribe(bus.CMD_TERMINATE, lambda m: seen.append("second"))
+    backend.publish(bus.CMD_TERMINATE, {})
+    assert seen == ["first", "second"]
+    backend.publish(bus.CMD_TERMINATE, {})
+    assert seen == ["first", "second", "late"]
+
+
 def test_concurrent_publishers_keep_per_key_ordering():
     backend = bus.InProcessBus()
     seen = []
@@ -395,13 +413,30 @@ _json_values = st.recursive(
 )
 
 
+def fail_inside(dumps, value):
+    """Encode ``value`` with an item JSON cannot carry added to it, so that
+    the encode fails while ``value``'s own containers are open; then take
+    the item out again. A value that is no container fails inside a list."""
+    extra = object()
+    if isinstance(value, list):
+        value.append(extra)
+    elif isinstance(value, dict):
+        value[extra] = extra
+    with pytest.raises((TypeError, ValueError)):
+        dumps(value if isinstance(value, (list, dict)) else [value, extra])
+    if isinstance(value, list):
+        value.pop()
+    elif isinstance(value, dict):
+        del value[extra]
+
+
 @given(_json_values)
 @settings(max_examples=400, deadline=None)
 def test_prebuilt_encoders_match_json_dumps(value):
-    assert outcome(bus.dumps_sorted, value) == outcome(
-        lambda v: json.dumps(v, sort_keys=True), value)
-    assert outcome(bus.dumps_strict, value) == outcome(
-        lambda v: json.dumps(v, sort_keys=True, allow_nan=False), value)
+    for dumps, options in ((bus.dumps_sorted, {}), (bus.dumps_strict, {"allow_nan": False})):
+        fail_inside(dumps, value)  # each encode follows one that failed
+        assert outcome(dumps, value) == outcome(
+            lambda v: json.dumps(v, sort_keys=True, **options), value)
 
 
 def test_prebuilt_encoders_refuse_a_circular_record():
@@ -410,3 +445,100 @@ def test_prebuilt_encoders_refuse_a_circular_record():
     for dumps in (bus.dumps_sorted, bus.dumps_strict):
         with pytest.raises(ValueError, match="Circular reference detected"):
             dumps(record)
+
+
+def _nested_lists(depth):
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+TOO_DEEP_TO_ENCODE = _nested_lists(100_000)
+
+
+@pytest.mark.parametrize("dumps,bad,error", [
+    pytest.param(bus.dumps_strict, float("nan"), ValueError, id="strict-nan"),
+    pytest.param(bus.dumps_sorted, object(), TypeError, id="sorted-object"),
+    pytest.param(bus.dumps_strict, object(), TypeError, id="strict-object"),
+    pytest.param(bus.dumps_sorted, TOO_DEEP_TO_ENCODE, RecursionError, id="sorted-deep"),
+    pytest.param(bus.dumps_strict, TOO_DEEP_TO_ENCODE, RecursionError, id="strict-deep"),
+])
+def test_an_encode_that_failed_leaves_no_stale_markers(dumps, bad, error):
+    record = {"a": bad}
+    with pytest.raises(error):
+        dumps(record)
+    record["a"] = 1.0
+    assert dumps(record) == '{"a": 1.0}'
+
+
+def test_after_a_failed_encode_the_thread_keeps_its_encoder():
+    class Counting(json.JSONEncoder):
+        calls = 0
+
+        def encode(self, o):
+            Counting.calls += 1
+            return super().encode(o)
+
+    dumps = bus._per_thread(Counting(sort_keys=True, allow_nan=False))
+    for bad in (float("nan"), object(), TOO_DEEP_TO_ENCODE):
+        record = {"a": bad}
+        with pytest.raises((ValueError, TypeError, RecursionError)):
+            dumps(record)
+        record["a"] = 1.0
+        assert dumps(record) == '{"a": 1.0}'
+    assert Counting.calls == 0  # no encode found stale markers and took the reference
+
+
+def test_each_thread_encodes_with_its_own_markers():
+    started, release = threading.Event(), threading.Event()
+    waiting = []  # the thread whose encode waits with the value open
+
+    class Slow(dict):
+        def items(self):
+            if threading.current_thread() is waiting[0]:
+                started.set()
+                release.wait(10)
+            return super().items()
+
+    value = Slow(a=[1])
+    results = {}
+
+    def encode(name):
+        results[name] = outcome(bus.dumps_sorted, value)
+
+    first = threading.Thread(target=encode, args=("first",))
+    second = threading.Thread(target=encode, args=("second",))
+    waiting.append(first)
+    first.start()
+    try:
+        assert started.wait(10)
+        second.start()
+        second.join(10)
+        assert not second.is_alive()
+    finally:
+        release.set()
+        first.join(10)
+    assert not first.is_alive()
+    assert results == {"first": ("ok", '{"a": [1]}'), "second": ("ok", '{"a": [1]}')}
+
+
+def test_an_encode_from_inside_an_encode_leaves_the_outer_one_intact():
+    inner = []
+
+    class Noisy(dict):
+        def items(self):
+            inner.append(outcome(bus.dumps_strict, {"x": float("nan")}))
+            inner.append(outcome(bus.dumps_strict, {"y": [1]}))
+            return super().items()
+
+    assert bus.dumps_strict(Noisy(a=[1])) == '{"a": [1]}'
+    refused = outcome(lambda v: json.dumps(v, allow_nan=False), {"x": float("nan")})
+    assert refused[0] is ValueError
+    assert inner == [refused, ("ok", '{"y": [1]}')]
+
+
+def test_without_the_c_encoder_the_reference_encodes(monkeypatch):
+    monkeypatch.setattr(bus, "c_make_encoder", None)
+    reference = json.JSONEncoder(sort_keys=True)
+    assert bus._per_thread(reference) == reference.encode

@@ -1,5 +1,9 @@
+import contextlib
+import fcntl
 import json
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 
@@ -7,6 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from proxagent import cli
 from proxagent.cli import main
 from proxagent.config import ConfigError, dump_config, load_config, parse_config
 from proxagent.env import SimEnv
@@ -259,6 +264,71 @@ def test_malformed_learned_skill_exits_three_before_any_episode(runner, tmp_path
     assert "configuration error: " in result.output
     assert "x.v1.skill" in result.output
     assert sorted(p.name for p in ws.iterdir()) == ["learned"]
+
+
+# -- one writer per workspace --------------------------------------------
+
+_HOLD_LOCK = ("import fcntl, sys; lock = open(sys.argv[1], 'a'); "
+              "fcntl.flock(lock, fcntl.LOCK_EX); print('held', flush=True); sys.stdin.read()")
+
+
+@contextlib.contextmanager
+def lock_held_by_another_process(workspace):
+    """Another process holds ``workspace``'s lock until the block ends."""
+    workspace.mkdir(parents=True, exist_ok=True)
+    with subprocess.Popen([sys.executable, "-c", _HOLD_LOCK, str(workspace / ".lock")],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as holder:
+        assert holder.stdout.readline() == "held\n"
+        yield
+    assert holder.returncode == 0
+
+
+@pytest.mark.parametrize("command", [["run"], ["run", "--evolve"], ["evolve", "--rounds", "1"]])
+def test_a_second_writer_exits_three_and_writes_nothing(runner, tmp_path, command):
+    ws = tmp_path / "ws"
+    command = command + ["--workspace", str(ws)]
+    with lock_held_by_another_process(ws):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 3, result.output
+        assert f"configuration error: workspace {str(ws)!r} is in use" in result.output
+        assert sorted(p.name for p in ws.iterdir()) == [".lock"]
+    result = runner.invoke(main, command)  # the lock is free again
+    assert result.exit_code == 0, result.output
+    assert "episodes.jsonl" in {p.name for p in ws.iterdir()}
+
+
+def test_skills_list_and_audit_take_no_lock(runner, tmp_path):
+    ws = tmp_path / "ws"
+    assert runner.invoke(main, ["evolve", "--rounds", "1", "--workspace", str(ws)]).exit_code == 0
+    with lock_held_by_another_process(ws):
+        for command in (["skills", "list"], ["skills", "audit"]):
+            result = runner.invoke(main, command + ["--workspace", str(ws)])
+            assert result.exit_code == 0, result.output
+
+
+def test_a_writer_holds_the_lock_until_the_command_ends(runner, tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    seen = []
+
+    def try_lock():
+        with open(ws / ".lock", "a", encoding="utf-8") as other:
+            try:
+                fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return "held"
+            return "free"
+
+    run_episode = cli.run_episode
+
+    def checking(*args, **kwargs):
+        seen.append(try_lock())
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", checking)
+    result = runner.invoke(main, ["run", "--workspace", str(ws)])
+    assert result.exit_code == 0, result.output
+    assert seen == ["held"]
+    assert try_lock() == "free"
 
 
 def test_report_recomputes_outcome(runner, tmp_path):

@@ -81,6 +81,51 @@ def test_deeply_nested_args_are_malformed_output(report):
     assert provider.calls == [reasoning.CALL_DECIDE] * 2  # the retry, then the end
 
 
+def _padded(frames, fn):
+    """``fn()`` called ``frames`` frames deeper than here."""
+    return fn() if frames == 0 else _padded(frames - 1, fn)
+
+
+def _nested_args(depth):
+    """A terminate line whose args nest ``depth`` containers deep."""
+    return ('TOOL terminate ARGS {"report": ' + '{"a": ' * (depth - 1) + "1"
+            + "}" * depth)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_args_nest_as_deeply_on_every_call_path(frames):
+    deepest = reasoning.MAX_ARGS_DEPTH
+    call = _padded(frames, lambda: reasoning.parse_tool_call(_nested_args(deepest), VISIBLE))
+    assert call.tool == "terminate"
+    for depth in (deepest + 1, 701):
+        with pytest.raises(reasoning.MalformedOutput, match="args nest too deeply"):
+            _padded(frames, lambda: reasoning.parse_tool_call(_nested_args(depth), VISIBLE))
+    # brackets inside a string, an escaped quote before them included, do not nest
+    for reason in ("[" * 500, '\\"' + "{" * 500):
+        text = 'TOOL terminate ARGS {"reason": "' + reason + '"}'
+        call = _padded(frames, lambda: reasoning.parse_tool_call(text, VISIBLE))
+        assert call.args["reason"] == json.loads('"' + reason + '"')
+
+
+def test_the_plans_fixed_candidates_are_their_args_formatted():
+    hold = {"dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
+    retreat = {"dx": -0.5, "dy": 0.0, "dz": 0.0}
+    assert reasoning._HOLD_POSE_CANDIDATE == (
+        f"CANDIDATE 1: {reasoning.format_tool_call('set_attitude', hold)} "
+        "OUTCOME hold pose and reassess RISK Medium")
+    assert reasoning._RETREAT_CANDIDATE == (
+        f"CANDIDATE 2: {reasoning.format_tool_call('set_position', retreat)} "
+        "OUTCOME retreat and widen the view RISK High")
+    # an inspection plan without its evidence holds pose: both fixed lines
+    plan = reasoning.ScriptedProvider().complete(
+        request(reasoning.CALL_PLAN, task_kind="inspection"))
+    assert plan.splitlines()[1:] == [reasoning._HOLD_POSE_CANDIDATE,
+                                     reasoning._RETREAT_CANDIDATE]
+    candidates = reasoning.parse_candidates(plan, CONTROL)
+    assert [(c.action.tool, c.action.args) for c in candidates[1:]] == [
+        ("set_attitude", hold), ("set_position", retreat)]
+
+
 def test_candidate_grammar():
     text = "\n".join(
         [

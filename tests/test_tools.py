@@ -179,6 +179,29 @@ def test_a_long_operator_chain_is_a_tool_error(links):
         tools.safe_eval("1+" * links + "1")
 
 
+def _padded(frames, fn):
+    """``fn()`` called ``frames`` frames deeper than here."""
+    return fn() if frames == 0 else _padded(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_an_expression_nests_as_deeply_on_every_call_path(frames):
+    limit = tools.MAX_EXPRESSION_TOKENS
+    assert limit % 2 == 0  # the longest chain below has limit - 1 tokens
+    links = limit // 2 - 1
+    for expression, value in [
+        ("1+" * links + "1", links + 1),
+        ("-" * (limit - 1) + "1", -1),
+        ("(" * links + "1" + ")" * links, 1),
+    ]:
+        assert _padded(frames, lambda: tools.safe_eval(expression)) == value
+    for links in (limit // 2, 940):
+        with pytest.raises(tools.ToolError, match="nests too deeply"):
+            _padded(frames, lambda: tools.safe_eval("1+" * links + "1"))
+    # a long literal is one token
+    assert _padded(frames, lambda: tools.safe_eval("1" + "0" * 300 + "+1")) == 10**300 + 1
+
+
 def test_a_long_operator_chain_is_an_expression_error_result(rig):
     dispatcher, _, _ = rig
     result = dispatcher.dispatch(call("eval_expr", expression="1+" * 3000 + "1"))

@@ -4,7 +4,8 @@ A fixed naming contract defines every channel the agent and the environment
 may use, so the decision loop never branches on which backend it is talking
 to. Sensor keys carry upstream data (environment -> agent), command keys
 carry downstream data (agent -> environment). A payload is a record (a
-dict) that fits the key's schema and holds only values JSON can carry.
+dict) that fits the key's schema and holds only values JSON can carry,
+nested at most ``MAX_JSON_DEPTH`` containers deep.
 
 Ships an in-process backend (thread-safe, per-key FIFO, at-most-once
 delivery), which carries validated records and never serializes them, plus
@@ -44,12 +45,11 @@ class BackendUnavailable(BusError):
 # Contract keys. Sensor keys are upstream-only, command keys downstream-only.
 SENSOR_RGB = "sensor/rgb/latest"
 SENSOR_LIDAR = "sensor/lidar/latest"
-SENSOR_RGB_NOTIFY = "sensor/rgb/notify"
 CMD_POSE_DELTA = "cmd/pose_delta"
 CMD_EXPOSURE = "cmd/exposure"
 CMD_TERMINATE = "cmd/terminate"
 
-SENSOR_KEYS = (SENSOR_RGB, SENSOR_LIDAR, SENSOR_RGB_NOTIFY)
+SENSOR_KEYS = (SENSOR_RGB, SENSOR_LIDAR)
 COMMAND_KEYS = (CMD_POSE_DELTA, CMD_EXPOSURE, CMD_TERMINATE)
 CONTRACT_KEYS = SENSOR_KEYS + COMMAND_KEYS
 _CONTRACT_KEY_SET = frozenset(CONTRACT_KEYS)
@@ -72,7 +72,6 @@ CHANNEL_SCHEMAS: dict[str, dict[str, tuple]] = {
         "true_range": _NUMBER,
     },
     SENSOR_LIDAR: {"range_m": _NUMBER + (type(None),)},
-    SENSOR_RGB_NOTIFY: {"seq": (int,)},
     CMD_POSE_DELTA: {
         "dx": _NUMBER,
         "dy": _NUMBER,
@@ -102,11 +101,21 @@ def is_finite_number(value) -> bool:
 
 _PLAIN = frozenset({str, bool, type(None)})
 
+# Every JSON value the program takes in (a tool's args, a bus record) nests
+# at most this many containers deep, the outermost counted, so that checking,
+# carrying and encoding it need the same stack on every call path.
+MAX_JSON_DEPTH = 100
+TOO_DEEP = f"nests more than {MAX_JSON_DEPTH} containers deep"
 
-def json_copy(value, where: str):
+
+def json_copy(value, where: str, depth: int = 1):
     """A private copy of ``value``, which must be JSON-native: a dict with
     string keys, a list, a string, a finite number in float range, a bool or
-    None, at any depth. Anything else raises SchemaViolation naming ``where``."""
+    None, its containers no more than ``MAX_JSON_DEPTH`` deep, ``value``
+    itself at ``depth``. Anything else raises SchemaViolation naming
+    ``where``."""
+    if depth > MAX_JSON_DEPTH and isinstance(value, (dict, list)):
+        raise SchemaViolation(f"{where}: {TOO_DEEP}")
     if isinstance(value, dict):
         record = {}
         for name, item in value.items():
@@ -121,11 +130,11 @@ def json_copy(value, where: str):
                 if not is_finite_number(item):
                     raise SchemaViolation(f"{where}.{name}: not a finite number in float range")
             elif kind not in _PLAIN:
-                item = json_copy(item, f"{where}.{name}")
+                item = json_copy(item, f"{where}.{name}", depth + 1)
             record[name] = item
         return record
     if isinstance(value, list):
-        return [json_copy(item, f"{where}[{i}]") for i, item in enumerate(value)]
+        return [json_copy(item, f"{where}[{i}]", depth + 1) for i, item in enumerate(value)]
     if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, _NUMBER):
@@ -344,6 +353,8 @@ class RedisBusAdapter(BusBackend):
             record = json.loads(text)
         except (ValueError, TypeError, KeyError) as exc:
             raise SchemaViolation(f"envelope for {key} is malformed: {exc!r}") from exc
+        except RecursionError:
+            raise SchemaViolation(f"envelope for {key}: {TOO_DEEP}") from None
         if type(seq) is not int or type(timestamp) is not int:
             raise SchemaViolation(f"envelope for {key}: seq and timestamp must be integers")
         return BusMessage(key, validate_payload(key, record), seq, timestamp)

@@ -51,27 +51,19 @@ def _config_errors():
 
 def _lock_workspace(workspace: Path) -> int:
     """A descriptor holding the exclusive ``flock`` of ``<workspace>/.lock``,
-    which is made, with the workspace, if missing. A lock another process
-    holds is a configuration error: a workspace has one writer at a time."""
-    path = workspace / ".lock"
+    which is made, with the workspace, if missing, and never removed. A lock
+    another process holds is a configuration error: a workspace has one
+    writer at a time."""
     workspace.mkdir(parents=True, exist_ok=True)
-    while True:
-        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError as exc:
-            os.close(fd)
-            if isinstance(exc, BlockingIOError):
-                raise ConfigError(f"workspace {str(workspace)!r} is in use") from None
-            raise
-        try:
-            if os.stat(path).st_ino == os.fstat(fd).st_ino:
-                return fd
-        except FileNotFoundError:
-            pass
-        # the file was removed by a setup that failed (Setup.__init__) after
-        # this one opened it: lock the file the path names now
+    fd = os.open(workspace / ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
         os.close(fd)
+        if isinstance(exc, BlockingIOError):
+            raise ConfigError(f"workspace {str(workspace)!r} is in use") from None
+        raise
+    return fd
 
 
 class Setup:
@@ -87,8 +79,7 @@ class Setup:
     learned skills (and, if the episode evolves, history) read cleanly.
 
     The command holds each of its workspaces' locks until it ends, so a
-    second writer exits 3 before any episode. A setup that fails after
-    taking a lock removes that lock file."""
+    second writer exits 3 before any episode."""
 
     def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
@@ -106,7 +97,7 @@ class Setup:
             self.skill_catalog.mode_skills(episode.mode)
         self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
         self.stores: dict[Path, SkillStore] = {}
-        self._locks: list[tuple[Path, int]] = []
+        self._locks: list[int] = []
         try:
             for episode in episodes:
                 workspace = episode.workspace
@@ -115,22 +106,20 @@ class Setup:
                 if workspace not in self.stores:
                     if workspace.exists() and not workspace.is_dir():
                         raise ConfigError(f"workspace {str(workspace)!r} is not a directory")
-                    self._locks.append((workspace / ".lock", _lock_workspace(workspace)))
+                    self._locks.append(_lock_workspace(workspace))
                     self.stores[workspace] = SkillStore(workspace)
                 store = self.stores[workspace]
                 store.view  # read now, so a malformed file fails before any episode
                 if episode.evolve:
                     store.history()
         except BaseException:
-            for path, _fd in self._locks:
-                path.unlink()
             self.close()
             raise
         click.get_current_context().call_on_close(self.close)
 
     def close(self) -> None:
         """Release the workspace locks."""
-        for _path, fd in self._locks:
+        for fd in self._locks:
             os.close(fd)
         self._locks.clear()
 

@@ -473,8 +473,7 @@ class EnvBridge:
 
     def _publish(self, obs: Observation) -> None:
         self.backend.publish(busmod.SENSOR_LIDAR, obs.lidar_payload())
-        seq = self.backend.publish(busmod.SENSOR_RGB, obs.rgb_payload())
-        self.backend.publish(busmod.SENSOR_RGB_NOTIFY, {"seq": seq})
+        self.backend.publish(busmod.SENSOR_RGB, obs.rgb_payload())
 
     def _apply(self, command, argument) -> None:
         """Apply one command and publish the observation after it. A command

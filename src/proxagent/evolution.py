@@ -352,6 +352,9 @@ class SkillStore:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise EvolutionError(f"{path} line {number}: not JSON ({exc.msg})") from None
+            except RecursionError:
+                raise EvolutionError(f"{path} line {number}: not JSON "
+                                     "(nests too deeply)") from None
             if not isinstance(record, dict):
                 raise EvolutionError(f"{path} line {number}: not a JSON object")
             records.append((number, record))

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import dumps_sorted, is_finite_number
+from .bus import TOO_DEEP, dumps_sorted, is_finite_number
 from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
 from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
                     ToolDescriptor, validate_args)
@@ -107,48 +107,22 @@ def _lines(text) -> list[str]:
     return [line.strip() for line in text.splitlines()]
 
 
-# Args nest at most this many containers deep, the args object counted, so
-# that parsing, checking, carrying and encoding them need the same stack on
-# every call path.
-MAX_ARGS_DEPTH = 100
-# a JSON string (brackets inside it do not nest) or a bracket
-_JSON_STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{}]')
-_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
-
-
-def _nests_too_deeply(text: str) -> bool:
-    """Whether JSON ``text`` opens more than ``MAX_ARGS_DEPTH`` containers
-    inside one another, told without recursing."""
-    # each level takes an opening bracket, so most text is cleared unscanned
-    if len(text) <= MAX_ARGS_DEPTH or text.count("[") + text.count("{") <= MAX_ARGS_DEPTH:
-        return False
-    depth = 0
-    for token in _JSON_STRING_OR_BRACKET.findall(text):
-        depth += _NESTING.get(token, 0)
-        if depth > MAX_ARGS_DEPTH:
-            return True
-    return False
-
-
 def _parse_args(match: re.Match, visible: list[ToolDescriptor]) -> dict:
-    """The ``args`` of a matched tool line: the tool must be visible, the args
-    JSON no deeper than ``MAX_ARGS_DEPTH``, and the JSON must fit the tool's
-    schema."""
+    """The ``args`` of a matched tool line: the tool must be visible, and the
+    args must be JSON that fits the tool's schema (``validate_args``, which
+    also bounds their depth)."""
     tool_name = match.group("tool")
     for tool in visible:
         if tool.name == tool_name:
             break
     else:
         raise MalformedOutput(f"tool {tool_name!r} not in visible set")
-    text = match.group("args")
-    if _nests_too_deeply(text):
-        raise MalformedOutput("args nest too deeply to parse")
     try:
-        args = json.loads(text)
+        args = json.loads(match.group("args"))
     except ValueError as exc:
         raise MalformedOutput(f"args are not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedOutput("args nest too deeply to parse") from exc
+    except RecursionError:
+        raise MalformedOutput(f"args: {TOO_DEEP}") from None
     problem = validate_args(tool, args)
     if problem is not None:
         raise MalformedOutput(problem)

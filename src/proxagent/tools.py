@@ -229,12 +229,10 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
         elif expected == "object":
             if not isinstance(value, dict):
                 return f"arg {pname!r} must be an object"
-            try:  # the object travels on the bus: JSON-native at any depth
-                busmod.json_copy(value, pname)
+            try:  # the object travels on the bus: JSON-native, inside the args object
+                busmod.json_copy(value, pname, depth=2)
             except busmod.SchemaViolation as exc:
                 return f"arg {exc}"
-            except RecursionError:
-                return f"arg {pname!r} nests too deeply"
     return None
 
 

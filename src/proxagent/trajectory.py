@@ -106,6 +106,9 @@ class Trajectory:
                         traj.steps.append(_step_record(data))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path} line {number}: not JSON ({exc.msg})") from None
+                except RecursionError:
+                    raise ValueError(f"{path} line {number}: not JSON "
+                                     "(nests too deeply)") from None
                 except (TypeError, AttributeError) as exc:
                     raise ValueError(f"{path} line {number}: not a trajectory record "
                                      f"({exc})") from None

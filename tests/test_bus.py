@@ -14,10 +14,11 @@ from proxagent import bus
 def test_contract_keys_are_fixed():
     assert bus.SENSOR_RGB == "sensor/rgb/latest"
     assert bus.SENSOR_LIDAR == "sensor/lidar/latest"
-    assert bus.SENSOR_RGB_NOTIFY == "sensor/rgb/notify"
     assert bus.CMD_POSE_DELTA == "cmd/pose_delta"
     assert bus.CMD_EXPOSURE == "cmd/exposure"
     assert bus.CMD_TERMINATE == "cmd/terminate"
+    assert bus.CONTRACT_KEYS == (bus.SENSOR_RGB, bus.SENSOR_LIDAR, bus.CMD_POSE_DELTA,
+                                 bus.CMD_EXPOSURE, bus.CMD_TERMINATE)
 
 
 def rgb_payload(**over):
@@ -105,6 +106,27 @@ def test_published_record_is_copied_not_shared():
         "reason": "done", "report": {"parts": ["solar array"]}}
 
 
+def _nested_report_record(depth):
+    """A cmd/terminate record whose containers nest ``depth`` deep, itself
+    counted."""
+    record = {"a": 1}
+    for _ in range(depth - 1):
+        record = {"report": record}
+    return record
+
+
+def test_a_record_nests_at_most_max_json_depth_deep():
+    backend = bus.InProcessBus()
+    deepest = bus.MAX_JSON_DEPTH
+    for record in (_nested_report_record(deepest), {"report": _nested_lists(deepest - 2)}):
+        backend.publish(bus.CMD_TERMINATE, record)
+        assert backend.get_latest(bus.CMD_TERMINATE).record() == record
+    for record in (_nested_report_record(deepest + 1), {"report": _nested_lists(deepest - 1)}):
+        with pytest.raises(bus.SchemaViolation, match="nests more than 100 containers deep"):
+            backend.publish(bus.CMD_TERMINATE, record)
+    assert backend.get_latest(bus.CMD_TERMINATE).seq == 2
+
+
 def test_lidar_payload_allows_null_range():
     backend = bus.InProcessBus()
     backend.publish(bus.SENSOR_LIDAR, {"range_m": None})
@@ -134,11 +156,11 @@ def test_record_returns_a_private_copy():
 def test_per_key_fifo_and_seq():
     backend = bus.InProcessBus()
     seen = []
-    backend.subscribe(bus.SENSOR_RGB_NOTIFY, lambda m: seen.append(m.record()["seq"]))
+    backend.subscribe(bus.SENSOR_LIDAR, lambda m: seen.append(m.record()["range_m"]))
     for i in range(5):
-        backend.publish(bus.SENSOR_RGB_NOTIFY, {"seq": i})
+        backend.publish(bus.SENSOR_LIDAR, {"range_m": i})
     assert seen == [0, 1, 2, 3, 4]
-    assert backend.get_latest(bus.SENSOR_RGB_NOTIFY).seq == 5
+    assert backend.get_latest(bus.SENSOR_LIDAR).seq == 5
 
 
 def test_at_most_once_delivery_per_subscriber():
@@ -193,11 +215,11 @@ def test_subscriber_changes_during_a_publish_apply_from_the_next_one():
 def test_concurrent_publishers_keep_per_key_ordering():
     backend = bus.InProcessBus()
     seen = []
-    backend.subscribe(bus.SENSOR_RGB_NOTIFY, lambda m: seen.append(m.seq))
+    backend.subscribe(bus.SENSOR_LIDAR, lambda m: seen.append(m.seq))
 
     def worker():
         for _ in range(50):
-            backend.publish(bus.SENSOR_RGB_NOTIFY, {"seq": 0})
+            backend.publish(bus.SENSOR_LIDAR, {"range_m": 0.0})
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -381,8 +403,9 @@ def test_subclasses_pass_the_schema_and_bools_do_not():
     assert bus.validate_payload(bus.CMD_POSE_DELTA, delta) == delta
     with pytest.raises(bus.SchemaViolation, match="dx: not a finite number"):
         bus.validate_payload(bus.CMD_POSE_DELTA, {**delta, "dx": Level.HIGH})
-    with pytest.raises(bus.SchemaViolation, match=r"seq: expected \(<class 'int'>,\), got bool"):
-        bus.validate_payload(bus.SENSOR_RGB_NOTIFY, {"seq": True})
+    with pytest.raises(bus.SchemaViolation,
+                       match=r"step_index: expected \(<class 'int'>,\), got bool"):
+        bus.validate_payload(bus.SENSOR_RGB, rgb_payload(step_index=True))
 
 
 def test_bus_message_is_immutable():

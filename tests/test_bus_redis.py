@@ -197,14 +197,24 @@ def test_foreign_malformed_payload_raises_on_read(server, raw):
 def test_foreign_malformed_message_reaches_no_subscriber(server):
     backend = bus.RedisBusAdapter()
     seen = []
-    sub = backend.subscribe(bus.SENSOR_RGB_NOTIFY, lambda m: seen.append(m.record()))
+    sub = backend.subscribe(bus.SENSOR_LIDAR, lambda m: seen.append(m.record()))
     foreign = FakeRedis(server)
-    foreign.publish("proxagent:" + bus.SENSOR_RGB_NOTIFY, _envelope(json.dumps({"seq": "x"})))
-    backend.publish(bus.SENSOR_RGB_NOTIFY, {"seq": 7})
+    foreign.publish("proxagent:" + bus.SENSOR_LIDAR, _envelope(json.dumps({"range_m": "x"})))
+    backend.publish(bus.SENSOR_LIDAR, {"range_m": 7})
     assert wait_for(lambda: seen)
     time.sleep(0.02)
-    assert seen == [{"seq": 7}]
+    assert seen == [{"range_m": 7}]
     sub.cancel()
+
+
+@pytest.mark.parametrize("depth", [bus.MAX_JSON_DEPTH + 1, 5000])
+def test_a_foreign_record_nested_too_deeply_raises_on_read(server, depth):
+    backend = bus.RedisBusAdapter()
+    lists = "[" * (depth - 1) + "]" * (depth - 1)  # inside the record, one container
+    record = json.dumps(rgb_record())[:-1] + ', "extra": ' + lists + "}"
+    server.values["proxagent:" + bus.SENSOR_RGB] = _envelope(record).encode()
+    with pytest.raises(bus.SchemaViolation, match="nests more than 100 containers deep"):
+        backend.get_latest(bus.SENSOR_RGB)
 
 
 def test_episode_over_redis_matches_in_process(server, tmp_path):

@@ -226,7 +226,21 @@ def test_malformed_history_exits_three_before_any_episode(runner, tmp_path, comm
     result = runner.invoke(main, command + ["--workspace", str(ws)])
     assert result.exit_code == 3, result.output
     assert f"configuration error: {ws / 'episodes.jsonl'} line 1: " in result.output
-    assert sorted(p.name for p in ws.iterdir()) == ["episodes.jsonl"]
+    assert sorted(p.name for p in ws.iterdir()) == [".lock", "episodes.jsonl"]
+
+
+_TOO_DEEP_LINE = "[" * 100_000 + "]" * 100_000  # beyond what json.loads can recurse
+
+
+@pytest.mark.parametrize("command", [["run", "--evolve"], ["evolve", "--rounds", "1"]])
+def test_a_history_line_nested_too_deeply_is_named(runner, tmp_path, command):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "episodes.jsonl").write_text(_TOO_DEEP_LINE + "\n", encoding="utf-8")
+    result = runner.invoke(main, command + ["--workspace", str(ws)])
+    assert result.exit_code == 3, result.output
+    assert (f"configuration error: {ws / 'episodes.jsonl'} line 1: not JSON "
+            "(nests too deeply)") in result.output
 
 
 def malformed_learned_workspace(tmp_path):
@@ -263,7 +277,7 @@ def test_malformed_learned_skill_exits_three_before_any_episode(runner, tmp_path
     assert result.exit_code == 3, result.output
     assert "configuration error: " in result.output
     assert "x.v1.skill" in result.output
-    assert sorted(p.name for p in ws.iterdir()) == ["learned"]
+    assert sorted(p.name for p in ws.iterdir()) == [".lock", "learned"]
 
 
 # -- one writer per workspace --------------------------------------------
@@ -365,6 +379,7 @@ _STEP = '"step": 0, "observation": {}, "call": {"tool": "x", "args": {}}, "resul
     ("{" + _STEP + ', "inner": {}}', "line 2: not a trajectory record (inner must be list"),
     ("{" + _STEP + ', "memory_hash": 7}',
      "line 2: not a trajectory record (memory_hash must be str, got 7)"),
+    pytest.param(_TOO_DEEP_LINE, "line 2: not JSON (nests too deeply)", id="nests-too-deeply"),
 ])
 def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line, problem):
     traj = tmp_path / "t.jsonl"

@@ -7,7 +7,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import reasoning
+from proxagent import bus, reasoning
 from proxagent.env import make_task
 from proxagent.runner import EpisodeConfig, run_episode
 from proxagent.tools import builtin_catalog, builtin_profiles, visible_tools
@@ -94,11 +94,12 @@ def _nested_args(depth):
 
 @pytest.mark.parametrize("frames", [0, 300])
 def test_args_nest_as_deeply_on_every_call_path(frames):
-    deepest = reasoning.MAX_ARGS_DEPTH
+    deepest = bus.MAX_JSON_DEPTH
     call = _padded(frames, lambda: reasoning.parse_tool_call(_nested_args(deepest), VISIBLE))
     assert call.tool == "terminate"
-    for depth in (deepest + 1, 701):
-        with pytest.raises(reasoning.MalformedOutput, match="args nest too deeply"):
+    for depth in (deepest + 1, 701, 5000):
+        with pytest.raises(reasoning.MalformedOutput,
+                           match="nests more than 100 containers deep"):
             _padded(frames, lambda: reasoning.parse_tool_call(_nested_args(depth), VISIBLE))
     # brackets inside a string, an escaped quote before them included, do not nest
     for reason in ("[" * 500, '\\"' + "{" * 500):

@@ -379,6 +379,33 @@ def test_kb_lookup_returns_catalog_facts(rig, satellites):
     assert missing.error_kind == tools.ERR_INVALID_ARGS
 
 
+def _report(depth):
+    """A report whose containers nest ``depth`` deep, itself counted."""
+    report = {"a": 1}
+    for _ in range(depth - 1):
+        report = {"a": report}
+    return report
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_args_are_checked_for_depth_alike_on_every_call_path(rig, frames):
+    dispatcher, bridge, backend = rig
+    terminate = tools.builtin_catalog().get("terminate")
+    deepest = bus.MAX_JSON_DEPTH - 1  # the args object is one container
+    assert _padded(frames, lambda: tools.validate_args(
+        terminate, {"report": _report(deepest)})) is None
+    for depth in (deepest + 1, 700):
+        args = {"report": _report(depth)}
+        problem = _padded(frames, lambda: tools.validate_args(terminate, args))
+        assert problem.startswith("arg report.a")
+        assert problem.endswith(": nests more than 100 containers deep")
+        result = _padded(frames, lambda: dispatcher.dispatch(call("terminate", **args)))
+        assert result.error_kind == tools.ERR_INVALID_ARGS
+        assert result.payload == {"detail": problem}
+    assert not bridge.terminated
+    assert backend.get_latest(bus.CMD_TERMINATE) is None
+
+
 def test_terminate_with_a_nested_non_finite_report_is_rejected(rig):
     dispatcher, bridge, backend = rig
     result = dispatcher.dispatch(call("terminate", report={"structure": float("nan")}))

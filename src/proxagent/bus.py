@@ -108,40 +108,81 @@ MAX_JSON_DEPTH = 100
 TOO_DEEP = f"nests more than {MAX_JSON_DEPTH} containers deep"
 
 
+_NOT_FINITE = "not a finite number in float range"
+
+
+class _Refused(Exception):
+    """Why ``json_copy`` refused a value, and the path to it, one segment
+    per container, added as the refusal unwinds, so that a copy that
+    succeeds formats no path. A too-deep value is named by the field of
+    the outermost container that holds it, whatever its depth, which keeps
+    the message short."""
+
+    def __init__(self, reason: str, segment: str = ""):
+        self.reason = reason
+        self.segments = [segment] if segment else []
+
+    def inside(self, segment: str, depth: int) -> None:
+        """The refused value is, or lies inside, the value ``segment``
+        names, which is at ``depth`` (2: a field of the outermost
+        container)."""
+        if self.reason is not TOO_DEEP or depth == 2:
+            self.segments.append(segment)
+
+
 def json_copy(value, where: str, depth: int = 1):
     """A private copy of ``value``, which must be JSON-native: a dict with
     string keys, a list, a string, a finite number in float range, a bool or
     None, its containers no more than ``MAX_JSON_DEPTH`` deep, ``value``
     itself at ``depth``. Anything else raises SchemaViolation naming
-    ``where``."""
+    ``where`` and the path below it."""
+    try:
+        return _copy(value, depth)
+    except _Refused as refused:
+        path = where + "".join(reversed(refused.segments))
+        raise SchemaViolation(f"{path}: {refused.reason}") from None
+
+
+def _copy(value, depth: int):
     if depth > MAX_JSON_DEPTH and isinstance(value, (dict, list)):
-        raise SchemaViolation(f"{where}: {TOO_DEEP}")
+        raise _Refused(TOO_DEEP)
     if isinstance(value, dict):
         record = {}
         for name, item in value.items():
             if not isinstance(name, str):
-                raise SchemaViolation(f"{where}: key {name!r} is not a string")
+                raise _Refused(f"key {name!r} is not a string")
             kind = type(item)
             # the common cases, checked inline
             if kind is float:
                 if not math.isfinite(item):
-                    raise SchemaViolation(f"{where}.{name}: not a finite number in float range")
+                    raise _Refused(_NOT_FINITE, f".{name}")
             elif kind is int:
                 if not is_finite_number(item):
-                    raise SchemaViolation(f"{where}.{name}: not a finite number in float range")
+                    raise _Refused(_NOT_FINITE, f".{name}")
             elif kind not in _PLAIN:
-                item = json_copy(item, f"{where}.{name}", depth + 1)
+                try:
+                    item = _copy(item, depth + 1)
+                except _Refused as refused:
+                    refused.inside(f".{name}", depth + 1)
+                    raise
             record[name] = item
         return record
     if isinstance(value, list):
-        return [json_copy(item, f"{where}[{i}]", depth + 1) for i, item in enumerate(value)]
+        items = []
+        try:
+            for item in value:
+                items.append(_copy(item, depth + 1))
+        except _Refused as refused:
+            refused.inside(f"[{len(items)}]", depth + 1)
+            raise
+        return items
     if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, _NUMBER):
         if not is_finite_number(value):
-            raise SchemaViolation(f"{where}: not a finite number in float range")
+            raise _Refused(_NOT_FINITE)
         return value
-    raise SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
+    raise _Refused(f"{type(value).__name__} cannot be carried as JSON")
 
 
 # CHANNEL_SCHEMAS compiled for validate_payload: per key, one
@@ -218,6 +259,31 @@ def _per_thread(reference: json.JSONEncoder) -> Callable[[object], str]:
 # NaN or Infinity as json.dumps(..., allow_nan=False) does.
 dumps_sorted = _per_thread(json.JSONEncoder(sort_keys=True))
 dumps_strict = _per_thread(json.JSONEncoder(sort_keys=True, allow_nan=False))
+
+
+# json.loads(text) on a str skips leading whitespace, calls this same C
+# scanner and checks that only whitespace follows the value, through three
+# Python frames and two regular-expression matches; for the short, unpadded
+# text the program reads, the scan is most of the work.
+_scan_once = json.JSONDecoder().scan_once
+_trailing_whitespace = json.decoder.WHITESPACE.match
+
+
+def loads(text):
+    """The program's one JSON reader: ``json.loads(text)``, the same value
+    or the same exception with the same message. A str is scanned directly,
+    and its value returned when at most JSON whitespace follows it. Any
+    other input (bytes, a leading blank or BOM, text that is not JSON,
+    extra data) is handed to json.loads, so each error is json.loads' own."""
+    if type(text) is str:
+        try:
+            value, end = _scan_once(text, 0)
+        except StopIteration:
+            pass
+        else:
+            if end == len(text) or _trailing_whitespace(text, end).end() == len(text):
+                return value
+    return json.loads(text)
 
 
 def encode(record: dict) -> bytes:
@@ -348,9 +414,9 @@ class RedisBusAdapter(BusBackend):
     def _message(key: str, envelope: bytes) -> BusMessage:
         """Decode and validate what another publisher may have written."""
         try:
-            data = json.loads(envelope)
+            data = loads(envelope)
             seq, timestamp, text = data["seq"], data["timestamp"], data["payload"]
-            record = json.loads(text)
+            record = loads(text)
         except (ValueError, TypeError, KeyError) as exc:
             raise SchemaViolation(f"envelope for {key} is malformed: {exc!r}") from exc
         except RecursionError:

@@ -163,6 +163,8 @@ def load_config(path) -> RootConfig:
         record = yaml.safe_load(text) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"configuration is not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"configuration {str(path)!r} nests too deeply") from None
     return parse_config(record)
 
 

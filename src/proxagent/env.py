@@ -13,7 +13,6 @@ is always attitude-relative. Brightness follows an exact law:
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 import random
@@ -137,38 +136,92 @@ class Pose:
 
 @dataclass
 class SatelliteModel:
+    """One satellite of the catalog, as ``load_satellite_catalog`` checked it."""
+
     id: str
     position: tuple[float, float, float]
-    bounding_radius: float
+    bounding_radius: float                        # > 0
     parts: list[tuple[str, str]]                  # (part_name, attribute text)
-    ground_truth_report: dict[str, str]           # 5 named dimensions
+    ground_truth_report: dict[str, str]           # REPORT_DIMENSIONS -> text
     base_luminance: float = DEFAULT_BASE_LUMINANCE
 
-    def __post_init__(self) -> None:
-        if self.bounding_radius <= 0:
-            raise EnvError(f"{self.id}: bounding_radius must be > 0")
-        if set(self.ground_truth_report) != set(REPORT_DIMENSIONS):
-            raise EnvError(
-                f"{self.id}: ground_truth_report must have dimensions {REPORT_DIMENSIONS}"
-            )
+
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and busmod.is_finite_number(value)
+
+
+def _is_string_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
+
+
+# The fields of a satellite catalog entry: name -> (check, what the value
+# must be). Each is required but base_luminance, which defaults to
+# DEFAULT_BASE_LUMINANCE; other fields are ignored.
+_CATALOG_FIELDS = {
+    "id": (lambda v: isinstance(v, str), "a string"),
+    "position": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+                 "three finite numbers"),
+    "bounding_radius": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "parts": (lambda v: isinstance(v, list) and all(map(_is_string_pair, v)),
+              "a list of [name, attribute] string pairs"),
+    "ground_truth_report": (
+        lambda v: isinstance(v, dict) and set(v) == set(REPORT_DIMENSIONS)
+        and all(isinstance(text, str) for text in v.values()),
+        f"an object of strings with exactly the keys {', '.join(REPORT_DIMENSIONS)}"),
+    "base_luminance": (_is_number, "a finite number"),
+}
+
+
+def _catalog_entry(entry, where: str) -> SatelliteModel:
+    """The satellite a catalog entry describes; EnvError naming ``where``
+    (the file and the entry) and the field when it describes none."""
+    if not isinstance(entry, dict):
+        raise EnvError(f"{where}: must be an object, got {entry!r:.60}")
+    if isinstance(entry.get("id"), str):
+        where = f"{where} ({entry['id']!r})"
+    entry = {"base_luminance": DEFAULT_BASE_LUMINANCE, **entry}
+    for name, (check, what) in _CATALOG_FIELDS.items():
+        if name not in entry:
+            raise EnvError(f"{where}: missing field {name!r}")
+        if not check(entry[name]):
+            raise EnvError(f"{where}: field {name!r} must be {what}, got {entry[name]!r:.60}")
+    return SatelliteModel(
+        id=entry["id"],
+        position=tuple(entry["position"]),
+        bounding_radius=entry["bounding_radius"],
+        parts=[tuple(p) for p in entry["parts"]],
+        ground_truth_report=entry["ground_truth_report"],
+        base_luminance=entry["base_luminance"],
+    )
 
 
 def load_satellite_catalog(path: Optional[Path] = None) -> dict[str, SatelliteModel]:
-    """Load the satellite catalog; defaults to the shipped one."""
+    """Load the satellite catalog, a JSON array of entries; defaults to the
+    shipped one. A file that is not such an array is an EnvError naming it,
+    and an entry that describes no satellite one naming the file, the entry
+    (its index and id) and the field."""
     if path is None:
-        text = resources.files("proxagent.data").joinpath("satellites.json").read_text()
+        source = resources.files("proxagent.data").joinpath("satellites.json")
+        text = source.read_text()
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        source = Path(path)
+        text = source.read_text(encoding="utf-8")
+    name = f"satellite catalog {str(source)!r}"
+    try:
+        entries = busmod.loads(text)
+    except ValueError as exc:
+        raise EnvError(f"{name}: not JSON ({exc})") from None
+    except RecursionError:
+        raise EnvError(f"{name}: not JSON (nests too deeply)") from None
+    if not isinstance(entries, list):
+        raise EnvError(f"{name}: must be a JSON array of entries")
     catalog = {}
-    for entry in json.loads(text):
-        model = SatelliteModel(
-            id=entry["id"],
-            position=tuple(entry["position"]),
-            bounding_radius=entry["bounding_radius"],
-            parts=[tuple(p) for p in entry["parts"]],
-            ground_truth_report=entry["ground_truth_report"],
-            base_luminance=entry.get("base_luminance", DEFAULT_BASE_LUMINANCE),
-        )
+    for index, entry in enumerate(entries):
+        where = f"{name} entry {index}"
+        model = _catalog_entry(entry, where)
+        if model.id in catalog:
+            raise EnvError(f"{where}: field 'id' repeats an earlier entry's, {model.id!r}")
         catalog[model.id] = model
     return catalog
 

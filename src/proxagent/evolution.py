@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .bus import dumps_sorted
+from .bus import dumps_sorted, loads
 from .env import MAX_STEP_TRANSLATION
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
@@ -349,7 +349,7 @@ class SkillStore:
         records = []
         for number, line in lines:
             try:
-                record = json.loads(line)
+                record = loads(line)
             except json.JSONDecodeError as exc:
                 raise EvolutionError(f"{path} line {number}: not JSON ({exc.msg})") from None
             except RecursionError:

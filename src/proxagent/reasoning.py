@@ -16,13 +16,12 @@ malformed plans).
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import TOO_DEEP, dumps_sorted, is_finite_number
+from .bus import TOO_DEEP, dumps_sorted, is_finite_number, loads
 from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
 from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
                     ToolDescriptor, validate_args)
@@ -118,7 +117,7 @@ def _parse_args(match: re.Match, visible: list[ToolDescriptor]) -> dict:
     else:
         raise MalformedOutput(f"tool {tool_name!r} not in visible set")
     try:
-        args = json.loads(match.group("args"))
+        args = loads(match.group("args"))
     except ValueError as exc:
         raise MalformedOutput(f"args are not valid JSON: {exc}") from exc
     except RecursionError:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Optional, get_type_hints
 
-from .bus import dumps_strict
+from .bus import dumps_strict, loads
 
 ENDED_TERMINATE = "terminate"
 ENDED_TIMEOUT = "timeout"
@@ -95,7 +95,7 @@ class Trajectory:
                 if not line:
                     continue
                 try:
-                    data = json.loads(line)
+                    data = loads(line)
                     if "header" in data:
                         traj.meta = {
                             k: v for k, v in data["header"].items() if k != "schema_version"

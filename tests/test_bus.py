@@ -565,3 +565,62 @@ def test_without_the_c_encoder_the_reference_encodes(monkeypatch):
     monkeypatch.setattr(bus, "c_make_encoder", None)
     reference = json.JSONEncoder(sort_keys=True)
     assert bus._per_thread(reference) == reference.encode
+
+
+# -- the one JSON reader against the stdlib ------------------------------
+
+def read_outcome(loads, text):
+    """What ``loads(text)`` gives: the value's repr (NaN and -0.0 compare
+    by their text), or the exception's type and message."""
+    result = outcome(loads, text)
+    return ("ok", repr(result[1])) if result[0] == "ok" else result
+
+
+def assert_reads_as_json_loads(text):
+    assert read_outcome(bus.loads, text) == read_outcome(json.loads, text)
+
+
+_json_blank = st.text(alphabet=" \t\n\r\x0c\x0b\xa0\ufeff", max_size=3)
+
+
+@given(st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet='{}[]":,.-+0123456789eEtrufalsnNI \t\n\r\\\x0c\ufeff', max_size=16),
+))
+@settings(max_examples=1000, deadline=None)
+def test_loads_reads_any_text_as_json_loads_does(text):
+    assert_reads_as_json_loads(text)
+    assert_reads_as_json_loads(text.encode("utf-8", "surrogatepass"))
+
+
+@given(_json_values, _json_blank, _json_blank, st.sampled_from(["", "x", "{}", " 1"]))
+@settings(max_examples=400, deadline=None)
+def test_loads_reads_padded_json_as_json_loads_does(value, before, after, extra):
+    text = before + json.dumps(value) + after
+    for case in (text, text + extra, text.encode(), bytearray(text.encode("utf-16"))):
+        assert_reads_as_json_loads(case)
+
+
+@pytest.mark.parametrize("text", [
+    '{"dx": 1.0, "dy": 0}', '{"dx": 1.0} \n\t\r', " [1]", "\ufeff[1]", "[1] [2]", "[1]\x0c",
+    "NaN", "[Infinity, -Infinity]", "1e999", "-0.0", "", "  ", '"\\q"', '"\ud800"',
+    "[" * 5000 + "]" * 5000, "1" * 5000,
+    b'{"a": 1}', b"\xef\xbb\xbf[1]", '[1] '.encode("utf-16"), bytearray(b"[1]"), 7, None,
+], ids=lambda text: repr(text)[:24])
+def test_loads_reads_edge_cases_as_json_loads_does(text):
+    assert_reads_as_json_loads(text)
+
+
+def test_a_too_deep_value_is_named_by_its_top_level_field():
+    for depth in (bus.MAX_JSON_DEPTH, 700, 5000):
+        for deep in (_nested_report_record(depth), _nested_lists(depth)):
+            with pytest.raises(bus.SchemaViolation) as refused:
+                bus.validate_payload(bus.CMD_TERMINATE, {"report": deep})
+            assert str(refused.value) == "cmd/terminate.report: nests more than 100 containers deep"
+    with pytest.raises(bus.SchemaViolation) as refused:
+        bus.validate_payload(bus.CMD_TERMINATE, {"report": [0, [1, {"b": 2}, [_nested_lists(700)]]]})
+    assert str(refused.value) == "cmd/terminate.report: nests more than 100 containers deep"
+    # every other refusal keeps the whole path to the refused value
+    with pytest.raises(bus.SchemaViolation) as refused:
+        bus.validate_payload(bus.CMD_TERMINATE, {"report": [0, [1, {"b": float("nan")}]]})
+    assert str(refused.value) == "cmd/terminate.report[1][1].b: not a finite number in float range"

@@ -194,6 +194,40 @@ def test_foreign_malformed_payload_raises_on_read(server, raw):
         backend.get_latest(bus.SENSOR_RGB)
 
 
+_RGB_TEXT = json.dumps(rgb_record())
+_MALFORMED = "envelope for sensor/rgb/latest is malformed: "
+
+
+@pytest.mark.parametrize("raw,verdict", [
+    ((_envelope(_RGB_TEXT) + " \n\t\r").encode(), None),
+    (("  " + _envelope(_RGB_TEXT)).encode(), None),
+    ("\ufeff".encode() + _envelope(_RGB_TEXT).encode(), None),  # bytes: utf-8-sig
+    ((_envelope(_RGB_TEXT) + " {}").encode(),
+     _MALFORMED + "JSONDecodeError('Extra data: line 1 column 242 (char 241)')"),
+    (_envelope(_RGB_TEXT + " \n").encode(), None),
+    (_envelope(" " + _RGB_TEXT).encode(), None),
+    (_envelope(_RGB_TEXT + "x").encode(),
+     _MALFORMED + "JSONDecodeError('Extra data: line 1 column 182 (char 181)')"),
+    (_envelope(_RGB_TEXT + "\x0c").encode(),
+     _MALFORMED + "JSONDecodeError('Extra data: line 1 column 182 (char 181)')"),
+    (_envelope("\ufeff" + _RGB_TEXT).encode(), _MALFORMED + "JSONDecodeError("
+     "'Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)')"),
+], ids=[
+    "envelope-trailing-blanks", "envelope-leading-blanks", "envelope-bom", "envelope-extra-data",
+    "payload-trailing-blanks", "payload-leading-blank", "payload-extra-data",
+    "payload-form-feed", "payload-bom",
+])
+def test_padded_envelopes_and_payloads_read_as_json_reads_them(server, raw, verdict):
+    backend = bus.RedisBusAdapter()
+    server.values["proxagent:" + bus.SENSOR_RGB] = raw
+    if verdict is None:
+        assert backend.get_latest(bus.SENSOR_RGB).record() == rgb_record()
+    else:
+        with pytest.raises(bus.SchemaViolation) as refused:
+            backend.get_latest(bus.SENSOR_RGB)
+        assert str(refused.value) == verdict
+
+
 def test_foreign_malformed_message_reaches_no_subscriber(server):
     backend = bus.RedisBusAdapter()
     seen = []

@@ -639,3 +639,28 @@ def test_an_omitted_flag_leaves_the_config_file_in_force(runner, tmp_path, monke
     result = runner.invoke(main, command + flags + ["--config", config])
     assert result.exit_code == 0, result.output
     assert started == runs
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--runs", "1"]])
+def test_a_config_file_nested_too_deeply_is_named(runner, tmp_path, command):
+    config = _config(tmp_path, "run: " + "[" * 5000 + "]" * 5000 + "\n")
+    result = runner.invoke(main, command + ["--config", config])
+    assert result.exit_code == 3, result.output
+    assert f"configuration {config!r} nests too deeply" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--runs", "1"], ["ablate"], ["evolve", "--rounds", "1"],
+])
+def test_a_bad_satellite_catalog_exits_three_naming_the_entry(runner, tmp_path, command):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"id": "X", "position": [0, 0, 0], "parts": [],
+                                    "ground_truth_report": {}}]))
+    config = _config(tmp_path, f"satellite_catalog: {catalog}\n")
+    if command[0] == "evolve":
+        command = command + ["--workspace", str(tmp_path / "ws")]
+    result = runner.invoke(main, command + ["--config", config])
+    assert result.exit_code == 3, result.output
+    assert (f"satellite catalog {str(catalog)!r} entry 0 ('X'): "
+            "missing field 'bounding_radius'") in result.output
+    assert not (tmp_path / "ws").exists()

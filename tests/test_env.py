@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -328,3 +330,66 @@ def test_bridge_ignores_commands_after_terminate(satellites):
     )
     assert backend.get_latest(bus.SENSOR_RGB).seq == seq
     bridge.close()
+
+
+# -- the satellite catalog file -------------------------------------------
+
+def _entry(**over):
+    entry = {"id": "X", "position": [0, 0, 0], "bounding_radius": 1.0,
+             "parts": [["hull", "grey hull"]],
+             "ground_truth_report": {name: "plain" for name in env.REPORT_DIMENSIONS}}
+    entry.update(over)
+    return {name: value for name, value in entry.items() if value is not None}
+
+
+def test_the_shipped_catalog_loads_every_entry_as_written(satellites):
+    entries = json.loads(resources.files("proxagent.data").joinpath("satellites.json").read_text())
+    assert list(satellites) == [entry["id"] for entry in entries]
+    for entry in entries:
+        assert satellites[entry["id"]] == env.SatelliteModel(
+            id=entry["id"], position=tuple(entry["position"]),
+            bounding_radius=entry["bounding_radius"],
+            parts=[tuple(part) for part in entry["parts"]],
+            ground_truth_report=entry["ground_truth_report"],
+            base_luminance=entry["base_luminance"])
+
+
+@pytest.mark.parametrize("text,problem", [
+    (json.dumps([_entry(bounding_radius=None)]), "entry 0 ('X'): missing field 'bounding_radius'"),
+    (json.dumps(["X"]), "entry 0: must be an object, got 'X'"),
+    (json.dumps([_entry(), _entry(id="Y", bounding_radius="big")]),
+     "entry 1 ('Y'): field 'bounding_radius' must be a finite number > 0, got 'big'"),
+    (json.dumps([_entry(bounding_radius=0)]), "entry 0 ('X'): field 'bounding_radius' must be"),
+    (json.dumps([_entry(id=7)]), "entry 0: field 'id' must be a string, got 7"),
+    (json.dumps([_entry(position=[0, 0])]), "entry 0 ('X'): field 'position' must be three"),
+    (json.dumps([_entry(position=[0, True, 0])]), "field 'position' must be three finite"),
+    (json.dumps([_entry(parts=[["hull"]])]), "field 'parts' must be a list of [name, attribute]"),
+    (json.dumps([_entry(ground_truth_report={"structure": "box"})]),
+     "field 'ground_truth_report' must be an object of strings with exactly the keys"),
+    (json.dumps([_entry(base_luminance=1e999)]), "field 'base_luminance' must be a finite number"),
+    ("[" * 100_000 + "]" * 100_000, ": not JSON (nests too deeply)"),
+    ("[1", ": not JSON (Expecting ',' delimiter: line 1 column 3 (char 2))"),
+    (json.dumps({"X": _entry()}), ": must be a JSON array of entries"),
+    (json.dumps([_entry(), _entry(bounding_radius=2.0)]),
+     "entry 1: field 'id' repeats an earlier entry's, 'X'"),
+], ids=["no-bounding-radius", "not-an-object", "radius-not-a-number", "radius-zero", "id-not-text",
+        "two-coordinates", "bool-coordinate", "part-not-a-pair", "report-dimensions",
+        "luminance-infinite", "nests-too-deeply", "not-json", "not-an-array", "repeated-id"])
+def test_a_bad_catalog_entry_names_the_file_the_entry_and_the_field(tmp_path, text, problem):
+    path = tmp_path / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(env.EnvError) as refused:
+        env.load_satellite_catalog(path)
+    message = str(refused.value)
+    assert message.startswith(f"satellite catalog {str(path)!r}")
+    assert problem in message
+    assert len(message) - len(str(path)) < 200  # a long value is cut short
+
+
+def test_a_catalog_entry_may_leave_out_base_luminance(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([_entry(), _entry(id="Y", base_luminance=90)]))
+    catalog = env.load_satellite_catalog(path)
+    assert catalog["X"].base_luminance == env.DEFAULT_BASE_LUMINANCE
+    assert catalog["Y"].base_luminance == 90
+    assert catalog["X"].position == (0, 0, 0) and catalog["X"].parts == [("hull", "grey hull")]

@@ -92,6 +92,55 @@ def _nested_args(depth):
             + "}" * depth)
 
 
+_MOVE = '{"dx": 1.0, "dy": 0, "dz": 0}'
+
+
+def _scanner_refuses(depth):
+    """Whether json's scanner runs out of recursion on args ``depth`` deep."""
+    try:
+        json.loads(_nested_args(depth).split(" ARGS ")[1])
+    except RecursionError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("tool,args,verdict", [
+    ("set_position", _MOVE, {"dx": 1.0, "dy": 0, "dz": 0}),
+    ("set_position", _MOVE + "  \t ", {"dx": 1.0, "dy": 0, "dz": 0}),
+    ("set_position", _MOVE + " {}",
+     "args are not valid JSON: Extra data: line 1 column 31 (char 30)"),
+    ("set_position", " " + _MOVE, {"dx": 1.0, "dy": 0, "dz": 0}),
+    ("set_position", "\ufeff" + _MOVE, "args are not valid JSON: Unexpected UTF-8 BOM "
+     "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("set_position", _MOVE.replace("1.0", "NaN"), "arg 'dx' must be finite"),
+    ("terminate", _nested_args(bus.MAX_JSON_DEPTH + 1).split(" ARGS ")[1],
+     "arg report: nests more than 100 containers deep"),
+    # the scanner refuses 5,000 deep where it recurses on the C stack
+    # within Python's recursion limit (before 3.12); 100,000 deep everywhere
+    ("terminate", _nested_args(5000).split(" ARGS ")[1],
+     "args: nests more than 100 containers deep" if _scanner_refuses(5000)
+     else "arg report: nests more than 100 containers deep"),
+    ("terminate", _nested_args(100_000).split(" ARGS ")[1],
+     "args: nests more than 100 containers deep"),
+], ids=["well-formed", "trailing-blanks", "extra-data", "leading-blank", "bom", "nan",
+        "101-deep", "5000-deep", "100000-deep"])
+def test_args_verdicts_on_tool_and_candidate_lines(tool, args, verdict):
+    # a tool line is stripped; a candidate line keeps blanks before OUTCOME
+    lines = {
+        "tool": (f"TOOL {tool} ARGS {args}",
+                 lambda text: reasoning.parse_tool_call(text, VISIBLE).args),
+        "candidate": (f"CANDIDATE 0: TOOL {tool} ARGS {args} OUTCOME closer RISK Low",
+                      lambda text: reasoning.parse_candidates(text, VISIBLE)[0].action.args),
+    }
+    for text, parse in lines.values():
+        if isinstance(verdict, dict):
+            assert parse(text) == verdict
+        else:
+            with pytest.raises(reasoning.MalformedOutput) as refused:
+                parse(text)
+            assert str(refused.value) == verdict
+
+
 @pytest.mark.parametrize("frames", [0, 300])
 def test_args_nest_as_deeply_on_every_call_path(frames):
     deepest = bus.MAX_JSON_DEPTH
@@ -210,7 +259,7 @@ def test_memory_text_renders_no_record_again(monkeypatch):
     def no_dumps(*args, **kwargs):
         raise AssertionError("memory_text rendered a record")
 
-    monkeypatch.setattr(reasoning.json, "dumps", no_dumps)
+    monkeypatch.setattr(reasoning, "dumps_sorted", no_dumps)
     assert memory.memory_text() == expected
 
 

@@ -397,8 +397,7 @@ def test_args_are_checked_for_depth_alike_on_every_call_path(rig, frames):
     for depth in (deepest + 1, 700):
         args = {"report": _report(depth)}
         problem = _padded(frames, lambda: tools.validate_args(terminate, args))
-        assert problem.startswith("arg report.a")
-        assert problem.endswith(": nests more than 100 containers deep")
+        assert problem == "arg report: nests more than 100 containers deep"
         result = _padded(frames, lambda: dispatcher.dispatch(call("terminate", **args)))
         assert result.error_kind == tools.ERR_INVALID_ARGS
         assert result.payload == {"detail": problem}

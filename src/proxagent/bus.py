@@ -111,78 +111,50 @@ TOO_DEEP = f"nests more than {MAX_JSON_DEPTH} containers deep"
 _NOT_FINITE = "not a finite number in float range"
 
 
-class _Refused(Exception):
-    """Why ``json_copy`` refused a value, and the path to it, one segment
-    per container, added as the refusal unwinds, so that a copy that
-    succeeds formats no path. A too-deep value is named by the field of
-    the outermost container that holds it, whatever its depth, which keeps
-    the message short."""
-
-    def __init__(self, reason: str, segment: str = ""):
-        self.reason = reason
-        self.segments = [segment] if segment else []
-
-    def inside(self, segment: str, depth: int) -> None:
-        """The refused value is, or lies inside, the value ``segment``
-        names, which is at ``depth`` (2: a field of the outermost
-        container)."""
-        if self.reason is not TOO_DEEP or depth == 2:
-            self.segments.append(segment)
-
-
 def json_copy(value, where: str, depth: int = 1):
     """A private copy of ``value``, which must be JSON-native: a dict with
     string keys, a list, a string, a finite number in float range, a bool or
     None, its containers no more than ``MAX_JSON_DEPTH`` deep, ``value``
     itself at ``depth``. Anything else raises SchemaViolation naming
-    ``where`` and the path below it."""
-    try:
-        return _copy(value, depth)
-    except _Refused as refused:
-        path = where + "".join(reversed(refused.segments))
-        raise SchemaViolation(f"{path}: {refused.reason}") from None
+    ``where`` and the path below it; a too-deep value is named by the field
+    of the outermost container that holds it, which keeps the message
+    short."""
+    return _copy(value, where, depth, where)
 
 
-def _copy(value, depth: int):
+def _copy(value, where: str, depth: int, deep: str):
+    """``json_copy`` of ``value`` at path ``where``; ``deep`` is the name a
+    too-deep container is refused under, the path at depth 2."""
     if depth > MAX_JSON_DEPTH and isinstance(value, (dict, list)):
-        raise _Refused(TOO_DEEP)
+        raise SchemaViolation(f"{deep}: {TOO_DEEP}")
+    if depth <= 2:
+        deep = where
     if isinstance(value, dict):
         record = {}
         for name, item in value.items():
             if not isinstance(name, str):
-                raise _Refused(f"key {name!r} is not a string")
+                raise SchemaViolation(f"{where}: key {name!r} is not a string")
             kind = type(item)
             # the common cases, checked inline
             if kind is float:
                 if not math.isfinite(item):
-                    raise _Refused(_NOT_FINITE, f".{name}")
+                    raise SchemaViolation(f"{where}.{name}: {_NOT_FINITE}")
             elif kind is int:
                 if not is_finite_number(item):
-                    raise _Refused(_NOT_FINITE, f".{name}")
+                    raise SchemaViolation(f"{where}.{name}: {_NOT_FINITE}")
             elif kind not in _PLAIN:
-                try:
-                    item = _copy(item, depth + 1)
-                except _Refused as refused:
-                    refused.inside(f".{name}", depth + 1)
-                    raise
+                item = _copy(item, f"{where}.{name}", depth + 1, deep)
             record[name] = item
         return record
     if isinstance(value, list):
-        items = []
-        try:
-            for item in value:
-                items.append(_copy(item, depth + 1))
-        except _Refused as refused:
-            refused.inside(f"[{len(items)}]", depth + 1)
-            raise
-        return items
+        return [_copy(item, f"{where}[{i}]", depth + 1, deep) for i, item in enumerate(value)]
     if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, _NUMBER):
         if not is_finite_number(value):
-            raise _Refused(_NOT_FINITE)
+            raise SchemaViolation(f"{where}: {_NOT_FINITE}")
         return value
-    raise _Refused(f"{type(value).__name__} cannot be carried as JSON")
+    raise SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
 
 
 # CHANNEL_SCHEMAS compiled for validate_payload: per key, one

@@ -25,7 +25,7 @@ from .reasoning import make_provider
 from .runner import default_skills_root, run_campaign, run_episode, shipped_catalog
 from .skills import SkillCatalog, route
 from .tools import builtin_profiles
-from .trajectory import ENDED_ERROR, Trajectory
+from .trajectory import ENDED_ERROR, Trajectory, open_for_write
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 2
@@ -47,6 +47,23 @@ def _config_errors():
     except Exception as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
+
+
+def _write_out(out: str, document: dict) -> None:
+    """Write ``document`` to ``--out`` as indented JSON, making a missing
+    directory; a write that still fails is a configuration error."""
+    with _config_errors():
+        try:
+            with open_for_write(Path(out)) as fh:
+                fh.write(json.dumps(document, indent=2, sort_keys=True))
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from None
+
+
+def _check_satellite(satellites: dict, satellite_id) -> None:
+    if satellite_id not in satellites:
+        raise ConfigError(f"unknown satellite {satellite_id!r}; "
+                          f"the catalog has {sorted(satellites)}")
 
 
 def _lock_workspace(workspace: Path) -> int:
@@ -89,9 +106,7 @@ class Setup:
                               else shipped_catalog())
         episodes = list(episodes)
         for episode in episodes:
-            if episode.task.satellite_id not in self.satellites:
-                raise ConfigError(f"unknown satellite {episode.task.satellite_id!r}; "
-                                  f"the catalog has {sorted(self.satellites)}")
+            _check_satellite(self.satellites, episode.task.satellite_id)
             route(episode.task.description, episode.task.kind, episode.mode,
                   self.skill_catalog)
             self.skill_catalog.mode_skills(episode.mode)
@@ -261,7 +276,7 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
         rows.append(cells)
     click.echo(_render_table(["profile"] + kinds, rows))
     if out:
-        Path(out).write_text(json.dumps({"ablation": records}, indent=2, sort_keys=True))
+        _write_out(out, {"ablation": records})
     sys.exit(EXIT_OK)
 
 
@@ -307,9 +322,7 @@ def sweep(config_path, task, runs, condition, mode, profile, seed, out) -> None:
     click.echo(_render_table(["seed", "result", "steps"], rows))
     click.echo(f"pass count: {passed}/{runs}")
     if out:
-        Path(out).write_text(
-            json.dumps({"sweep": records, "passed": passed}, indent=2, sort_keys=True)
-        )
+        _write_out(out, {"sweep": records, "passed": passed})
     sys.exit(EXIT_OK)
 
 
@@ -348,7 +361,7 @@ def evolve(config_path, task, rounds, workspace, out) -> None:
     click.echo("\nlearned skills:")
     click.echo(_render_table(["name", "version", "provenance", "enabled"], inventory))
     if out:
-        Path(out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _write_out(out, report.to_dict())
     sys.exit(EXIT_OK)
 
 
@@ -362,11 +375,16 @@ def report(trajectory_path, config_path) -> None:
         root = _load_root(config_path)
         trajectory = Trajectory.read(Path(trajectory_path))
         meta = trajectory.meta
+        for name in ("task_kind", "satellite_id", "condition"):
+            if not isinstance(meta.get(name), str):
+                raise ConfigError(f"{trajectory_path} header field {name!r} "
+                                  "is missing or not a string")
         task = make_task(
             meta["task_kind"], satellite_id=meta["satellite_id"],
             condition=meta["condition"],
         )
         satellites = load_satellite_catalog(root.satellite_catalog)
+        _check_satellite(satellites, task.satellite_id)
         outcome = evaluate(trajectory, task, satellites[task.satellite_id])
     click.echo(_outcome_line(outcome))
     click.echo(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))

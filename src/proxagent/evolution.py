@@ -29,6 +29,7 @@ import functools
 import hashlib
 import json
 import marshal
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -122,11 +123,14 @@ def summarize_episode(
         movement.append({"step": record.step, "tool": call["tool"], "args": call["args"]})
         if call["tool"] == "set_position":
             args = call["args"]
-            norm = (
-                args.get("dx", 0.0) ** 2
-                + args.get("dy", 0.0) ** 2
-                + args.get("dz", 0.0) ** 2
-            ) ** 0.5
+            try:
+                norm = (
+                    args.get("dx", 0.0) ** 2
+                    + args.get("dy", 0.0) ** 2
+                    + args.get("dz", 0.0) ** 2
+                ) ** 0.5
+            except OverflowError:  # finite components, a norm beyond float range
+                norm = math.inf
             max_translation = max(max_translation, norm)
         obs = record.observation
         perception.append(

@@ -776,7 +776,6 @@ def step_react(ctx: StepContext) -> StepContext:
         active = _control_tools(ctx.visible) if final else ctx.visible
         call = ctx.decide(visible=active, inner_round=inner_round)
         if _is_control(call, ctx.visible):
-            call.inner_round = inner_round
             return ctx.result(call)
         ctx.run_inner(call, inner_round)
     raise MalformedOutput("react loop ended without a control tool")  # pragma: no cover

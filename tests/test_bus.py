@@ -620,6 +620,13 @@ def test_a_too_deep_value_is_named_by_its_top_level_field():
     with pytest.raises(bus.SchemaViolation) as refused:
         bus.validate_payload(bus.CMD_TERMINATE, {"report": [0, [1, {"b": 2}, [_nested_lists(700)]]]})
     assert str(refused.value) == "cmd/terminate.report: nests more than 100 containers deep"
+    # the top-level field of a list is its index, and a walk from depth 1
+    # names the field below ``where``
+    for value, where, name in (([0, _nested_lists(150)], "report", "report[1]"),
+                               ({"a": [_nested_lists(150)]}, "x", "x.a")):
+        with pytest.raises(bus.SchemaViolation) as refused:
+            bus.json_copy(value, where)
+        assert str(refused.value) == f"{name}: nests more than 100 containers deep"
     # every other refusal keeps the whole path to the refused value
     with pytest.raises(bus.SchemaViolation) as refused:
         bus.validate_payload(bus.CMD_TERMINATE, {"report": [0, [1, {"b": float("nan")}]]})

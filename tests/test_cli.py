@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from proxagent import cli
 from proxagent.cli import main
 from proxagent.config import ConfigError, dump_config, load_config, parse_config
-from proxagent.env import SimEnv
+from proxagent.env import SimEnv, load_satellite_catalog
 from proxagent.skills import NoDefaults, SkillCatalog, parse_skill_text, render_skill
 
 
@@ -380,6 +380,14 @@ _STEP = '"step": 0, "observation": {}, "call": {"tool": "x", "args": {}}, "resul
     ("{" + _STEP + ', "memory_hash": 7}',
      "line 2: not a trajectory record (memory_hash must be str, got 7)"),
     pytest.param(_TOO_DEEP_LINE, "line 2: not JSON (nests too deeply)", id="nests-too-deeply"),
+    # a later header replaces the first
+    ('{"header": {}}', "header field 'task_kind' is missing or not a string"),
+    ('{"header": {"task_kind": "rendezvous", "condition": "C1"}}',
+     "header field 'satellite_id' is missing or not a string"),
+    ('{"header": {"task_kind": "rendezvous", "satellite_id": "CAPSTONE"}}',
+     "header field 'condition' is missing or not a string"),
+    ('{"header": {"task_kind": "rendezvous", "satellite_id": ["X"], "condition": "C1"}}',
+     "header field 'satellite_id' is missing or not a string"),
 ])
 def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line, problem):
     traj = tmp_path / "t.jsonl"
@@ -392,6 +400,21 @@ def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line,
     result = runner.invoke(main, ["report", "--trajectory", str(traj)])
     assert result.exit_code == 3, result.output
     assert f"configuration error: {traj} {problem}" in result.output
+
+
+def test_report_names_a_log_without_a_header_and_an_unknown_satellite(runner, tmp_path):
+    traj = tmp_path / "t.jsonl"
+    traj.write_text('{"ended_by": "timeout"}\n', encoding="utf-8")
+    result = runner.invoke(main, ["report", "--trajectory", str(traj)])
+    assert result.exit_code == 3, result.output
+    assert (f"configuration error: {traj} header field 'task_kind' is missing or not a "
+            "string") in result.output
+    header = {"task_kind": "rendezvous", "satellite_id": "NOPE", "condition": "C1"}
+    traj.write_text(json.dumps({"header": header}) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["report", "--trajectory", str(traj)])
+    assert result.exit_code == 3, result.output
+    assert ("configuration error: unknown satellite 'NOPE'; the catalog has "
+            f"{sorted(load_satellite_catalog())}") in result.output
 
 
 def test_full_cross_product_smoke(runner):
@@ -519,6 +542,29 @@ def test_out_keeps_the_error_of_an_episode_that_raised(runner, tmp_path, monkeyp
         assert record["outcome"] is None
         assert record["error"] == (
             "NoDefaults: default task skill 'approach' missing or disabled")
+
+
+@pytest.mark.parametrize("command,key", [
+    (["sweep", "--runs", "1"], "sweep"),
+    (["ablate", "--tasks", "rendezvous", "--profiles", "hybrid-nav"], "ablation"),
+    (["evolve", "--rounds", "1"], "rounds"),
+])
+def test_out_makes_its_directory_and_a_file_in_the_way_exits_three(runner, tmp_path,
+                                                                   command, key):
+    if command[0] == "evolve":
+        command = command + ["--workspace", str(tmp_path / "ws")]
+    out = tmp_path / "new" / "dir" / "out.json"
+    result = runner.invoke(main, command + ["--out", str(out)])
+    assert result.exit_code == 0, result.output
+    text = out.read_text(encoding="utf-8")
+    assert key in json.loads(text)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+    blocked = tmp_path / "new" / "dir" / "out.json" / "again.json"
+    result = runner.invoke(main, command + ["--out", str(blocked)])
+    assert result.exit_code == 3, result.output
+    assert f"configuration error: cannot write --out {str(blocked)!r}: Not a directory" \
+        in result.output
 
 
 @pytest.mark.parametrize("command", [

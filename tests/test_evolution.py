@@ -81,6 +81,14 @@ def test_summary_is_bounded_and_tracks_max_translation():
     assert summary.reason == "timeout"
 
 
+@pytest.mark.parametrize("dx", [1e200, 1.4e154, 10**200, -(10**300)],
+                         ids=lambda dx: f"{type(dx).__name__} {dx:.0e}")
+def test_summary_names_a_translation_beyond_float_range_infinite(dx):
+    outcome = Outcome(steps=3, reason="timeout", success=False)
+    summary = summarize_episode(make_trajectory(3, dx=dx), outcome, "rendezvous", "e")
+    assert summary.max_attempted_translation == float("inf")
+
+
 def test_summary_perception_is_bounded_like_movement():
     outcome = Outcome(steps=50, reason="timeout", success=False)
     summary = summarize_episode(make_trajectory(50), outcome, "rendezvous", "ep-000001")

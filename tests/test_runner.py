@@ -603,6 +603,16 @@ class _Answers(DecisionProvider):
         return self.answers.pop(0) if self.answers else "TOOL terminate ARGS {}"
 
 
+def test_a_translation_beyond_float_range_still_reaches_the_history(satellites, tmp_path):
+    huge = 'TOOL set_position ARGS {"dx": 1e200, "dy": 0, "dz": 0}'
+    ws = tmp_path / "ws"
+    result = run_episode(config(workspace=ws, evolve=True), provider=_Answers(huge, huge),
+                         satellites=satellites)
+    assert result.trajectory.steps[0].result["error_kind"] == "StepLimitExceeded"
+    (summary,) = SkillStore(ws).history()
+    assert summary.max_attempted_translation == math.inf
+
+
 def test_a_long_operator_chain_ends_a_react_episode_cleanly(satellites):
     chain = 'TOOL eval_expr ARGS {"expression": "' + "1+" * 3000 + '1"}'
     episode = EpisodeConfig(task=make_task("rendezvous"), mode="react",

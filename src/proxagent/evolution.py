@@ -29,14 +29,14 @@ import functools
 import hashlib
 import json
 import marshal
-import math
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .bus import dumps_sorted, loads
+from .bus import dumps_strict, loads
 from .env import MAX_STEP_TRANSLATION
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
@@ -65,7 +65,8 @@ DEFAULT_BLACKLIST = (
 )
 
 MOVEMENT_DIGEST_EDGE = 10  # keep first/last 10 movement and perception entries
-DEFAULT_TOP_K = 2
+LEARNED_TOP_K = 2  # learned skills injected into one episode's prompt
+SLUG_LIMIT = 40  # characters in a learned skill's name
 REFLECTION_HISTORY = 3  # recent prior episodes consulted during reflection
 
 
@@ -129,8 +130,8 @@ def summarize_episode(
                     + args.get("dy", 0.0) ** 2
                     + args.get("dz", 0.0) ** 2
                 ) ** 0.5
-            except OverflowError:  # finite components, a norm beyond float range
-                norm = math.inf
+            except OverflowError:  # finite components, a norm beyond float range:
+                norm = sys.float_info.max  # still above every actuator limit
             max_translation = max(max_translation, norm)
         obs = record.observation
         perception.append(
@@ -244,9 +245,6 @@ def reflect(
     request = ProviderRequest(
         call_kind=CALL_REFLECT,
         prompt="Reflect on the episode and propose at most one skill mutation.",
-        observation={},
-        memory_text="",
-        visible_tools=[],
         task_kind=summary.task_kind,
         extra={
             "summary": summary.to_dict(),
@@ -366,9 +364,9 @@ class SkillStore:
 
     @staticmethod
     def _append_jsonl(path: Path, record: dict) -> None:
-        """Append ``record`` as one sorted-key JSON line; the first append
-        to a missing directory makes it."""
-        line = dumps_sorted(record) + "\n"
+        """Append ``record`` as one strict sorted-key JSON line; the first
+        append to a missing directory makes it."""
+        line = dumps_strict(record) + "\n"
         with open_for_write(path, "a") as fh:
             fh.write(line)
 
@@ -491,11 +489,11 @@ def quality_gate(
 # ---------------------------------------------------------------------------
 
 
-def _slug(text: str, limit: int = 40) -> str:
+def _slug(text: str) -> str:
     slug = ""
     for word in words(text):
         extended = f"{slug}-{word}" if slug else word
-        if len(extended) > limit:
+        if len(extended) > SLUG_LIMIT:
             break
         slug = extended
     return slug or "learned-skill"
@@ -585,16 +583,10 @@ def materialize(
         raise StoreWriteFailure(str(exc)) from exc
 
 
-def select_learned(
-    task_kind: str,
-    description: str,
-    store: SkillStore,
-    k: int = DEFAULT_TOP_K,
-) -> list[Skill]:
-    """Top-k enabled learned skills for this task, ranked by keyword overlap
-    with the description; ties break to higher version, then newer episode."""
-    if k <= 0:
-        return []
+def select_learned(task_kind: str, description: str, store: SkillStore) -> list[Skill]:
+    """The ``LEARNED_TOP_K`` best enabled learned skills for this task, ranked
+    by keyword overlap with the description; ties break to higher version,
+    then newer episode."""
     wanted = set(words(description))
     candidates = []
     for skill, _path in store.view.values():
@@ -604,7 +596,7 @@ def select_learned(
         episode = skill.provenance.split(":", 1)[-1]
         candidates.append((-overlap, -skill.version, episode, skill.name, skill))
     candidates.sort(key=lambda item: (item[0], item[1], _episode_recency(item[2]), item[3]))
-    return [item[4] for item in candidates[:k]]
+    return [item[4] for item in candidates[:LEARNED_TOP_K]]
 
 
 def _episode_recency(episode: str) -> str:

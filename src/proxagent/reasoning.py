@@ -57,9 +57,9 @@ class ProviderTimeout(ReasoningError):
 class ProviderRequest:
     call_kind: str
     prompt: str
-    observation: dict
-    memory_text: str
-    visible_tools: list[ToolDescriptor]
+    observation: dict = field(default_factory=dict)
+    memory_text: str = ""
+    visible_tools: list[ToolDescriptor] = field(default_factory=list)
     task_kind: str = ""
     inner_results: list = field(default_factory=list)  # [{"tool", "payload"}]
     extra: dict = field(default_factory=dict)
@@ -257,9 +257,7 @@ def update_memory(
                 request = ProviderRequest(
                     call_kind=CALL_SUMMARIZE,
                     prompt="Compress the evicted step into the running summary.",
-                    observation={},
                     memory_text=memory.long_term,
-                    visible_tools=[],
                     extra={"stats": stats, "evicted": evicted},
                 )
                 memory.long_term = provider.complete(request).strip()

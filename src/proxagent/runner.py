@@ -52,6 +52,7 @@ from .skills import (
     route,
 )
 from .tools import (
+    TERMINATE,
     ToolDispatcher,
     builtin_catalog,
     builtin_profiles,
@@ -117,21 +118,21 @@ def shipped_catalog() -> SkillCatalog:
     return SkillCatalog.load(default_skills_root())
 
 
-def provider_view(obs: dict, visible_names: set[str]) -> dict:
+def provider_view(obs: dict, profile: frozenset[str]) -> dict:
     """Observation record as the decision layer sees it.
 
     Ground-truth range is never exposed; the LiDAR reading is exposed only
     when the profile grants the LiDAR tool.
     """
     view = {k: v for k, v in obs.items() if k != "true_range"}
-    if "lidar_range" not in visible_names:
+    if "lidar_range" not in profile:
         view.pop("lidar_range", None)
     return view
 
 
 def is_terminated(call_tool: str, obs: dict, step_count: int, max_steps: int) -> Optional[str]:
     """Episode end cause after a committed call, or None to continue."""
-    if call_tool == "terminate":
+    if call_tool == TERMINATE:
         return ENDED_TERMINATE
     if obs.get("collided"):
         return ENDED_COLLISION
@@ -182,7 +183,6 @@ def run_episode(
     catalog = builtin_catalog()
     profile = builtin_profiles()[config.profile]
     visible = visible_tools(catalog, profile)
-    visible_names = {t.name for t in visible}
 
     routing = route(task.description, task.kind, config.mode, skill_catalog,
                     router=config.router)
@@ -223,7 +223,7 @@ def run_episode(
         obs = _observation(dispatcher.latest_observation())
         for step_index in range(task.max_steps):
             step = step_fn(StepContext(
-                provider_view(obs, visible_names), prompt, memory, visible,
+                provider_view(obs, profile), prompt, memory, visible,
                 provider, dispatcher, task.kind, step_index,
             ))
             call = step.call

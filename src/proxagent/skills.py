@@ -329,9 +329,6 @@ def route(
             "task=<name>; helpers=<a,b>; because=<text>\n"
             "Catalog:\n" + "\n".join(lines)
         ),
-        observation={},
-        memory_text="",
-        visible_tools=[],
         task_kind=task_kind,
         extra={"description": description, "mode": mode},
     )

@@ -1,14 +1,16 @@
 """Tool layer: catalog, profiles, and synchronous dispatch.
 
-Tools fall into four categories. Control tools publish to the matching
-``cmd/*`` bus key and block until the next observation arrives; perception
-tools compute over the latest observation; the knowledge tool reads the
-satellite knowledge base; the auxiliary tool evaluates a pure arithmetic
-expression. Translation and rotation are deliberately separate tools.
+The catalog maps each tool name to its descriptor. Tools fall into four
+categories. A control tool is the ``cmd/*`` bus channel it commands
+(``COMMAND_CHANNELS``): it publishes its args there and, unless it is the
+terminal tool, blocks until the next observation arrives. Perception tools
+compute over the latest observation; the knowledge tool reads the satellite
+knowledge base; the auxiliary tool evaluates a pure arithmetic expression.
+Translation and rotation are deliberately separate tools.
 
-A profile is a whitelist; the visible set is the intersection of the
-whitelist with the catalog, in catalog order. The three shipped profiles
-differ only in configuration, never in code.
+A profile is a set of tool names; the visible tools are the catalog's tools
+it names, in catalog order. The three shipped profiles differ only in
+configuration, never in code.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ _NOTE_ERRORS = frozenset({ERR_STEP_LIMIT, ERR_GAIN_RANGE})
 BRIGHTNESS_UNDER = 40.0
 BRIGHTNESS_OVER = 220.0
 
-_ZERO_POSE_DELTA = dict.fromkeys(busmod.CHANNEL_SCHEMAS[busmod.CMD_POSE_DELTA], 0.0)
+TERMINATE = "terminate"  # the terminal tool: committing it ends the episode
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,6 @@ class ToolDescriptor:
     category: str
     params: dict  # name -> {"type": ..., "required": bool, "unit"?: str}
     description: str
-    terminal: bool = False
-
-
-@dataclass(frozen=True)
-class ToolProfile:
-    name: str
-    allowed: frozenset[str]
-
-    @classmethod
-    def of(cls, name: str, allowed) -> "ToolProfile":
-        return cls(name=name, allowed=frozenset(allowed))
 
 
 @dataclass
@@ -97,110 +88,109 @@ class ToolResult:
         return dict(vars(self))
 
 
-class ToolCatalog:
-    def __init__(self, tools: list[ToolDescriptor]):
-        names = [t.name for t in tools]
-        if len(names) != len(set(names)):
-            raise ToolError("duplicate tool names in catalog")
-        if sum(1 for t in tools if t.terminal) != 1:
-            raise ToolError("catalog must have exactly one terminal tool")
-        # read-only: builtin_catalog() shares one catalog with every caller
-        self.tools = tuple(tools)
-        self.by_name = MappingProxyType({t.name: t for t in tools})
-
-    def get(self, name: str) -> Optional[ToolDescriptor]:
-        return self.by_name.get(name)
-
-
 @functools.cache
-def builtin_catalog() -> ToolCatalog:
-    """The shipped catalog, built once per process and shared by every episode."""
+def builtin_catalog() -> Mapping[str, ToolDescriptor]:
+    """The shipped catalog, tool name -> descriptor in catalog order. Built
+    once per process; the mapping is read-only because it is shared."""
     meters = {"type": "number", "required": True, "unit": "meters"}
     degrees = {"type": "number", "required": True, "unit": "degrees"}
-    return ToolCatalog(
-        [
-            ToolDescriptor(
-                "brightness_assess", CATEGORY_PERCEPTION, {},
-                "Assess mean image brightness and report an exposure verdict.",
-            ),
-            ToolDescriptor(
-                "segment_parts", CATEGORY_PERCEPTION, {},
-                "List target satellite parts currently visible, with bearings.",
-            ),
-            ToolDescriptor(
-                "crop_region", CATEGORY_PERCEPTION,
-                {
-                    "az_min": {"type": "number", "required": True, "unit": "degrees"},
-                    "az_max": {"type": "number", "required": True, "unit": "degrees"},
-                },
-                "Restrict the part listing to a bearing window.",
-            ),
-            ToolDescriptor(
-                "zoom", CATEGORY_PERCEPTION,
-                {"factor": {"type": "number", "required": True}},
-                "Magnify the reported angular size detail of the target.",
-            ),
-            ToolDescriptor(
-                "lidar_range", CATEGORY_PERCEPTION, {},
-                "Read the latest LiDAR range summary to the target surface.",
-            ),
-            ToolDescriptor(
-                "set_position", CATEGORY_CONTROL,
-                {"dx": meters, "dy": meters, "dz": meters},
-                "Translate the chaser by a body-frame delta.",
-            ),
-            ToolDescriptor(
-                "set_attitude", CATEGORY_CONTROL,
-                {"dyaw": degrees, "dpitch": degrees, "droll": degrees},
-                "Rotate the chaser by yaw/pitch/roll deltas.",
-            ),
-            ToolDescriptor(
-                "set_exposure", CATEGORY_CONTROL,
-                {"gain_delta": {"type": "number", "required": True}},
-                "Adjust the camera exposure gain by a delta.",
-            ),
-            ToolDescriptor(
-                "terminate", CATEGORY_CONTROL,
-                {
-                    "reason": {"type": "string", "required": False},
-                    "report": {"type": "object", "required": False},
-                },
-                "End the episode; optionally attach an inspection report.",
-                terminal=True,
-            ),
-            ToolDescriptor(
-                "kb_lookup", CATEGORY_KNOWLEDGE,
-                {"satellite_id": {"type": "string", "required": False}},
-                "Look up known characteristics of a satellite.",
-            ),
-            ToolDescriptor(
-                "eval_expr", CATEGORY_AUXILIARY,
-                {"expression": {"type": "string", "required": True}},
-                "Evaluate a pure arithmetic expression.",
-            ),
-        ]
-    )
+    tools = [
+        ToolDescriptor(
+            "brightness_assess", CATEGORY_PERCEPTION, {},
+            "Assess mean image brightness and report an exposure verdict.",
+        ),
+        ToolDescriptor(
+            "segment_parts", CATEGORY_PERCEPTION, {},
+            "List target satellite parts currently visible, with bearings.",
+        ),
+        ToolDescriptor(
+            "crop_region", CATEGORY_PERCEPTION,
+            {
+                "az_min": {"type": "number", "required": True, "unit": "degrees"},
+                "az_max": {"type": "number", "required": True, "unit": "degrees"},
+            },
+            "Restrict the part listing to a bearing window.",
+        ),
+        ToolDescriptor(
+            "zoom", CATEGORY_PERCEPTION,
+            {"factor": {"type": "number", "required": True}},
+            "Magnify the reported angular size detail of the target.",
+        ),
+        ToolDescriptor(
+            "lidar_range", CATEGORY_PERCEPTION, {},
+            "Read the latest LiDAR range summary to the target surface.",
+        ),
+        ToolDescriptor(
+            "set_position", CATEGORY_CONTROL,
+            {"dx": meters, "dy": meters, "dz": meters},
+            "Translate the chaser by a body-frame delta.",
+        ),
+        ToolDescriptor(
+            "set_attitude", CATEGORY_CONTROL,
+            {"dyaw": degrees, "dpitch": degrees, "droll": degrees},
+            "Rotate the chaser by yaw/pitch/roll deltas.",
+        ),
+        ToolDescriptor(
+            "set_exposure", CATEGORY_CONTROL,
+            {"gain_delta": {"type": "number", "required": True}},
+            "Adjust the camera exposure gain by a delta.",
+        ),
+        ToolDescriptor(
+            TERMINATE, CATEGORY_CONTROL,
+            {
+                "reason": {"type": "string", "required": False},
+                "report": {"type": "object", "required": False},
+            },
+            "End the episode; optionally attach an inspection report.",
+        ),
+        ToolDescriptor(
+            "kb_lookup", CATEGORY_KNOWLEDGE,
+            {"satellite_id": {"type": "string", "required": False}},
+            "Look up known characteristics of a satellite.",
+        ),
+        ToolDescriptor(
+            "eval_expr", CATEGORY_AUXILIARY,
+            {"expression": {"type": "string", "required": True}},
+            "Evaluate a pure arithmetic expression.",
+        ),
+    ]
+    return MappingProxyType({tool.name: tool for tool in tools})
 
 
 @functools.cache
-def builtin_profiles() -> Mapping[str, ToolProfile]:
-    """The three shipped profiles, expressible purely as configuration.
+def builtin_profiles() -> Mapping[str, frozenset[str]]:
+    """The three shipped profiles, each the set of tool names it grants.
 
     Built once per process; the mapping is read-only because it is shared.
     """
-    everything = [t.name for t in builtin_catalog().tools]
-    vision_only = [n for n in everything if n not in ("lidar_range", "eval_expr")]
-    hybrid_nav = [n for n in everything if n != "eval_expr"]
+    everything = frozenset(builtin_catalog())
+    hybrid_nav = everything - {"eval_expr"}
     return MappingProxyType({
-        "vision-only": ToolProfile.of("vision-only", vision_only),
-        "hybrid-nav": ToolProfile.of("hybrid-nav", hybrid_nav),
-        "hybrid-nav-code": ToolProfile.of("hybrid-nav-code", everything),
+        "vision-only": hybrid_nav - {"lidar_range"},
+        "hybrid-nav": hybrid_nav,
+        "hybrid-nav-code": everything,
     })
 
 
-def visible_tools(catalog: ToolCatalog, profile: ToolProfile) -> list[ToolDescriptor]:
-    """Whitelist intersection, stable-ordered by catalog order."""
-    return [t for t in catalog.tools if t.name in profile.allowed]
+def visible_tools(catalog: Mapping[str, ToolDescriptor],
+                  profile: frozenset[str]) -> list[ToolDescriptor]:
+    """The profile's tools, in catalog order."""
+    return [tool for name, tool in catalog.items() if name in profile]
+
+
+# The bus channel each control tool commands. A command record is the
+# channel's schema fields at zero overlaid with the tool's args, so
+# translation and rotation share the pose-delta channel.
+COMMAND_CHANNELS = MappingProxyType({
+    "set_position": busmod.CMD_POSE_DELTA,
+    "set_attitude": busmod.CMD_POSE_DELTA,
+    "set_exposure": busmod.CMD_EXPOSURE,
+    TERMINATE: busmod.CMD_TERMINATE,
+})
+_ZERO_COMMANDS = {
+    channel: dict.fromkeys(busmod.CHANNEL_SCHEMAS[channel], 0.0)
+    for channel in COMMAND_CHANNELS.values()
+}
 
 
 def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
@@ -309,8 +299,8 @@ class ToolDispatcher:
     def __init__(
         self,
         backend: busmod.BusBackend,
-        catalog: ToolCatalog,
-        profile: ToolProfile,
+        catalog: Mapping[str, ToolDescriptor],
+        profile: frozenset[str],
         satellites: dict[str, SatelliteModel],
         target_id: str,
         obs_timeout: float = 5.0,
@@ -366,7 +356,7 @@ class ToolDispatcher:
 
     def dispatch(self, call: ToolCall) -> ToolResult:
         tool = self.catalog.get(call.tool)
-        if tool is None or tool.name not in self.profile.allowed:
+        if tool is None or tool.name not in self.profile:
             return ToolResult(False, {"tool": call.tool}, ERR_NOT_VISIBLE)
         problem = validate_args(tool, call.args)
         if problem is not None:
@@ -380,27 +370,16 @@ class ToolDispatcher:
         return self._dispatch_auxiliary(call.args)
 
     def _dispatch_control(self, tool: ToolDescriptor, args: dict) -> ToolResult:
-        if tool.name == "terminate":
-            payload = {}
-            if "reason" in args:
-                payload["reason"] = args["reason"]
-            if "report" in args:
-                payload["report"] = args["report"]
-            self.backend.publish(busmod.CMD_TERMINATE, payload)
+        channel = COMMAND_CHANNELS[tool.name]
+        command = {**_ZERO_COMMANDS[channel], **args}
+        if tool.name == TERMINATE:
+            self.backend.publish(channel, command)
             return ToolResult(True, {"terminated": True})
 
         # read, not tracked: a camera on its own clock publishes between commands
         prev = self.backend.get_latest(busmod.SENSOR_RGB)
         prev_seq = prev.seq if prev else 0
-        if tool.name in ("set_position", "set_attitude"):
-            # translation and rotation share one pose-delta channel; the
-            # components the tool does not take are zero
-            self.backend.publish(busmod.CMD_POSE_DELTA, {**_ZERO_POSE_DELTA, **args})
-        elif tool.name == "set_exposure":
-            self.backend.publish(busmod.CMD_EXPOSURE, {"gain_delta": args["gain_delta"]})
-        else:  # pragma: no cover - catalog is fixed
-            return ToolResult(False, {"tool": tool.name}, ERR_INVALID_ARGS)
-
+        self.backend.publish(channel, command)
         obs = self._await_new_observation(prev_seq)
         if obs is None:
             return ToolResult(False, {"tool": tool.name}, ERR_ENV_TIMEOUT)
@@ -460,9 +439,7 @@ class ToolDispatcher:
             if not busmod.is_finite_number(detail):
                 return ToolResult(False, {"detail": "zoomed size is not finite"}, ERR_INVALID_ARGS)
             return ToolResult(True, {"angular_size_detail": detail})
-        if tool.name == "lidar_range":
-            return ToolResult(True, {"range_m": obs["lidar_range"]})
-        return ToolResult(False, {"tool": tool.name}, ERR_INVALID_ARGS)  # pragma: no cover
+        return ToolResult(True, {"range_m": obs["lidar_range"]})  # the last: lidar_range
 
     def _dispatch_knowledge(self, args: dict) -> ToolResult:
         sat_id = args.get("satellite_id", self.target_id)

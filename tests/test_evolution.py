@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -86,7 +87,8 @@ def test_summary_is_bounded_and_tracks_max_translation():
 def test_summary_names_a_translation_beyond_float_range_infinite(dx):
     outcome = Outcome(steps=3, reason="timeout", success=False)
     summary = summarize_episode(make_trajectory(3, dx=dx), outcome, "rendezvous", "e")
-    assert summary.max_attempted_translation == float("inf")
+    # the largest float, not inf: the summary is written as strict JSON
+    assert summary.max_attempted_translation == sys.float_info.max
 
 
 def test_summary_perception_is_bounded_like_movement():
@@ -281,12 +283,11 @@ def test_select_learned_filters_and_ranks(store):
         store, episode_id="ep-000002",
     )
     other_scope = materialize(create(scope="search"), store, episode_id="ep-000003")
-    picked = select_learned("rendezvous", "watch exposure and brightness", store, k=2)
+    picked = select_learned("rendezvous", "watch exposure and brightness", store)
     names = [s.name for s in picked]
     assert names[0] == b.name              # keyword overlap wins
     assert a.name in names
     assert other_scope.name not in names   # scope filtered
-    assert select_learned("rendezvous", "x", store, k=0) == []
 
 
 def test_select_learned_skips_disabled(store):

@@ -467,6 +467,13 @@ def _remote_request(**over):
     return reasoning.ProviderRequest(**fields)
 
 
+def test_a_request_without_observation_memory_or_tools_holds_empty_ones():
+    a, b = (reasoning.ProviderRequest(reasoning.CALL_ROUTE, "p") for _ in range(2))
+    assert a == reasoning.ProviderRequest(reasoning.CALL_ROUTE, "p", observation={},
+                                          memory_text="", visible_tools=[])
+    assert a.observation is not b.observation and a.visible_tools is not b.visible_tools
+
+
 def test_remote_provider_sends_prompt_memory_observation_and_hints(posts):
     provider = reasoning.RemoteProvider("http://127.0.0.1:1/v1", "m", temperature=0.1,
                                         timeout=7.0, api_key="k")

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -524,7 +525,7 @@ def _tool_call(draw):
     """``TOOL <name> ARGS <json>``: mostly a catalog tool with most of its
     parameters, numbers mostly finite, sometimes an unknown tool, an extra
     key or args that are not JSON."""
-    tool = draw(st.sampled_from(builtin_catalog().tools))
+    tool = draw(st.sampled_from(list(builtin_catalog().values())))
     name = tool.name if draw(st.integers(0, 9)) else "self_destruct"
     keys = [key for key in tool.params if draw(st.integers(0, 7))]
     if not draw(st.integers(0, 7)):
@@ -610,7 +611,21 @@ def test_a_translation_beyond_float_range_still_reaches_the_history(satellites, 
                          satellites=satellites)
     assert result.trajectory.steps[0].result["error_kind"] == "StepLimitExceeded"
     (summary,) = SkillStore(ws).history()
-    assert summary.max_attempted_translation == math.inf
+    assert summary.max_attempted_translation == sys.float_info.max
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_a_translation_beyond_float_range_is_written_as_strict_json(satellites, tmp_path):
+    huge = 'TOOL set_position ARGS {"dx": 1e200, "dy": 0, "dz": 0}'
+    ws = tmp_path / "ws"
+    run_episode(config(workspace=ws, evolve=True), provider=_Answers(huge, huge),
+                satellites=satellites)
+    (line,) = (ws / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(line, parse_constant=_refuse)
+    assert record["max_attempted_translation"] == sys.float_info.max
 
 
 def test_a_long_operator_chain_ends_a_react_episode_cleanly(satellites):

@@ -37,8 +37,17 @@ def call(tool, **args):
 
 def test_catalog_has_one_terminal_tool():
     catalog = tools.builtin_catalog()
-    terminals = [t for t in catalog.tools if t.terminal]
-    assert [t.name for t in terminals] == ["terminate"]
+    assert catalog[tools.TERMINATE].category == tools.CATEGORY_CONTROL
+    terminal = [name for name, channel in tools.COMMAND_CHANNELS.items()
+                if channel == bus.CMD_TERMINATE]
+    assert terminal == [tools.TERMINATE]
+
+
+def test_each_control_tool_commands_one_channel():
+    control = {name for name, tool in tools.builtin_catalog().items()
+               if tool.category == tools.CATEGORY_CONTROL}
+    assert set(tools.COMMAND_CHANNELS) == control
+    assert set(tools.COMMAND_CHANNELS.values()) <= set(bus.CHANNEL_SCHEMAS)
 
 
 def test_translation_and_rotation_are_separate_tools():
@@ -50,32 +59,34 @@ def test_translation_and_rotation_are_separate_tools():
 def test_profiles_differ_only_in_whitelists():
     profiles = tools.builtin_profiles()
     catalog = tools.builtin_catalog()
-    assert "lidar_range" not in profiles["vision-only"].allowed
-    assert "eval_expr" not in profiles["vision-only"].allowed
-    assert "lidar_range" in profiles["hybrid-nav"].allowed
-    assert "eval_expr" not in profiles["hybrid-nav"].allowed
-    assert profiles["hybrid-nav-code"].allowed == {t.name for t in catalog.tools}
+    assert "lidar_range" not in profiles["vision-only"]
+    assert "eval_expr" not in profiles["vision-only"]
+    assert "lidar_range" in profiles["hybrid-nav"]
+    assert "eval_expr" not in profiles["hybrid-nav"]
+    assert profiles["hybrid-nav-code"] == set(catalog)
+    assert all(type(profile) is frozenset for profile in profiles.values())
 
 
 def test_shared_catalog_and_profiles_are_read_only():
     profiles = tools.builtin_profiles()
     with pytest.raises(TypeError):
-        profiles["everything"] = tools.ToolProfile.of("everything", ["terminate"])
+        profiles["everything"] = frozenset({"terminate"})
     with pytest.raises(TypeError):
         del profiles["vision-only"]
     assert tools.builtin_profiles() is profiles
     assert list(profiles) == ["vision-only", "hybrid-nav", "hybrid-nav-code"]
     catalog = tools.builtin_catalog()
-    with pytest.raises((TypeError, AttributeError)):
-        catalog.tools.append(catalog.tools[0])
     with pytest.raises(TypeError):
-        catalog.by_name["terminate"] = catalog.tools[0]
+        catalog["self_destruct"] = catalog["terminate"]
+    with pytest.raises(TypeError):
+        catalog["terminate"] = catalog["zoom"]
     assert tools.builtin_catalog() is catalog
+    assert list(catalog)[0] == "brightness_assess" and list(catalog)[-1] == "eval_expr"
 
 
 def test_visible_tools_keeps_catalog_order():
     catalog = tools.builtin_catalog()
-    profile = tools.ToolProfile.of("p", ["terminate", "brightness_assess"])
+    profile = frozenset({"terminate", "brightness_assess"})
     names = [t.name for t in tools.visible_tools(catalog, profile)]
     assert names == ["brightness_assess", "terminate"]
 
@@ -142,7 +153,7 @@ _ARG_VALUES = st.one_of(
 )
 
 
-@given(tool=st.sampled_from([t for t in tools.builtin_catalog().tools if t.params]),
+@given(tool=st.sampled_from([t for t in tools.builtin_catalog().values() if t.params]),
        values=st.lists(_ARG_VALUES, min_size=3, max_size=3))
 @settings(max_examples=300, deadline=None)
 def test_validate_args_matches_the_reference(tool, values):
@@ -326,6 +337,27 @@ def test_terminate_reports_to_bridge(rig):
     assert result.ok and result.payload == {"terminated": True}
     assert bridge.terminated
     assert backend.get_latest(bus.CMD_TERMINATE).record()["reason"] == "done"
+
+
+@pytest.mark.parametrize(
+    "tool,args,channel,record",
+    [
+        ("set_position", {"dx": 0.5, "dy": -0.25, "dz": 0.0}, bus.CMD_POSE_DELTA,
+         {"dx": 0.5, "dy": -0.25, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}),
+        ("set_attitude", {"dyaw": 10.0, "dpitch": 0, "droll": -5.0}, bus.CMD_POSE_DELTA,
+         {"dx": 0.0, "dy": 0.0, "dz": 0.0, "dyaw": 10.0, "dpitch": 0, "droll": -5.0}),
+        ("set_exposure", {"gain_delta": 0.25}, bus.CMD_EXPOSURE, {"gain_delta": 0.25}),
+        ("terminate", {"reason": "done", "report": {"parts": ["antenna"]}}, bus.CMD_TERMINATE,
+         {"reason": "done", "report": {"parts": ["antenna"]}}),
+        ("terminate", {}, bus.CMD_TERMINATE, {}),
+    ],
+)
+def test_each_control_tool_publishes_its_exact_command_record(rig, tool, args, channel, record):
+    dispatcher, _, backend = rig
+    assert dispatcher.dispatch(call(tool, **args)).ok
+    published = backend.get_latest(channel).record()
+    assert published == record
+    assert [type(v) for v in published.values()] == [type(v) for v in record.values()]
 
 
 def test_brightness_assess_verdicts(rig, satellites):

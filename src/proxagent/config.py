@@ -4,6 +4,10 @@ One YAML file drives every run: bus backend, provider, default episode
 parameters, and optional per-task overrides. The whole document is
 validated before any episode starts; unknown keys are rejected, and
 parse -> serialize -> parse is the identity.
+
+The YAML parser is imported only when a configuration file is read
+(``load_config``) or written (``dump_config``), so a run built from
+``RootConfig()`` or ``parse_config`` never loads it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
-
-import yaml
 
 from .bus import BACKENDS
 from .env import EnvError, make_task
@@ -159,6 +161,8 @@ def load_config(path) -> RootConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
+    import yaml  # noqa: PLC0415
+
     try:
         record = yaml.safe_load(text) or {}
     except yaml.YAMLError as exc:
@@ -169,4 +173,6 @@ def load_config(path) -> RootConfig:
 
 
 def dump_config(config: RootConfig) -> str:
+    import yaml  # noqa: PLC0415
+
     return yaml.safe_dump(config.to_dict(), sort_keys=True)

@@ -409,11 +409,11 @@ class ScriptedProvider(DecisionProvider):
         surface = max(center - ASSUMED_RADIUS, 0.05)
         return surface * VISION_RANGE_BIAS
 
-    def _control_action(self, request: ProviderRequest) -> tuple[str, dict]:
-        """The motion/exposure/terminate action the policy wants to commit."""
+    def _control_action(self, request: ProviderRequest,
+                        visible_names: set[str]) -> tuple[str, dict]:
+        """The motion/exposure/terminate action the policy wants to commit,
+        given the names of the request's visible tools."""
         obs = request.observation
-        visible_names = {t.name for t in request.visible_tools}
-
         brightness = obs.get("mean_brightness", 128.0)
         if (
             (brightness < BRIGHTNESS_UNDER or brightness > BRIGHTNESS_OVER)
@@ -514,10 +514,11 @@ class ScriptedProvider(DecisionProvider):
             ):
                 return "kb_lookup", {}
 
-        return self._control_action(request)
+        return self._control_action(request, visible_names)
 
     def _plan(self, request: ProviderRequest) -> str:
-        tool, args = self._control_action(request)
+        tool, args = self._control_action(
+            request, {t.name for t in request.visible_tools})
         lines = [
             f"CANDIDATE 0: {format_tool_call(tool, args)} "
             "OUTCOME expected progress toward the task goal RISK Low"

@@ -174,10 +174,10 @@ def run_episode(
     without one, an episode with a workspace opens its own.
     """
     task = config.task
-    provider = provider or ScriptedProvider()
-    satellites = satellites or load_satellite_catalog()
-    skill_catalog = skill_catalog or shipped_catalog()
-    backend = backend or busmod.InProcessBus()
+    provider = ScriptedProvider() if provider is None else provider
+    satellites = load_satellite_catalog() if satellites is None else satellites
+    skill_catalog = shipped_catalog() if skill_catalog is None else skill_catalog
+    backend = busmod.InProcessBus() if backend is None else backend
 
     # -- phase 1: setup ------------------------------------------------
     catalog = builtin_catalog()
@@ -310,8 +310,8 @@ def run_campaign(
     Rounds are numbered after the episodes the workspace already holds, so
     each episode id names one episode of the workspace."""
     store = _workspace_store(Path(workspace), store)
-    satellites = satellites or load_satellite_catalog()
-    provider_factory = provider_factory or ScriptedProvider
+    satellites = load_satellite_catalog() if satellites is None else satellites
+    provider_factory = ScriptedProvider if provider_factory is None else provider_factory
     report = CampaignReport()
     first = store.episode_count() + 1
     for index in range(rounds):

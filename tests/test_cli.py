@@ -1,11 +1,14 @@
 import contextlib
 import fcntl
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -71,6 +74,37 @@ def test_shipped_default_config_parses():
     text = resources.files("proxagent.data").joinpath("default_config.yaml").read_text()
     config = parse_config(yaml.safe_load(text))
     assert config.run.profile == "hybrid-nav"
+
+
+_IMPORT_CLI = """
+import sys
+import proxagent.cli
+print(sorted(m for m in ("yaml", "requests", "redis") if m in sys.modules))
+"""
+
+
+def test_importing_the_cli_loads_no_optional_parser_or_client():
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CLI], check=True, timeout=60,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("run: [unclosed\n", "configuration is not valid YAML: "),
+    ("- a\n- b\n", "root must be a mapping, got ['a', 'b']"),
+])
+def test_load_config_names_what_is_wrong_with_the_text(tmp_path, text, message):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+
+
+def test_load_config_names_a_file_it_cannot_read(tmp_path):
+    with pytest.raises(ConfigError, match="^cannot read configuration: "):
+        load_config(tmp_path / "missing.yaml")
 
 
 @pytest.mark.parametrize("record", [

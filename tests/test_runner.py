@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from proxagent import evolution, runner
 from proxagent.bus import SENSOR_LIDAR, SENSOR_RGB, InProcessBus
 from proxagent.evolution import REFLECTION_HISTORY, SkillStore
-from proxagent.env import evaluate, load_satellite_catalog, make_task
+from proxagent.env import UnknownSatellite, evaluate, load_satellite_catalog, make_task
 from proxagent.reasoning import (
     CALL_REFLECT,
     CALL_ROUTE,
@@ -149,6 +149,13 @@ def induced_provider():
     return ScriptedProvider(
         ScriptedPolicyConfig(max_forward_step=6.0, forward_fraction=0.5)
     )
+
+
+def test_an_empty_satellite_catalog_is_not_replaced_by_the_shipped_one(tmp_path):
+    with pytest.raises(UnknownSatellite):
+        run_episode(config(), satellites={})
+    with pytest.raises(UnknownSatellite):
+        run_campaign(config(), 1, tmp_path / "ws", satellites={})
 
 
 def test_campaign_lifecycle(satellites, tmp_path):

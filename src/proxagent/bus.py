@@ -17,7 +17,6 @@ native delivery semantics.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import threading
@@ -266,6 +265,25 @@ def encode(record: dict) -> bytes:
 _CONTAINERS = frozenset({dict, list})  # the container types json_copy makes
 
 
+def record_copy(record: dict) -> dict:
+    """A copy of the JSON-native ``record`` that the caller may change
+    freely: every dict and list in it is new, and its other values, which
+    are immutable, are shared."""
+    copied = dict(record)
+    for name, value in copied.items():
+        if type(value) in _CONTAINERS:  # e.g. cmd/terminate's report
+            copied[name] = _tree_copy(value)
+    return copied
+
+
+def _tree_copy(value):
+    """``record_copy`` of a dict or list nested in a record."""
+    if type(value) is list:
+        return [_tree_copy(item) if type(item) in _CONTAINERS else item for item in value]
+    return {name: _tree_copy(item) if type(item) in _CONTAINERS else item
+            for name, item in value.items()}
+
+
 class BusMessage(NamedTuple):
     key: str
     payload: dict  # the validated record, owned by the bus: read it via record()
@@ -274,11 +292,7 @@ class BusMessage(NamedTuple):
 
     def record(self) -> dict:
         """The payload, as a copy the caller may change freely."""
-        record = dict(self.payload)
-        for name, value in record.items():
-            if type(value) in _CONTAINERS:  # e.g. cmd/terminate's report
-                record[name] = copy.deepcopy(value)
-        return record
+        return record_copy(self.payload)
 
 
 Handler = Callable[[BusMessage], None]

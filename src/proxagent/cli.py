@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 task failure, 3 configuration error, 4 episode
 error. Flags override per-task overrides, which override the
 configuration file; a flag left out overrides nothing.
+
+Optional layers load on demand: the YAML parser when a command reads a
+configuration file, and the evolution layer (``proxagent.evolution``) when a
+command opens a workspace, in either case before the first episode.
 """
 
 from __future__ import annotations
@@ -14,18 +18,21 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import bus as busmod
 from .config import ConfigError, RootConfig, load_config
 from .env import evaluate, load_satellite_catalog, make_task
-from .evolution import SkillStore
 from .reasoning import make_provider
 from .runner import default_skills_root, run_campaign, run_episode, shipped_catalog
 from .skills import SkillCatalog, route
 from .tools import builtin_profiles
 from .trajectory import ENDED_ERROR, Trajectory, open_for_write
+
+if TYPE_CHECKING:
+    from .evolution import SkillStore
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 2
@@ -122,6 +129,8 @@ class Setup:
                     if workspace.exists() and not workspace.is_dir():
                         raise ConfigError(f"workspace {str(workspace)!r} is not a directory")
                     self._locks.append(_lock_workspace(workspace))
+                    from .evolution import SkillStore  # noqa: PLC0415
+
                     self.stores[workspace] = SkillStore(workspace)
                 store = self.stores[workspace]
                 store.view  # read now, so a malformed file fails before any episode
@@ -404,7 +413,11 @@ def skills_list(config_path, workspace) -> None:
     with _config_errors():
         root = _load_root(config_path)
         catalog = SkillCatalog.load(root.skills_root or default_skills_root())
-        learned = SkillStore(workspace).load_all() if workspace else {}
+        learned = {}
+        if workspace:
+            from .evolution import SkillStore  # noqa: PLC0415
+
+            learned = SkillStore(workspace).load_all()
     rows = [
         [s.name, s.category, s.version, s.provenance, "yes" if s.enabled else "no"]
         for s in catalog.skills
@@ -422,6 +435,8 @@ def skills_list(config_path, workspace) -> None:
 @click.option("--workspace", type=click.Path(exists=True, file_okay=False), required=True)
 def skills_audit(workspace) -> None:
     with _config_errors():
+        from .evolution import SkillStore  # noqa: PLC0415
+
         records = SkillStore(workspace).audit_records()
     if not records:
         click.echo("audit log is empty")

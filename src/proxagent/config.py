@@ -57,6 +57,8 @@ def _fields(cls, record, where: str, keys=None) -> dict:
 
 @dataclass
 class BusSection:
+    """The ``bus:`` section: the bus backend episodes run on, and Redis's URL."""
+
     backend: str = "inprocess"
     redis_url: str = "redis://localhost:6379/0"
 
@@ -67,6 +69,8 @@ class BusSection:
 
 @dataclass
 class ProviderSection:
+    """The ``provider:`` section: the provider's kind and its factory options."""
+
     kind: str = "scripted"
     options: dict = field(default_factory=dict)  # passed to the provider factory
 
@@ -80,6 +84,8 @@ class ProviderSection:
 
 @dataclass
 class RunSection:
+    """The ``run:`` section: one episode's task, target, start, profile, mode and seed."""
+
     task: str = "rendezvous"
     satellite: str = "CAPSTONE"
     condition: str = "C1"
@@ -123,6 +129,8 @@ _OVERRIDE_FIELDS = {"satellite", "condition", "profile", "mode", "seed", "max_st
 
 @dataclass
 class RootConfig:
+    """A whole configuration document, as ``parse_config`` validated it."""
+
     bus: BusSection = field(default_factory=BusSection)
     provider: ProviderSection = field(default_factory=ProviderSection)
     run: RunSection = field(default_factory=RunSection)
@@ -164,7 +172,7 @@ def load_config(path) -> RootConfig:
     import yaml  # noqa: PLC0415
 
     try:
-        record = yaml.safe_load(text) or {}
+        record = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"configuration is not valid YAML: {exc}") from exc
     except RecursionError:

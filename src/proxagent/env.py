@@ -82,6 +82,8 @@ _attitude_bits = struct.Struct("3d").pack
 
 @dataclass
 class Pose:
+    """The chaser's position (m) and attitude (deg) in the world frame."""
+
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
@@ -228,6 +230,8 @@ def load_satellite_catalog(path: Optional[Path] = None) -> dict[str, SatelliteMo
 
 @dataclass(frozen=True)
 class InitialCondition:
+    """A named start: the chaser's offset (m) from its nominal start, and its camera gain."""
+
     id: str
     position_offset: tuple[float, float, float]
     initial_exposure_gain: float
@@ -242,6 +246,8 @@ CONDITIONS = {
 
 @dataclass
 class TaskSpec:
+    """One episode's task: kind, routed description, target, start and step cap."""
+
     kind: str
     description: str
     satellite_id: str
@@ -286,6 +292,8 @@ _rgb_values = operator.attrgetter(*_RGB_FIELDS)
 
 @dataclass
 class Observation:
+    """What the simulator senses after a step, before the bridge publishes it."""
+
     visible: bool
     bearing_az: float
     bearing_el: float

@@ -85,6 +85,8 @@ class StoreWriteFailure(EvolutionError):
 
 @dataclass
 class EpisodeSummary:
+    """One finished episode as the workspace history keeps it and reflection reads it."""
+
     episode_id: str
     task_kind: str
     success: Optional[bool]
@@ -167,6 +169,8 @@ def summarize_episode(
 
 @dataclass
 class MutationDecision:
+    """A skill change that reflection proposes, before the quality gate judges it."""
+
     action: str
     scope: str
     target: Optional[str] = None
@@ -297,6 +301,8 @@ def skill_fingerprint(skill: Skill) -> str:
 
 @dataclass
 class GateVerdict:
+    """The quality gate's verdict on a mutation: accepted, or the constraint it broke."""
+
     accepted: bool
     rejected_by: Optional[str] = None
     detail: str = ""

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import TOO_DEEP, dumps_sorted, is_finite_number, loads
+from .bus import TOO_DEEP, dumps_sorted, is_finite_number, loads, record_copy
 from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
 from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
                     ToolDescriptor, validate_args)
@@ -55,6 +55,8 @@ class ProviderTimeout(ReasoningError):
 
 @dataclass
 class ProviderRequest:
+    """What one provider call sees: its kind, the prompt, the step's view and extras."""
+
     call_kind: str
     prompt: str
     observation: dict = field(default_factory=dict)
@@ -68,6 +70,8 @@ class ProviderRequest:
 
 @dataclass
 class Candidate:
+    """One action of a prospective plan, with its predicted outcome and risk."""
+
     action: ToolCall
     predicted_outcome: str
     risk: str
@@ -277,6 +281,8 @@ def update_memory(
 
 @dataclass
 class ScriptedPolicyConfig:
+    """The tunable settings of the scripted policy's forward steps."""
+
     forward_fraction: float = 0.2
     max_forward_step: float = MAX_STEP_TRANSLATION
 
@@ -746,7 +752,8 @@ class StepContext:
             "args": call.args,
             "result": result.to_dict(),
         })
-        self.inner_results.append({"tool": call.tool, "payload": result.payload})
+        # the provider gets its own copy: the payload above is the trajectory's
+        self.inner_results.append({"tool": call.tool, "payload": record_copy(result.payload)})
 
     def result(self, call: ToolCall, degraded: bool = False) -> StepContext:
         self.call, self.degraded = call, degraded
@@ -793,7 +800,7 @@ def step_prospective(ctx: StepContext) -> StepContext:
         {
             "index": i,
             "tool": c.action.tool,
-            "args": c.action.args,
+            "args": record_copy(c.action.args),  # the provider's, not the call's
             "outcome": c.predicted_outcome,
             "risk": c.risk,
         }

@@ -7,6 +7,10 @@ terminates, collides, or times out, logging every step as a sorted-key
 JSON line. Teardown scores the trajectory; with a workspace, it also
 summarizes the episode into the workspace's history and, when evolution is
 enabled, first reflects that summary into a gated skill mutation.
+
+The evolution layer (``proxagent.evolution``) is imported by the first
+episode or campaign with a workspace, so importing this module, and running
+episodes without a workspace, never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import bus as busmod
 from .env import (
@@ -25,12 +29,6 @@ from .env import (
     TaskSpec,
     evaluate,
     load_satellite_catalog,
-)
-from .evolution import (
-    SkillStore,
-    run_evolution,
-    select_learned,
-    summarize_episode,
 )
 from .reasoning import (
     DecisionProvider,
@@ -68,6 +66,9 @@ from .trajectory import (
     Trajectory,
 )
 
+if TYPE_CHECKING:
+    from .evolution import SkillStore
+
 _MODE_STEP = {
     "standard": step_standard,
     "react": step_react,
@@ -81,6 +82,8 @@ class RunnerError(Exception):
 
 @dataclass
 class EpisodeConfig:
+    """What one episode runs: task, tool profile, mode, seed and where it writes."""
+
     task: TaskSpec
     profile: str = "hybrid-nav"
     mode: str = MODE_STANDARD
@@ -100,6 +103,8 @@ class EpisodeConfig:
 
 @dataclass
 class EpisodeResult:
+    """A finished episode: its trajectory, its outcome and any evolution event."""
+
     trajectory: Trajectory
     outcome: Outcome
     evolution: Optional[dict] = None
@@ -152,7 +157,11 @@ def _workspace_store(workspace: Optional[Path],
     """The store of ``workspace``: ``store`` if given, which must be that
     workspace's, else a new one (or none without a workspace)."""
     if store is None:
-        return None if workspace is None else SkillStore(workspace)
+        if workspace is None:
+            return None
+        from .evolution import SkillStore  # noqa: PLC0415
+
+        return SkillStore(workspace)
     if workspace is None or Path(workspace) != store.workspace:
         raise RunnerError(f"the store is for workspace {store.workspace}, "
                           f"the episode's is {workspace}")
@@ -192,6 +201,8 @@ def run_episode(
     store = _workspace_store(config.workspace, store)
     learned = []
     if store is not None:
+        from .evolution import select_learned  # noqa: PLC0415
+
         learned = select_learned(task.kind, task.description, store)
     prompt = assemble_prompt(core_skills, routing, mode_skills, learned, skill_catalog)
 
@@ -277,6 +288,8 @@ def run_episode(
     outcome = evaluate(trajectory, task, satellites[task.satellite_id])
     evolution_event = None
     if store is not None:
+        from .evolution import run_evolution, summarize_episode  # noqa: PLC0415
+
         summary = summarize_episode(trajectory, outcome, task.kind, config.episode_id)
         if config.evolve:
             evolution_event = run_evolution(summary, prompt.skill_names, provider, store)
@@ -286,6 +299,8 @@ def run_episode(
 
 @dataclass
 class CampaignReport:
+    """The per-round records of one evolution campaign."""
+
     rounds: list[dict] = field(default_factory=list)
 
     def successes(self) -> int:

@@ -70,6 +70,8 @@ class NoDefaults(SkillError):
 
 @dataclass(frozen=True)
 class Skill:
+    """One skill file: its header fields and its body text."""
+
     name: str
     category: str
     routing_summary: str = ""
@@ -169,6 +171,8 @@ def skill_files(directory: Path) -> list[tuple[Path, Skill]]:
 
 @dataclass
 class RoutingResult:
+    """The skills routing chose for an episode, why, and whether by fallback."""
+
     task_skill: str
     helper_skills: list[str]
     justification: str
@@ -177,6 +181,8 @@ class RoutingResult:
 
 @dataclass
 class AssembledPrompt:
+    """An episode's system prompt and the names of the skills it holds, in order."""
+
     text: str
     skill_names: list[str]
 

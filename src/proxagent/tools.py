@@ -58,6 +58,8 @@ TERMINATE = "terminate"  # the terminal tool: committing it ends the episode
 
 @dataclass(frozen=True)
 class ToolDescriptor:
+    """One catalog tool: its name, category, parameter schema and description."""
+
     name: str
     category: str
     params: dict  # name -> {"type": ..., "required": bool, "unit"?: str}
@@ -66,6 +68,8 @@ class ToolDescriptor:
 
 @dataclass
 class ToolCall:
+    """One tool call a provider chose, with the step and inner round it belongs to."""
+
     tool: str
     args: dict
     step_index: int = 0
@@ -77,6 +81,8 @@ class ToolCall:
 
 @dataclass
 class ToolResult:
+    """What a dispatched tool call returned: its payload, or its error kind."""
+
     ok: bool
     payload: dict = field(default_factory=dict)
     error_kind: Optional[str] = None

@@ -34,6 +34,8 @@ def open_for_write(path: Path, mode: str = "w") -> IO[str]:
 
 @dataclass
 class StepRecord:
+    """One logged outer step: committed call, result, observation and inner rounds."""
+
     step: int
     observation: dict          # observation after the committed action
     call: dict                 # {"tool", "args", "step_index", "inner_round"}
@@ -66,6 +68,8 @@ def _step_record(data: dict) -> StepRecord:
 
 @dataclass
 class Trajectory:
+    """An episode's log: its header fields, its step records and what ended it."""
+
     steps: list[StepRecord] = field(default_factory=list)
     ended_by: str = ENDED_ERROR
     meta: dict = field(default_factory=dict)

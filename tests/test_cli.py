@@ -79,7 +79,8 @@ def test_shipped_default_config_parses():
 _IMPORT_CLI = """
 import sys
 import proxagent.cli
-print(sorted(m for m in ("yaml", "requests", "redis") if m in sys.modules))
+print(sorted(m for m in ("yaml", "requests", "redis", "proxagent.evolution")
+             if m in sys.modules))
 """
 
 
@@ -100,6 +101,23 @@ def test_load_config_names_what_is_wrong_with_the_text(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("[]\n", "[]"), ("false\n", "False"), ("0\n", "0"), ("''\n", "''"),
+])
+def test_a_configuration_whose_root_is_not_a_mapping_exits_3(runner, tmp_path, text, shown):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3
+    assert f"root must be a mapping, got {shown}" in result.output
+
+
+def test_an_empty_configuration_runs_with_every_default(runner, tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("")
+    assert runner.invoke(main, ["run", "--config", str(path)]).exit_code == 0
 
 
 def test_load_config_names_a_file_it_cannot_read(tmp_path):

@@ -711,6 +711,38 @@ def test_prospective_degrades_on_malformed_select():
     assert result.call.tool == "terminate"
 
 
+def _steps(result):
+    return [step.to_json() for step in result.trajectory.steps]
+
+
+def test_a_provider_editing_the_select_listing_leaves_the_committed_call_as_planned():
+    class Editing(reasoning.ScriptedProvider):
+        def complete(self, request):
+            for candidate in request.extra.get("candidates", []):
+                if "dx" in candidate["args"]:
+                    candidate["args"]["dx"] = 99.0
+            return super().complete(request)
+
+    config = EpisodeConfig(task=make_task("rendezvous"), mode="prospective", seed=1)
+    edited = run_episode(config, provider=Editing())
+    assert all(step.call["args"].get("dx") != 99.0 for step in edited.trajectory.steps)
+    assert _steps(edited) == _steps(run_episode(config))
+
+
+def test_a_provider_editing_an_inner_result_leaves_the_recorded_payload_as_returned():
+    class Editing(reasoning.ScriptedProvider):
+        def complete(self, request):
+            for item in request.inner_results:
+                item["payload"]["edited"] = True
+            return super().complete(request)
+
+    config = EpisodeConfig(task=make_task("inspection"), mode="react", seed=1)
+    edited = run_episode(config, provider=Editing())
+    inner = [record for step in edited.trajectory.steps for record in step.inner]
+    assert inner and not any("edited" in record["result"]["payload"] for record in inner)
+    assert _steps(edited) == _steps(run_episode(config))
+
+
 @pytest.mark.parametrize("spec,problem", [
     ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "modle": "gpt"},
      r"unknown remote provider options: \['modle'\]"),

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -275,6 +277,31 @@ def test_a_store_of_another_workspace_is_refused(satellites, tmp_path):
     with pytest.raises(RunnerError):
         run_campaign(config(), 1, tmp_path / "ws", satellites=satellites, store=other)
     assert not (tmp_path / "ws").exists() and not other.workspace.exists()
+
+
+_EPISODE_WITH_AND_WITHOUT_A_WORKSPACE = """
+import sys
+from pathlib import Path
+from proxagent.env import make_task
+from proxagent.runner import EpisodeConfig, run_episode
+task = make_task("rendezvous")
+run_episode(EpisodeConfig(task=task))
+print("proxagent.evolution" in sys.modules)
+run_episode(EpisodeConfig(task=task, workspace=Path(sys.argv[1]), evolve=True))
+print("proxagent.evolution" in sys.modules)
+"""
+
+
+def test_only_an_episode_with_a_workspace_loads_the_evolution_layer(tmp_path):
+    src = Path(runner.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _EPISODE_WITH_AND_WITHOUT_A_WORKSPACE, str(tmp_path)],
+        check=True, timeout=60, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.split() == ["False", "True"]
+    lines = (tmp_path / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["episode_id"] for line in lines] == ["ep-000001"]
 
 
 def test_shipped_catalog_is_loaded_once_per_process(satellites, monkeypatch):

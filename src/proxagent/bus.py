@@ -55,39 +55,6 @@ _CONTRACT_KEY_SET = frozenset(CONTRACT_KEYS)
 
 _NUMBER = (int, float)
 
-# Required fields per key: name -> accepted types. ``None`` in the tuple
-# means the field may be null. Extra fields are allowed (e.g. diagnostic
-# notes attached by the environment bridge).
-CHANNEL_SCHEMAS: dict[str, dict[str, tuple]] = {
-    SENSOR_RGB: {
-        "visible": (bool,),
-        "bearing_az": _NUMBER,
-        "bearing_el": _NUMBER,
-        "angular_size": _NUMBER,
-        "mean_brightness": _NUMBER,
-        "exposure_gain": _NUMBER,
-        "step_index": (int,),
-        "collided": (bool,),
-        "true_range": _NUMBER,
-    },
-    SENSOR_LIDAR: {"range_m": _NUMBER + (type(None),)},
-    CMD_POSE_DELTA: {
-        "dx": _NUMBER,
-        "dy": _NUMBER,
-        "dz": _NUMBER,
-        "dyaw": _NUMBER,
-        "dpitch": _NUMBER,
-        "droll": _NUMBER,
-    },
-    CMD_EXPOSURE: {"gain_delta": _NUMBER},
-    CMD_TERMINATE: {},
-}
-
-
-def check_key(key: str) -> None:
-    if key not in _CONTRACT_KEY_SET:
-        raise UnknownKey(f"not a contract key: {key!r}")
-
 
 def is_finite_number(value) -> bool:
     """True when ``value`` converts to a finite float. An integer beyond the
@@ -96,6 +63,78 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def is_number(value) -> bool:
+    """True for the value of a number field: an int or float, or a subclass
+    of one such as an IntEnum, that is finite in float range and not a bool."""
+    if type(value) is float:  # the common case
+        return math.isfinite(value)
+    return isinstance(value, _NUMBER) and not isinstance(value, bool) and is_finite_number(value)
+
+
+# A field table maps each field name to its kind, a (test, what) pair: the
+# test a value must pass and what the value must be, as a message says it.
+NUMBER = (is_number, "a finite number")
+INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+BOOLEAN = (lambda v: isinstance(v, bool), "a boolean")
+STRING = (lambda v: isinstance(v, str), "a string")
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+ARRAY = (lambda v: isinstance(v, list), "an array")
+
+
+def _shown(value) -> str:
+    """``value``'s repr cut to 60 characters, for a message."""
+    try:
+        return f"{value!r:.60}"
+    except (ValueError, RecursionError):  # an int too long to print, too deep a container
+        return f"a value of type {type(value).__name__}"
+
+
+def field_problem(table: dict, record, optional=(), closed: bool = False,
+                  noun: str = "field") -> Optional[str]:
+    """The first way ``record`` does not fit the field ``table``, as text, or
+    None when it fits. Each field is required but those named in
+    ``optional``; fields the table does not name are allowed unless it is
+    ``closed``. ``noun`` is what a message calls a field."""
+    if not isinstance(record, dict):
+        return f"must be an object, got {_shown(record)}"
+    for name, (test, what) in table.items():
+        if name in record:
+            if not test(record[name]):
+                return f"{noun} {name!r} must be {what}, got {_shown(record[name])}"
+        elif name not in optional:
+            return f"missing {noun} {name!r}"
+    if closed and not record.keys() <= table.keys():
+        unknown = next(name for name in record if name not in table)
+        return f"unknown {noun} {unknown!r}"
+    return None
+
+
+# The field table of each key. Extra fields are allowed (e.g. diagnostic
+# notes attached by the environment bridge).
+CHANNEL_SCHEMAS: dict[str, dict[str, tuple]] = {
+    SENSOR_RGB: {
+        "visible": BOOLEAN,
+        "bearing_az": NUMBER,
+        "bearing_el": NUMBER,
+        "angular_size": NUMBER,
+        "mean_brightness": NUMBER,
+        "exposure_gain": NUMBER,
+        "step_index": INTEGER,
+        "collided": BOOLEAN,
+        "true_range": NUMBER,
+    },
+    SENSOR_LIDAR: {"range_m": (lambda v: v is None or is_number(v), "a finite number or null")},
+    CMD_POSE_DELTA: dict.fromkeys(("dx", "dy", "dz", "dyaw", "dpitch", "droll"), NUMBER),
+    CMD_EXPOSURE: {"gain_delta": NUMBER},
+    CMD_TERMINATE: {},
+}
+
+
+def check_key(key: str) -> None:
+    if key not in _CONTRACT_KEY_SET:
+        raise UnknownKey(f"not a contract key: {key!r}")
 
 
 _PLAIN = frozenset({str, bool, type(None)})
@@ -156,33 +195,12 @@ def _copy(value, where: str, depth: int, deep: str):
     raise SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
 
 
-# CHANNEL_SCHEMAS compiled for validate_payload: per key, one
-# (field, exact types, accepted types) entry per required field.
-_FIELD_CHECKS: dict[str, tuple[tuple[str, frozenset, tuple], ...]] = {
-    key: tuple((name, frozenset(types), types) for name, types in schema.items())
-    for key, schema in CHANNEL_SCHEMAS.items()
-}
-
-
 def validate_payload(key: str, record) -> dict:
     """Validate a record against the key's schema; return a private copy."""
     check_key(key)
-    if not isinstance(record, dict):
-        raise SchemaViolation(f"payload for {key} must be a JSON object")
-    for field, exact, types in _FIELD_CHECKS[key]:
-        if field not in record:
-            raise SchemaViolation(f"payload for {key} missing field {field!r}")
-        value = record[field]
-        if type(value) in exact:
-            continue
-        # a subclass, such as an IntEnum, is accepted; bool is an int
-        # subclass, rejected where a number is expected
-        if isinstance(value, bool) and bool not in types:
-            raise SchemaViolation(f"{key}.{field}: expected {types}, got bool")
-        if not isinstance(value, types):
-            raise SchemaViolation(
-                f"{key}.{field}: expected {types}, got {type(value).__name__}"
-            )
+    problem = field_problem(CHANNEL_SCHEMAS[key], record)
+    if problem is not None:
+        raise SchemaViolation(f"payload for {key}: {problem}")
     return json_copy(record, key)
 
 

@@ -148,53 +148,43 @@ class SatelliteModel:
     base_luminance: float = DEFAULT_BASE_LUMINANCE
 
 
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) \
-        and busmod.is_finite_number(value)
-
-
 def _is_string_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
 
 
-# The fields of a satellite catalog entry: name -> (check, what the value
-# must be). Each is required but base_luminance, which defaults to
+# The field table of a satellite catalog entry (see bus.field_problem).
+# Each field is required but base_luminance, which defaults to
 # DEFAULT_BASE_LUMINANCE; other fields are ignored.
 _CATALOG_FIELDS = {
-    "id": (lambda v: isinstance(v, str), "a string"),
-    "position": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
-                 "three finite numbers"),
-    "bounding_radius": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "id": busmod.STRING,
+    "position": (lambda v: isinstance(v, list) and len(v) == 3
+                 and all(map(busmod.is_number, v)), "three finite numbers"),
+    "bounding_radius": (lambda v: busmod.is_number(v) and v > 0, "a finite number > 0"),
     "parts": (lambda v: isinstance(v, list) and all(map(_is_string_pair, v)),
               "a list of [name, attribute] string pairs"),
     "ground_truth_report": (
         lambda v: isinstance(v, dict) and set(v) == set(REPORT_DIMENSIONS)
         and all(isinstance(text, str) for text in v.values()),
         f"an object of strings with exactly the keys {', '.join(REPORT_DIMENSIONS)}"),
-    "base_luminance": (_is_number, "a finite number"),
+    "base_luminance": busmod.NUMBER,
 }
 
 
 def _catalog_entry(entry, where: str) -> SatelliteModel:
     """The satellite a catalog entry describes; EnvError naming ``where``
     (the file and the entry) and the field when it describes none."""
-    if not isinstance(entry, dict):
-        raise EnvError(f"{where}: must be an object, got {entry!r:.60}")
-    if isinstance(entry.get("id"), str):
+    if isinstance(entry, dict) and isinstance(entry.get("id"), str):
         where = f"{where} ({entry['id']!r})"
-    entry = {"base_luminance": DEFAULT_BASE_LUMINANCE, **entry}
-    for name, (check, what) in _CATALOG_FIELDS.items():
-        if name not in entry:
-            raise EnvError(f"{where}: missing field {name!r}")
-        if not check(entry[name]):
-            raise EnvError(f"{where}: field {name!r} must be {what}, got {entry[name]!r:.60}")
+    problem = busmod.field_problem(_CATALOG_FIELDS, entry, optional=("base_luminance",))
+    if problem is not None:
+        raise EnvError(f"{where}: {problem}")
     return SatelliteModel(
         id=entry["id"],
         position=tuple(entry["position"]),
         bounding_radius=entry["bounding_radius"],
         parts=[tuple(p) for p in entry["parts"]],
         ground_truth_report=entry["ground_truth_report"],
-        base_luminance=entry["base_luminance"],
+        base_luminance=entry.get("base_luminance", DEFAULT_BASE_LUMINANCE),
     )
 
 

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import TOO_DEEP, dumps_sorted, is_finite_number, loads, record_copy
+from .bus import TOO_DEEP, dumps_sorted, is_number, loads, record_copy
 from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
 from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
                     ToolDescriptor, validate_args)
@@ -565,6 +565,8 @@ class RemoteProvider(DecisionProvider):
     ):
         if temperature > 0.3:
             raise ReasoningError("temperature must be <= 0.3")
+        if timeout <= 0:
+            raise ReasoningError("timeout must be > 0")
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -648,8 +650,8 @@ PROVIDER_KINDS = {
 
 def _provider_options(kind: str, options: dict) -> dict:
     """``options`` checked against the constructor for ``kind``: each names a
-    parameter, has its type (a ``float`` takes any finite number but a bool)
-    and leaves out no parameter without a default."""
+    parameter, has its type (a ``float`` takes a number as ``bus.is_number``
+    defines it) and leaves out no parameter without a default."""
     params = inspect.signature(PROVIDER_KINDS[kind], eval_str=True).parameters
     unknown = set(options) - set(params)
     if unknown:
@@ -659,9 +661,7 @@ def _provider_options(kind: str, options: dict) -> dict:
         raise ReasoningError(f"{kind} provider options missing: {missing}")
     for name, value in options.items():
         if params[name].annotation is float:
-            wanted, ok = "a finite number", (isinstance(value, (int, float))
-                                             and not isinstance(value, bool)
-                                             and is_finite_number(value))
+            wanted, ok = "a finite number", is_number(value)
         else:
             wanted, ok = "a string", isinstance(value, str)
         if not ok:

@@ -19,7 +19,6 @@ import ast
 import functools
 import hashlib
 import itertools
-import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -58,12 +57,13 @@ TERMINATE = "terminate"  # the terminal tool: committing it ends the episode
 
 @dataclass(frozen=True)
 class ToolDescriptor:
-    """One catalog tool: its name, category, parameter schema and description."""
+    """One catalog tool: its name, category, parameter table and description."""
 
     name: str
     category: str
-    params: dict  # name -> {"type": ..., "required": bool, "unit"?: str}
+    params: dict  # a bus field table: name -> kind, the unit in the kind's text
     description: str
+    optional: frozenset = frozenset()  # the params a call may leave out
 
 
 @dataclass
@@ -98,8 +98,8 @@ class ToolResult:
 def builtin_catalog() -> Mapping[str, ToolDescriptor]:
     """The shipped catalog, tool name -> descriptor in catalog order. Built
     once per process; the mapping is read-only because it is shared."""
-    meters = {"type": "number", "required": True, "unit": "meters"}
-    degrees = {"type": "number", "required": True, "unit": "degrees"}
+    meters = (busmod.is_number, "a finite number of meters")
+    degrees = (busmod.is_number, "a finite number of degrees")
     tools = [
         ToolDescriptor(
             "brightness_assess", CATEGORY_PERCEPTION, {},
@@ -111,15 +111,12 @@ def builtin_catalog() -> Mapping[str, ToolDescriptor]:
         ),
         ToolDescriptor(
             "crop_region", CATEGORY_PERCEPTION,
-            {
-                "az_min": {"type": "number", "required": True, "unit": "degrees"},
-                "az_max": {"type": "number", "required": True, "unit": "degrees"},
-            },
+            {"az_min": degrees, "az_max": degrees},
             "Restrict the part listing to a bearing window.",
         ),
         ToolDescriptor(
             "zoom", CATEGORY_PERCEPTION,
-            {"factor": {"type": "number", "required": True}},
+            {"factor": busmod.NUMBER},
             "Magnify the reported angular size detail of the target.",
         ),
         ToolDescriptor(
@@ -138,25 +135,24 @@ def builtin_catalog() -> Mapping[str, ToolDescriptor]:
         ),
         ToolDescriptor(
             "set_exposure", CATEGORY_CONTROL,
-            {"gain_delta": {"type": "number", "required": True}},
+            {"gain_delta": busmod.NUMBER},
             "Adjust the camera exposure gain by a delta.",
         ),
         ToolDescriptor(
             TERMINATE, CATEGORY_CONTROL,
-            {
-                "reason": {"type": "string", "required": False},
-                "report": {"type": "object", "required": False},
-            },
+            {"reason": busmod.STRING, "report": busmod.OBJECT},
             "End the episode; optionally attach an inspection report.",
+            frozenset({"reason", "report"}),
         ),
         ToolDescriptor(
             "kb_lookup", CATEGORY_KNOWLEDGE,
-            {"satellite_id": {"type": "string", "required": False}},
+            {"satellite_id": busmod.STRING},
             "Look up known characteristics of a satellite.",
+            frozenset({"satellite_id"}),
         ),
         ToolDescriptor(
             "eval_expr", CATEGORY_AUXILIARY,
-            {"expression": {"type": "string", "required": True}},
+            {"expression": busmod.STRING},
             "Evaluate a pure arithmetic expression.",
         ),
     ]
@@ -200,31 +196,12 @@ _ZERO_COMMANDS = {
 
 
 def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
-    """Return an error message, or None when args fit the schema."""
-    if not isinstance(args, dict):
-        return "args must be an object"
-    for pname, meta in tool.params.items():
-        if meta.get("required") and pname not in args:
-            return f"missing required arg {pname!r}"
+    """Return an error message, or None when args fit the tool's params."""
+    problem = busmod.field_problem(tool.params, args, tool.optional, closed=True, noun="arg")
+    if problem is not None:
+        return problem
     for pname, value in args.items():
-        meta = tool.params.get(pname)
-        if meta is None:
-            return f"unknown arg {pname!r}"
-        expected = meta["type"]
-        if expected == "number":
-            if type(value) is float:  # the common case, checked inline
-                if not math.isfinite(value):
-                    return f"arg {pname!r} must be finite"
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"arg {pname!r} must be a number"
-            elif not busmod.is_finite_number(value):
-                return f"arg {pname!r} must be finite"
-        elif expected == "string":
-            if not isinstance(value, str):
-                return f"arg {pname!r} must be a string"
-        elif expected == "object":
-            if not isinstance(value, dict):
-                return f"arg {pname!r} must be an object"
+        if tool.params[pname] is busmod.OBJECT:
             try:  # the object travels on the bus: JSON-native, inside the args object
                 busmod.json_copy(value, pname, depth=2)
             except busmod.SchemaViolation as exc:

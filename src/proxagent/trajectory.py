@@ -9,14 +9,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional, get_type_hints
+from typing import IO, Optional
 
-from .bus import dumps_strict, loads
+from .bus import ARRAY, INTEGER, OBJECT, STRING, dumps_strict, field_problem, loads
 
 ENDED_TERMINATE = "terminate"
 ENDED_TIMEOUT = "timeout"
 ENDED_COLLISION = "collision"
 ENDED_ERROR = "error"
+ENDINGS = (ENDED_TERMINATE, ENDED_TIMEOUT, ENDED_COLLISION, ENDED_ERROR)
 
 SCHEMA_VERSION = 1
 
@@ -48,22 +49,24 @@ class StepRecord:
         return dumps_strict(vars(self))
 
 
-_STEP_TYPES = get_type_hints(StepRecord)
+_CALL_FIELDS = {"tool": STRING, "args": OBJECT}
+_CALL = (lambda v: field_problem(_CALL_FIELDS, v) is None,
+         "an object with a string 'tool' and an object 'args'")
+
+# The field tables of a step line, the StepRecord fields, of which the last
+# three may be left out, and of the footer
+_STEP_FIELDS = {"step": INTEGER, "observation": OBJECT, "call": _CALL, "result": OBJECT,
+                "inner": ARRAY, "memory_hash": STRING, "provider_calls": INTEGER}
+_STEP_OPTIONAL = ("inner", "memory_hash", "provider_calls")
+_FOOTER_FIELDS = {"ended_by": (lambda v: v in ENDINGS, f"one of {', '.join(ENDINGS)}")}
 
 
-def _step_record(data: dict) -> StepRecord:
-    """A step line as a StepRecord; a field not of its annotated type, or a
-    call without a str ``tool`` and a dict ``args``, is a TypeError."""
-    record = StepRecord(**data)
-    for name, wanted in _STEP_TYPES.items():
-        value = getattr(record, name)
-        if not isinstance(value, wanted) or isinstance(value, bool):
-            raise TypeError(f"{name} must be {wanted.__name__}, got {value!r}")
-    if not isinstance(record.call.get("tool"), str):
-        raise TypeError(f"call.tool must be str, got {record.call.get('tool')!r}")
-    if not isinstance(record.call.get("args"), dict):
-        raise TypeError(f"call.args must be dict, got {record.call.get('args')!r}")
-    return record
+def _fitting(table: dict, data, optional=()) -> dict:
+    """``data``, which must fit the closed field ``table``; else a TypeError."""
+    problem = field_problem(table, data, optional, closed=True)
+    if problem is not None:
+        raise TypeError(problem)
+    return data
 
 
 @dataclass
@@ -90,8 +93,9 @@ class Trajectory:
     @classmethod
     def read(cls, path: Path) -> "Trajectory":
         """Read a log that ``write`` wrote. A line that is not JSON, or not
-        a header, step or footer record (a step's fields of their annotated
-        types), is a ValueError naming the file and the line."""
+        a header, step or footer record (a step or footer line that does
+        not fit its field table), is a ValueError naming the file and the
+        line."""
         traj = cls()
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
@@ -105,9 +109,10 @@ class Trajectory:
                             k: v for k, v in data["header"].items() if k != "schema_version"
                         }
                     elif "ended_by" in data:
-                        traj.ended_by = data["ended_by"]
+                        traj.ended_by = _fitting(_FOOTER_FIELDS, data)["ended_by"]
                     else:
-                        traj.steps.append(_step_record(data))
+                        traj.steps.append(StepRecord(**_fitting(_STEP_FIELDS, data,
+                                                                _STEP_OPTIONAL)))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path} line {number}: not JSON ({exc.msg})") from None
                 except RecursionError:

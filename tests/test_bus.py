@@ -2,13 +2,14 @@ import copy
 import enum
 import json
 import math
+import re
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import bus
+from proxagent import bus, env, reasoning, tools
 
 
 def test_contract_keys_are_fixed():
@@ -53,22 +54,26 @@ def test_schema_validation_rejects_bad_payloads():
     backend = bus.InProcessBus()
     with pytest.raises(bus.SchemaViolation, match="missing field 'bearing_az'"):
         backend.publish(bus.SENSOR_RGB, {"visible": True})
-    with pytest.raises(bus.SchemaViolation, match="mean_brightness: expected .* got str"):
+    with pytest.raises(bus.SchemaViolation, match=re.escape(
+            "payload for sensor/rgb/latest: field 'mean_brightness' must be a finite number, "
+            "got 'bright'")):
         backend.publish(bus.SENSOR_RGB, rgb_payload(mean_brightness="bright"))
     # booleans are not numbers
-    with pytest.raises(bus.SchemaViolation, match="bearing_az: expected .* got bool"):
+    with pytest.raises(bus.SchemaViolation, match=re.escape(
+            "payload for sensor/rgb/latest: field 'bearing_az' must be a finite number, "
+            "got True")):
         backend.publish(bus.SENSOR_RGB, rgb_payload(bearing_az=True))
-    # neither are non-finite floats
-    for number in (float("nan"), float("inf"), float("-inf")):
+    # neither are non-finite floats, nor an integer too large for a float
+    for number, shown in ((float("nan"), "nan"), (float("inf"), "inf"),
+                          (float("-inf"), "-inf"), (10**400, "1" + "0" * 59)):
         delta = {"dx": number, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
-        with pytest.raises(bus.SchemaViolation, match="dx: not a finite number"):
+        with pytest.raises(bus.SchemaViolation) as refused:
             backend.publish(bus.CMD_POSE_DELTA, delta)
-    # nor is an integer too large for a float
-    delta = {"dx": 10**400, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0}
-    with pytest.raises(bus.SchemaViolation, match="dx: not a finite number"):
-        backend.publish(bus.CMD_POSE_DELTA, delta)
+        assert str(refused.value) == ("payload for cmd/pose_delta: field 'dx' must be a "
+                                      f"finite number, got {shown}")
     # a payload must be a record, not its encoding
-    with pytest.raises(bus.SchemaViolation, match="must be a JSON object"):
+    with pytest.raises(bus.SchemaViolation, match=re.escape(
+            "payload for cmd/terminate: must be an object, got b'{}'")):
         backend.publish(bus.CMD_TERMINATE, b"{}")
     assert backend.get_latest(bus.CMD_POSE_DELTA) is None
     assert backend.get_latest(bus.CMD_TERMINATE) is None
@@ -236,11 +241,11 @@ def test_make_backend_names():
         bus.make_backend("zeromq")
 
 
-# -- the compiled checks against the two-pass reference -----------------
+# -- the checks against the two-pass reference --------------------------
 #
-# The validation and copy code as it was before the schema was compiled
-# into per-key checks, kept here as the reference: for any record, the
-# compiled code must give an equal private copy or raise the same error.
+# The validation and copy code written out plainly, kept here as the
+# reference: for any record, the program must give an equal private copy or
+# raise the same error.
 
 
 _REFERENCE_PLAIN = frozenset({str, bool, type(None)})
@@ -272,21 +277,30 @@ def reference_json_copy(value, where):
     raise bus.SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
 
 
+def reference_fits(kind, value):
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and bus.is_finite_number(value))
+    if kind is bus.BOOLEAN:
+        return isinstance(value, bool)
+    if kind is bus.INTEGER:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is bus.NUMBER:
+        return number
+    return value is None or number  # range_m: a number or null
+
+
 def reference_validate_payload(key, record):
     if key not in bus.CONTRACT_KEYS:
         raise bus.UnknownKey(f"not a contract key: {key!r}")
     if not isinstance(record, dict):
-        raise bus.SchemaViolation(f"payload for {key} must be a JSON object")
-    for field, types in bus.CHANNEL_SCHEMAS[key].items():
+        raise bus.SchemaViolation(f"payload for {key}: must be an object, got {record!r:.60}")
+    for field, kind in bus.CHANNEL_SCHEMAS[key].items():
         if field not in record:
-            raise bus.SchemaViolation(f"payload for {key} missing field {field!r}")
+            raise bus.SchemaViolation(f"payload for {key}: missing field {field!r}")
         value = record[field]
-        if isinstance(value, bool) and bool not in types:
-            raise bus.SchemaViolation(f"{key}.{field}: expected {types}, got bool")
-        if not isinstance(value, types):
-            raise bus.SchemaViolation(
-                f"{key}.{field}: expected {types}, got {type(value).__name__}"
-            )
+        if not reference_fits(kind, value):
+            raise bus.SchemaViolation(f"payload for {key}: field {field!r} must be {kind[1]}, "
+                                      f"got {value!r:.60}")
     return reference_json_copy(record, key)
 
 
@@ -336,14 +350,17 @@ def keyed_records(draw):
     if draw(st.integers(0, 19)) == 0:  # not a record at all
         return key, draw(st.one_of(_values, st.just(b"{}")))
     record = {}
-    for field, types in bus.CHANNEL_SCHEMAS.get(key, {}).items():
+    for field, kind in bus.CHANNEL_SCHEMAS.get(key, {}).items():
         choice = draw(st.integers(0, 9))
         if choice == 0:
             continue  # missing
-        if choice <= 5:  # a value of an accepted type, as the env sends
-            kind = draw(st.sampled_from(types))
-            strategy = {bool: st.booleans(), int: st.integers(), float: st.floats(),
-                        type(None): st.none()}[kind]
+        if choice <= 5:  # a value of the field's kind, as the env sends
+            if kind is bus.BOOLEAN:
+                strategy = st.booleans()
+            elif kind is bus.INTEGER:
+                strategy = st.integers()
+            else:  # a number, which range_m may leave null
+                strategy = st.one_of(st.integers(), st.floats(), st.none())
             record[field] = draw(strategy)
         else:
             record[field] = draw(_values)
@@ -401,11 +418,62 @@ def test_subclasses_pass_the_schema_and_bools_do_not():
     delta = {"dx": Level.LOW, "dy": Metres(0.5), "dz": 0, "dyaw": 0.0, "dpitch": 0.0,
              "droll": 0.0}
     assert bus.validate_payload(bus.CMD_POSE_DELTA, delta) == delta
-    with pytest.raises(bus.SchemaViolation, match="dx: not a finite number"):
+    with pytest.raises(bus.SchemaViolation, match=re.escape(
+            "payload for cmd/pose_delta: field 'dx' must be a finite number, got <Level.HIGH: ")):
         bus.validate_payload(bus.CMD_POSE_DELTA, {**delta, "dx": Level.HIGH})
-    with pytest.raises(bus.SchemaViolation,
-                       match=r"step_index: expected \(<class 'int'>,\), got bool"):
+    with pytest.raises(bus.SchemaViolation, match=re.escape(
+            "payload for sensor/rgb/latest: field 'step_index' must be an integer, got True")):
         bus.validate_payload(bus.SENSOR_RGB, rgb_payload(step_index=True))
+
+
+class Small(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("value,accepted", [
+    (True, False), (math.nan, False), (math.inf, False), (-math.inf, False),
+    (10**400, False), (Small.TWO, True), (Metres(2.5), True),
+], ids=["true", "nan", "inf", "-inf", "10**400", "int-enum", "float-subclass"])
+def test_every_boundary_reads_a_number_field_alike(value, accepted):
+    def bus_field():
+        delta = dict.fromkeys(bus.CHANNEL_SCHEMAS[bus.CMD_POSE_DELTA], 0.0)
+        bus.validate_payload(bus.CMD_POSE_DELTA, {**delta, "dx": value})
+
+    def tool_arg():
+        problem = tools.validate_args(tools.builtin_catalog()["set_position"],
+                                      {"dx": value, "dy": 0.0, "dz": 0.0})
+        assert problem is None, problem
+
+    def catalog_field():
+        entry = {"id": "X", "position": [0, 0, 0], "bounding_radius": 1.0, "parts": [],
+                 "ground_truth_report": dict.fromkeys(env.REPORT_DIMENSIONS, "")}
+        env._catalog_entry({**entry, "base_luminance": value}, "entry 0")
+
+    def provider_option():
+        reasoning.make_provider({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1",
+                                 "timeout": value})
+
+    verdicts = {}
+    for boundary in (bus_field, tool_arg, catalog_field, provider_option):
+        try:
+            boundary()
+        except (AssertionError, bus.SchemaViolation, env.EnvError, reasoning.ReasoningError):
+            verdicts[boundary.__name__] = False
+        else:
+            verdicts[boundary.__name__] = True
+    assert verdicts == dict.fromkeys(verdicts, accepted)
+
+
+def test_a_value_too_long_or_deep_to_print_is_named_by_its_type():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    for value, kind in ((10**5000, "int"), (deep, "list")):
+        assert bus.field_problem({"dx": bus.NUMBER}, {"dx": value}) == (
+            f"field 'dx' must be a finite number, got a value of type {kind}")
+        assert tools.validate_args(tools.builtin_catalog()["set_exposure"],
+                                   {"gain_delta": value}) == (
+            f"arg 'gain_delta' must be a finite number, got a value of type {kind}")
 
 
 def test_bus_message_is_immutable():

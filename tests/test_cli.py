@@ -412,34 +412,43 @@ _STEP = '"step": 0, "observation": {}, "call": {"tool": "x", "args": {}}, "resul
 
 @pytest.mark.parametrize("bad_line,problem", [
     ("not json", "line 2: not JSON (Expecting value)"),
-    ('{"stepp": 0}', "line 2: not a trajectory record (StepRecord.__init__() got an "
-                     "unexpected keyword argument 'stepp')"),
-    ("[1, 2]", "line 2: not a trajectory record"),
+    ('{"stepp": 0}', "line 2: not a trajectory record (missing field 'step')"),
+    ("[1, 2]", "line 2: not a trajectory record (must be an object, got [1, 2])"),
     ('{"header": 5}', "line 2: not a trajectory record"),
     ('{"step": 0, "observation": 5, "call": {}, "result": {}}',
-     "line 2: not a trajectory record (observation must be dict, got 5)"),
+     "line 2: not a trajectory record (field 'observation' must be an object, got 5)"),
     ('{"step": 0, "observation": {}, "call": {}, "result": {}}',
-     "line 2: not a trajectory record (call.tool must be str, got None)"),
+     "line 2: not a trajectory record (field 'call' must be an object with a string 'tool' "
+     "and an object 'args', got {})"),
     ('{"step": 0, "observation": {}, "call": {"tool": "x", "args": []}, "result": {}}',
-     "line 2: not a trajectory record (call.args must be dict, got [])"),
+     "line 2: not a trajectory record (field 'call' must be an object with a string 'tool' "
+     "and an object 'args', got {'tool': 'x', 'args': []})"),
     ('{"step": "0", "observation": {}, "call": {"tool": "x", "args": {}}, "result": {}}',
-     "line 2: not a trajectory record (step must be int, got '0')"),
+     "line 2: not a trajectory record (field 'step' must be an integer, got '0')"),
     ("{" + _STEP + ', "provider_calls": true}',
-     "line 2: not a trajectory record (provider_calls must be int, got True)"),
+     "line 2: not a trajectory record (field 'provider_calls' must be an integer, got True)"),
     ("{" + _STEP.replace('"result": {}', '"result": []') + "}",
-     "line 2: not a trajectory record (result must be dict, got [])"),
-    ("{" + _STEP + ', "inner": {}}', "line 2: not a trajectory record (inner must be list"),
+     "line 2: not a trajectory record (field 'result' must be an object, got [])"),
+    ("{" + _STEP + ', "inner": {}}',
+     "line 2: not a trajectory record (field 'inner' must be an array, got {})"),
     ("{" + _STEP + ', "memory_hash": 7}',
-     "line 2: not a trajectory record (memory_hash must be str, got 7)"),
+     "line 2: not a trajectory record (field 'memory_hash' must be a string, got 7)"),
+    ("{" + _STEP + ', "note": "x"}', "line 2: not a trajectory record (unknown field 'note')"),
     pytest.param(_TOO_DEEP_LINE, "line 2: not JSON (nests too deeply)", id="nests-too-deeply"),
+    ('{"ended_by": "banana"}', "line 2: not a trajectory record (field 'ended_by' must be one "
+     "of terminate, timeout, collision, error, got 'banana')"),
+    ('{"ended_by": 5}', "line 2: not a trajectory record (field 'ended_by' must be one of "
+     "terminate, timeout, collision, error, got 5)"),
+    ('{"ended_by": "timeout", "note": "x"}',
+     "line 2: not a trajectory record (unknown field 'note')"),
     # a later header replaces the first
-    ('{"header": {}}', "header field 'task_kind' is missing or not a string"),
+    ('{"header": {}}', "header: missing field 'task_kind'"),
     ('{"header": {"task_kind": "rendezvous", "condition": "C1"}}',
-     "header field 'satellite_id' is missing or not a string"),
+     "header: missing field 'satellite_id'"),
     ('{"header": {"task_kind": "rendezvous", "satellite_id": "CAPSTONE"}}',
-     "header field 'condition' is missing or not a string"),
+     "header: missing field 'condition'"),
     ('{"header": {"task_kind": "rendezvous", "satellite_id": ["X"], "condition": "C1"}}',
-     "header field 'satellite_id' is missing or not a string"),
+     "header: field 'satellite_id' must be a string, got ['X']"),
 ])
 def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line, problem):
     traj = tmp_path / "t.jsonl"
@@ -454,13 +463,28 @@ def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line,
     assert f"configuration error: {traj} {problem}" in result.output
 
 
+@pytest.mark.parametrize("footer,shown", [('"banana"', "'banana'"), ("5", "5")])
+def test_report_refuses_a_footer_that_names_no_ending(runner, tmp_path, footer, shown):
+    traj = tmp_path / "t.jsonl"
+    assert runner.invoke(
+        main, ["run", "--task", "rendezvous", "--trajectory", str(traj)]
+    ).exit_code == 0
+    lines = traj.read_text(encoding="utf-8").splitlines()
+    lines[-1] = '{"ended_by": ' + footer + "}"
+    traj.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["report", "--trajectory", str(traj)])
+    assert result.exit_code == 3, result.output
+    assert (f"configuration error: {traj} line {len(lines)}: not a trajectory record (field "
+            "'ended_by' must be one of terminate, timeout, collision, error, got "
+            f"{shown})") in result.output
+
+
 def test_report_names_a_log_without_a_header_and_an_unknown_satellite(runner, tmp_path):
     traj = tmp_path / "t.jsonl"
     traj.write_text('{"ended_by": "timeout"}\n', encoding="utf-8")
     result = runner.invoke(main, ["report", "--trajectory", str(traj)])
     assert result.exit_code == 3, result.output
-    assert (f"configuration error: {traj} header field 'task_kind' is missing or not a "
-            "string") in result.output
+    assert f"configuration error: {traj} header: missing field 'task_kind'" in result.output
     header = {"task_kind": "rendezvous", "satellite_id": "NOPE", "condition": "C1"}
     traj.write_text(json.dumps({"header": header}) + "\n", encoding="utf-8")
     result = runner.invoke(main, ["report", "--trajectory", str(traj)])
@@ -698,6 +722,18 @@ def test_unusable_mode_skill_exits_three_before_any_episode(runner, tmp_path, co
     assert "configuration error" in result.output
     assert f"'prospective-select', which is {how}" in result.output
     assert not workspace.exists()
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1.0"])
+def test_a_remote_timeout_that_is_not_positive_exits_three(runner, tmp_path, timeout):
+    config = _config(
+        tmp_path,
+        "provider:\n  kind: remote\n  options:\n"
+        f"    endpoint: http://127.0.0.1:9/v1\n    timeout: {timeout}\n",
+    )
+    result = runner.invoke(main, ["run", "--config", config])
+    assert result.exit_code == 3, result.output
+    assert "configuration error: timeout must be > 0" in result.output
 
 
 def test_remote_provider_option_typo_exits_three(runner, tmp_path):

@@ -112,7 +112,8 @@ def _scanner_refuses(depth):
     ("set_position", " " + _MOVE, {"dx": 1.0, "dy": 0, "dz": 0}),
     ("set_position", "\ufeff" + _MOVE, "args are not valid JSON: Unexpected UTF-8 BOM "
      "(decode using utf-8-sig): line 1 column 1 (char 0)"),
-    ("set_position", _MOVE.replace("1.0", "NaN"), "arg 'dx' must be finite"),
+    ("set_position", _MOVE.replace("1.0", "NaN"),
+     "arg 'dx' must be a finite number of meters, got nan"),
     ("terminate", _nested_args(bus.MAX_JSON_DEPTH + 1).split(" ARGS ")[1],
      "arg report: nests more than 100 containers deep"),
     # the scanner refuses 5,000 deep where it recurses on the C stack
@@ -757,3 +758,11 @@ def test_a_provider_editing_an_inner_result_leaves_the_recorded_payload_as_retur
 def test_make_provider_names_bad_options_for_every_kind(spec, problem):
     with pytest.raises(reasoning.ReasoningError, match=problem):
         reasoning.make_provider(spec)
+
+
+@pytest.mark.parametrize("timeout", [0, 0.0, -1.0])
+def test_a_remote_timeout_must_be_positive(timeout):
+    spec = {"kind": "remote", "endpoint": "http://127.0.0.1:9/v1", "timeout": timeout}
+    with pytest.raises(reasoning.ReasoningError, match=r"^timeout must be > 0$"):
+        reasoning.make_provider(spec)
+    assert reasoning.make_provider({**spec, "timeout": 0.5}).timeout == 0.5

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxagent import evolution, runner
-from proxagent.bus import SENSOR_LIDAR, SENSOR_RGB, InProcessBus
+from proxagent.bus import SENSOR_LIDAR, SENSOR_RGB, InProcessBus, is_number
 from proxagent.evolution import REFLECTION_HISTORY, SkillStore
 from proxagent.env import UnknownSatellite, evaluate, load_satellite_catalog, make_task
 from proxagent.reasoning import (
@@ -41,8 +42,11 @@ from proxagent.trajectory import (
     ENDED_ERROR,
     ENDED_TERMINATE,
     ENDED_TIMEOUT,
+    ENDINGS,
     StepRecord,
     Trajectory,
+    _STEP_FIELDS,
+    _STEP_OPTIONAL,
 )
 
 
@@ -482,6 +486,16 @@ def test_non_finite_report_never_reaches_the_trajectory(satellites, tmp_path):
     assert "NaN" not in text and "Infinity" not in text
 
 
+def test_the_step_table_is_the_step_record_fields():
+    names = [f.name for f in dataclasses.fields(StepRecord)]
+    defaulted = [f.name for f in dataclasses.fields(StepRecord)
+                 if f.default is not dataclasses.MISSING
+                 or f.default_factory is not dataclasses.MISSING]
+    assert list(_STEP_FIELDS) == names
+    assert list(_STEP_OPTIONAL) == defaulted
+    assert ENDINGS == (ENDED_TERMINATE, ENDED_TIMEOUT, ENDED_COLLISION, ENDED_ERROR)
+
+
 def test_trajectory_never_writes_nan_or_infinity(tmp_path):
     step = StepRecord(step=0, observation={"true_range": float("inf")}, call={}, result={})
     with pytest.raises(ValueError):
@@ -564,7 +578,7 @@ def _tool_call(draw):
     keys = [key for key in tool.params if draw(st.integers(0, 7))]
     if not draw(st.integers(0, 7)):
         keys.append("x")
-    numeric = {key for key, meta in tool.params.items() if meta["type"] == "number"}
+    numeric = {key for key, (test, _what) in tool.params.items() if test is is_number}
     args = "{" + ", ".join(
         f'"{key}": {draw(_NUMBERS if key in numeric and draw(st.integers(0, 4)) else _VALUES)}'
         for key in keys) + "}"

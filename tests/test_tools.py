@@ -97,9 +97,14 @@ def test_visible_tools_keeps_catalog_order():
 def test_validate_args_rejects_bool_and_unknown():
     tool = tools.builtin_catalog().get("set_position")
     assert tools.validate_args(tool, {"dx": 1, "dy": 0, "dz": 0}) is None
-    assert tools.validate_args(tool, {"dx": True, "dy": 0, "dz": 0})
-    assert tools.validate_args(tool, {"dx": 1, "dy": 0, "dz": 0, "dq": 1})
-    assert tools.validate_args(tool, {"dx": 1})  # missing required
+    assert tools.validate_args(tool, {"dx": True, "dy": 0, "dz": 0}) == (
+        "arg 'dx' must be a finite number of meters, got True")
+    assert tools.validate_args(tool, {"dx": 1, "dy": 0, "dz": 0, "dq": 1}) == "unknown arg 'dq'"
+    assert tools.validate_args(tool, {"dx": 1}) == "missing arg 'dy'"
+    # table order: a missing arg after a bad one is not reported first
+    assert tools.validate_args(tool, {"dx": "1"}) == (
+        "arg 'dx' must be a finite number of meters, got '1'")
+    assert tools.validate_args(tool, [1]) == "must be an object, got [1]"
 
 
 def test_validate_args_checks_objects_at_any_depth():
@@ -110,30 +115,31 @@ def test_validate_args_checks_objects_at_any_depth():
         assert "not a finite number" in tools.validate_args(tool, {"report": report})
 
 
-# validate_args as it was before an exact float was checked inline, kept as
-# the reference: for every value a number parameter can get, the same message.
+# validate_args written out plainly, kept as the reference: for every value
+# a number parameter can get, the same message.
 def reference_validate_args(tool, args):
     if not isinstance(args, dict):
-        return "args must be an object"
-    for pname, meta in tool.params.items():
-        if meta.get("required") and pname not in args:
-            return f"missing required arg {pname!r}"
+        return f"must be an object, got {args!r:.60}"
+    for pname, (test, what) in tool.params.items():
+        if pname not in args:
+            if pname not in tool.optional:
+                return f"missing arg {pname!r}"
+            continue
+        value = args[pname]
+        if test is bus.is_number:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and bus.is_finite_number(value))
+        elif (test, what) == bus.STRING:
+            ok = isinstance(value, str)
+        else:
+            assert (test, what) == bus.OBJECT
+            ok = isinstance(value, dict)
+        if not ok:
+            return f"arg {pname!r} must be {what}, got {value!r:.60}"
     for pname, value in args.items():
-        meta = tool.params.get(pname)
-        if meta is None:
+        if pname not in tool.params:
             return f"unknown arg {pname!r}"
-        expected = meta["type"]
-        if expected == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"arg {pname!r} must be a number"
-            if not bus.is_finite_number(value):
-                return f"arg {pname!r} must be finite"
-        elif expected == "string":
-            if not isinstance(value, str):
-                return f"arg {pname!r} must be a string"
-        elif expected == "object":
-            if not isinstance(value, dict):
-                return f"arg {pname!r} must be an object"
+        if tool.params[pname] == bus.OBJECT:
             try:
                 bus.json_copy(value, pname)
             except bus.SchemaViolation as exc:

@@ -81,6 +81,7 @@ BOOLEAN = (lambda v: isinstance(v, bool), "a boolean")
 STRING = (lambda v: isinstance(v, str), "a string")
 OBJECT = (lambda v: isinstance(v, dict), "an object")
 ARRAY = (lambda v: isinstance(v, list), "an array")
+NUMBER_OR_NULL = (lambda v: v is None or is_number(v), "a finite number or null")
 
 
 def _shown(value) -> str:
@@ -125,7 +126,7 @@ CHANNEL_SCHEMAS: dict[str, dict[str, tuple]] = {
         "collided": BOOLEAN,
         "true_range": NUMBER,
     },
-    SENSOR_LIDAR: {"range_m": (lambda v: v is None or is_number(v), "a finite number or null")},
+    SENSOR_LIDAR: {"range_m": NUMBER_OR_NULL},
     CMD_POSE_DELTA: dict.fromkeys(("dx", "dy", "dz", "dyaw", "dpitch", "droll"), NUMBER),
     CMD_EXPOSURE: {"gain_delta": NUMBER},
     CMD_TERMINATE: {},

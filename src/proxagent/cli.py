@@ -384,10 +384,6 @@ def report(trajectory_path, config_path) -> None:
         root = _load_root(config_path)
         trajectory = Trajectory.read(Path(trajectory_path))
         meta = trajectory.meta
-        problem = busmod.field_problem(
-            dict.fromkeys(("task_kind", "satellite_id", "condition"), busmod.STRING), meta)
-        if problem is not None:
-            raise ConfigError(f"{trajectory_path} header: {problem}")
         task = make_task(
             meta["task_kind"], satellite_id=meta["satellite_id"],
             condition=meta["condition"],

@@ -1,9 +1,11 @@
 """Kinematic proximity-operations simulator.
 
 A 6-DoF chaser moves relative to a static satellite target. Observations
-are structured records (visibility, bearing, angular size, brightness,
-LiDAR range) rather than rendered images; the decision layer consumes any
-observation encoding, so structured records keep the loop fully testable.
+are structured records rather than rendered images: the camera record of
+the bus contract (``bus.CHANNEL_SCHEMAS[SENSOR_RGB]``: visibility, bearing,
+angular size, brightness, gain, step, collision, true range) plus
+``lidar_range``. That is the record the decision side reads off the bus, so
+the simulator is one more publisher of it and the loop stays fully testable.
 
 Pose deltas are applied in the chaser's current body frame, so "forward"
 is always attitude-relative. Brightness follows an exact law:
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 import struct
 from dataclasses import dataclass, field
@@ -275,39 +276,11 @@ def make_task(
     )
 
 
-# The camera record's fields, in the order the bus contract lists them
-_RGB_FIELDS = tuple(busmod.CHANNEL_SCHEMAS[busmod.SENSOR_RGB])
-_rgb_values = operator.attrgetter(*_RGB_FIELDS)
-
-
-@dataclass
-class Observation:
-    """What the simulator senses after a step, before the bridge publishes it."""
-
-    visible: bool
-    bearing_az: float
-    bearing_el: float
-    angular_size: float
-    mean_brightness: float
-    lidar_range: Optional[float]
-    exposure_gain: float
-    step_index: int
-    collided: bool = False
-    true_range: float = 0.0   # ground-truth surface range, evaluation only
-    note: Optional[str] = None
-
-    def rgb_payload(self) -> dict:
-        record = dict(zip(_RGB_FIELDS, _rgb_values(self)))
-        if self.note is not None:
-            record["note"] = self.note
-        return record
-
-    def lidar_payload(self) -> dict:
-        return {"range_m": self.lidar_range}
-
-
 class SimEnv:
-    """Single-chaser kinematic environment. One instance per episode."""
+    """Single-chaser kinematic environment. One instance per episode. Each
+    of ``reset``, ``step``, ``set_exposure`` and ``observe`` returns the
+    observation after it as a new dict: the camera record's fields in the
+    bus contract's order, then ``lidar_range`` (None outside the LiDAR cone)."""
 
     def __init__(self, satellites: dict[str, SatelliteModel]):
         self.satellites = satellites
@@ -320,7 +293,7 @@ class SimEnv:
 
     # -- lifecycle -----------------------------------------------------
 
-    def reset(self, task: TaskSpec, seed: int = 0) -> Observation:
+    def reset(self, task: TaskSpec, seed: int = 0) -> dict:
         if task.satellite_id not in self.satellites:
             raise UnknownSatellite(task.satellite_id)
         self.task = task
@@ -350,7 +323,7 @@ class SimEnv:
 
     # -- dynamics ------------------------------------------------------
 
-    def step(self, delta: dict) -> Observation:
+    def step(self, delta: dict) -> dict:
         """Apply a body-frame pose delta. Raises StepLimitExceeded on bounds."""
         # float() first: an integer too large for float arithmetic must fail
         # the bounds checks below, not overflow inside them
@@ -379,7 +352,7 @@ class SimEnv:
             self.collided = True
         return self.observe()
 
-    def set_exposure(self, gain_delta: float) -> Observation:
+    def set_exposure(self, gain_delta: float) -> dict:
         new_gain = self.exposure_gain + float(gain_delta)
         if not (GAIN_MIN <= new_gain <= GAIN_MAX):
             raise GainOutOfRange(
@@ -397,7 +370,7 @@ class SimEnv:
         center = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
         return center - self.target.bounding_radius
 
-    def observe(self) -> Observation:
+    def observe(self) -> dict:
         tx, ty, tz = self.target.position
         d = (tx - self.chaser.x, ty - self.chaser.y, tz - self.chaser.z)
         bx, by, bz = self.chaser.world_to_body(d)
@@ -415,18 +388,18 @@ class SimEnv:
             bx > 0 and abs(az) <= LIDAR_HALF_CONE_DEG and abs(el) <= LIDAR_HALF_CONE_DEG
         )
         surface = center_range - self.target.bounding_radius
-        return Observation(
-            visible=visible,
-            bearing_az=az,
-            bearing_el=el,
-            angular_size=angular_size,
-            mean_brightness=brightness,
-            lidar_range=surface if in_lidar_cone and surface > 0 else None,
-            exposure_gain=self.exposure_gain,
-            step_index=self.step_index,
-            collided=self.collided,
-            true_range=surface,
-        )
+        return {
+            "visible": visible,
+            "bearing_az": az,
+            "bearing_el": el,
+            "angular_size": angular_size,
+            "mean_brightness": brightness,
+            "exposure_gain": self.exposure_gain,
+            "step_index": self.step_index,
+            "collided": self.collided,
+            "true_range": surface,   # ground-truth surface range, evaluation only
+            "lidar_range": surface if in_lidar_cone and surface > 0 else None,
+        }
 
 
 # -- evaluation --------------------------------------------------------
@@ -516,15 +489,16 @@ class EnvBridge:
             sub.cancel()
         self._subs = []
 
-    def reset(self, task: TaskSpec, seed: int = 0) -> Observation:
+    def reset(self, task: TaskSpec, seed: int = 0) -> dict:
         self.terminated = False
         obs = self.env.reset(task, seed=seed)
         self._publish(obs)
         return obs
 
-    def _publish(self, obs: Observation) -> None:
-        self.backend.publish(busmod.SENSOR_LIDAR, obs.lidar_payload())
-        self.backend.publish(busmod.SENSOR_RGB, obs.rgb_payload())
+    def _publish(self, obs: dict) -> None:
+        rgb = dict(obs)  # the caller's obs keeps its lidar_range
+        self.backend.publish(busmod.SENSOR_LIDAR, {"range_m": rgb.pop("lidar_range")})
+        self.backend.publish(busmod.SENSOR_RGB, rgb)
 
     def _apply(self, command, argument) -> None:
         """Apply one command and publish the observation after it. A command
@@ -534,7 +508,7 @@ class EnvBridge:
             obs = command(argument)
         except Exception as exc:
             obs = self.env.observe()
-            obs.note = f"{type(exc).__name__}: {exc}"
+            obs["note"] = f"{type(exc).__name__}: {exc}"
         self._publish(obs)
 
     def _on_pose_delta(self, msg: busmod.BusMessage) -> None:

@@ -36,7 +36,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .bus import dumps_strict, loads
+from .bus import (
+    ARRAY, INTEGER, NUMBER, NUMBER_OR_NULL, STRING, dumps_strict, field_problem, loads,
+)
 from .env import MAX_STEP_TRANSLATION
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
@@ -103,6 +105,23 @@ class EpisodeSummary:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
+
+
+# The field table of a history line, the EpisodeSummary fields, of which the
+# last six may be left out: lines written before those fields existed load.
+_SUMMARY_FIELDS = {
+    "episode_id": STRING, "task_kind": STRING,
+    "success": (lambda v: v is None or isinstance(v, bool), "a boolean or null"),
+    "terminal_distance": NUMBER_OR_NULL, "score": NUMBER_OR_NULL,
+    "steps": INTEGER, "reason": STRING,
+    "movement": ARRAY, "movement_omitted": INTEGER,
+    "perception": ARRAY, "perception_omitted": INTEGER,
+    "max_attempted_translation": NUMBER,
+    "notes": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+              "an array of strings"),
+}
+_SUMMARY_OPTIONAL = ("movement", "movement_omitted", "perception", "perception_omitted",
+                     "max_attempted_translation", "notes")
 
 
 def _digest_edges(entries: list[dict]) -> tuple[list[dict], int]:
@@ -403,12 +422,11 @@ class SkillStore:
             tail: deque[bytes] = deque(maxlen=REFLECTION_HISTORY)
             count, records = self._read_jsonl(self.history_path, REFLECTION_HISTORY)
             for number, record in records:
-                try:
-                    EpisodeSummary(**record)
-                except TypeError as exc:
+                problem = field_problem(_SUMMARY_FIELDS, record, _SUMMARY_OPTIONAL, closed=True)
+                if problem is not None:
                     raise EvolutionError(
-                        f"{self.history_path} line {number}: not an episode summary ({exc})"
-                    ) from None
+                        f"{self.history_path} line {number}: not an episode summary ({problem})"
+                    )
                 tail.append(marshal.dumps(record))
             self._tail, self._episodes = tail, count
         return self._tail

@@ -563,8 +563,8 @@ class RemoteProvider(DecisionProvider):
         timeout: float = REMOTE_TIMEOUT_S,
         api_key: str = "",
     ):
-        if temperature > 0.3:
-            raise ReasoningError("temperature must be <= 0.3")
+        if not 0 <= temperature <= 0.3:
+            raise ReasoningError("temperature must be in [0, 0.3]")
         if timeout <= 0:
             raise ReasoningError("timeout must be > 0")
         self.endpoint = endpoint

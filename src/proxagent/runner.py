@@ -339,15 +339,9 @@ def run_campaign(
             config, provider=provider_factory(), satellites=satellites,
             skill_catalog=skill_catalog, backend=backend, store=store,
         )
-        report.rounds.append(
-            {
-                "episode_id": episode_id,
-                "steps": result.outcome.steps,
-                "success": bool(result.outcome.success),
-                "reason": result.outcome.reason,
-                "terminal_distance": result.outcome.terminal_distance,
-                "score": result.outcome.score,
-                "evolution": result.evolution,
-            }
-        )
+        report.rounds.append({
+            "episode_id": episode_id, **result.outcome.to_dict(),
+            "success": bool(result.outcome.success),  # False, not None, for inspection
+            "evolution": result.evolution,
+        })
     return report

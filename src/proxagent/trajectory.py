@@ -59,6 +59,12 @@ _STEP_FIELDS = {"step": INTEGER, "observation": OBJECT, "call": _CALL, "result":
                 "inner": ARRAY, "memory_hash": STRING, "provider_calls": INTEGER}
 _STEP_OPTIONAL = ("inner", "memory_hash", "provider_calls")
 _FOOTER_FIELDS = {"ended_by": (lambda v: v in ENDINGS, f"one of {', '.join(ENDINGS)}")}
+# The fields of the header that scoring reads, and the format's version; the
+# runner writes others (episode, profile, mode, seed, ...), which are kept
+_HEADER_FIELDS = {
+    **dict.fromkeys(("task_kind", "satellite_id", "condition"), STRING),
+    "schema_version": (lambda v: type(v) is int and v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+}
 
 
 def _fitting(table: dict, data, optional=()) -> dict:
@@ -93,10 +99,12 @@ class Trajectory:
     @classmethod
     def read(cls, path: Path) -> "Trajectory":
         """Read a log that ``write`` wrote. A line that is not JSON, or not
-        a header, step or footer record (a step or footer line that does
-        not fit its field table), is a ValueError naming the file and the
-        line."""
+        a header, step or footer record (a line that does not fit its field
+        table), is a ValueError naming the file and the line, and so is a
+        log without a header line, naming the file. A later header line
+        replaces an earlier one."""
         traj = cls()
+        header = None
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
@@ -104,11 +112,15 @@ class Trajectory:
                     continue
                 try:
                     data = loads(line)
-                    if "header" in data:
-                        traj.meta = {
-                            k: v for k, v in data["header"].items() if k != "schema_version"
-                        }
-                    elif "ended_by" in data:
+                    # a line that is no object is refused as a step record
+                    keys = data if isinstance(data, dict) else ()
+                    if "header" in keys:
+                        header = data["header"]
+                        problem = field_problem(_HEADER_FIELDS, header)
+                        if problem is not None:
+                            raise TypeError(f"header: {problem}")
+                        traj.meta = {k: v for k, v in header.items() if k != "schema_version"}
+                    elif "ended_by" in keys:
                         traj.ended_by = _fitting(_FOOTER_FIELDS, data)["ended_by"]
                     else:
                         traj.steps.append(StepRecord(**_fitting(_STEP_FIELDS, data,
@@ -118,9 +130,11 @@ class Trajectory:
                 except RecursionError:
                     raise ValueError(f"{path} line {number}: not JSON "
                                      "(nests too deeply)") from None
-                except (TypeError, AttributeError) as exc:
+                except TypeError as exc:
                     raise ValueError(f"{path} line {number}: not a trajectory record "
                                      f"({exc})") from None
+        if header is None:
+            raise ValueError(f"{path}: no header line")
         return traj
 
 

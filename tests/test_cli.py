@@ -281,6 +281,19 @@ def test_malformed_history_exits_three_before_any_episode(runner, tmp_path, comm
     assert sorted(p.name for p in ws.iterdir()) == [".lock", "episodes.jsonl"]
 
 
+def test_a_history_line_with_a_field_of_the_wrong_kind_exits_three(runner, tmp_path):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    summary = {"episode_id": "ep-000001", "task_kind": "inspection", "success": None,
+               "terminal_distance": None, "score": "high", "steps": 3, "reason": "terminate"}
+    (ws / "episodes.jsonl").write_text(json.dumps(summary) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--evolve", "--workspace", str(ws)])
+    assert result.exit_code == 3, result.output
+    assert (f"configuration error: {ws / 'episodes.jsonl'} line 1: not an episode summary "
+            "(field 'score' must be a finite number or null, got 'high')") in result.output
+    assert sorted(p.name for p in ws.iterdir()) == [".lock", "episodes.jsonl"]
+
+
 _TOO_DEEP_LINE = "[" * 100_000 + "]" * 100_000  # beyond what json.loads can recurse
 
 
@@ -414,7 +427,9 @@ _STEP = '"step": 0, "observation": {}, "call": {"tool": "x", "args": {}}, "resul
     ("not json", "line 2: not JSON (Expecting value)"),
     ('{"stepp": 0}', "line 2: not a trajectory record (missing field 'step')"),
     ("[1, 2]", "line 2: not a trajectory record (must be an object, got [1, 2])"),
-    ('{"header": 5}', "line 2: not a trajectory record"),
+    ("5", "line 2: not a trajectory record (must be an object, got 5)"),
+    ('["header"]', "line 2: not a trajectory record (must be an object, got ['header'])"),
+    ('{"header": 5}', "line 2: not a trajectory record (header: must be an object, got 5)"),
     ('{"step": 0, "observation": 5, "call": {}, "result": {}}',
      "line 2: not a trajectory record (field 'observation' must be an object, got 5)"),
     ('{"step": 0, "observation": {}, "call": {}, "result": {}}',
@@ -441,14 +456,19 @@ _STEP = '"step": 0, "observation": {}, "call": {"tool": "x", "args": {}}, "resul
      "terminate, timeout, collision, error, got 5)"),
     ('{"ended_by": "timeout", "note": "x"}',
      "line 2: not a trajectory record (unknown field 'note')"),
-    # a later header replaces the first
-    ('{"header": {}}', "header: missing field 'task_kind'"),
+    ('{"header": {}}', "line 2: not a trajectory record (header: missing field 'task_kind')"),
     ('{"header": {"task_kind": "rendezvous", "condition": "C1"}}',
-     "header: missing field 'satellite_id'"),
+     "line 2: not a trajectory record (header: missing field 'satellite_id')"),
     ('{"header": {"task_kind": "rendezvous", "satellite_id": "CAPSTONE"}}',
-     "header: missing field 'condition'"),
+     "line 2: not a trajectory record (header: missing field 'condition')"),
     ('{"header": {"task_kind": "rendezvous", "satellite_id": ["X"], "condition": "C1"}}',
-     "header: field 'satellite_id' must be a string, got ['X']"),
+     "line 2: not a trajectory record (header: field 'satellite_id' must be a string, "
+     "got ['X'])"),
+    ('{"header": {"task_kind": "rendezvous", "satellite_id": "CAPSTONE", "condition": "C1"}}',
+     "line 2: not a trajectory record (header: missing field 'schema_version')"),
+    ('{"header": {"task_kind": "rendezvous", "satellite_id": "CAPSTONE", "condition": "C1", '
+     '"schema_version": 99}}',
+     "line 2: not a trajectory record (header: field 'schema_version' must be 1, got 99)"),
 ])
 def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line, problem):
     traj = tmp_path / "t.jsonl"
@@ -479,13 +499,29 @@ def test_report_refuses_a_footer_that_names_no_ending(runner, tmp_path, footer, 
             f"{shown})") in result.output
 
 
+def test_report_refuses_a_log_of_another_schema_version(runner, tmp_path):
+    traj = tmp_path / "t.jsonl"
+    assert runner.invoke(
+        main, ["run", "--task", "rendezvous", "--trajectory", str(traj)]
+    ).exit_code == 0
+    text = traj.read_text(encoding="utf-8")
+    assert text.count('"schema_version": 1,') == 1
+    traj.write_text(text.replace('"schema_version": 1,', '"schema_version": 99,'),
+                    encoding="utf-8")
+    result = runner.invoke(main, ["report", "--trajectory", str(traj)])
+    assert result.exit_code == 3, result.output
+    assert (f"configuration error: {traj} line 1: not a trajectory record (header: field "
+            "'schema_version' must be 1, got 99)") in result.output
+
+
 def test_report_names_a_log_without_a_header_and_an_unknown_satellite(runner, tmp_path):
     traj = tmp_path / "t.jsonl"
     traj.write_text('{"ended_by": "timeout"}\n', encoding="utf-8")
     result = runner.invoke(main, ["report", "--trajectory", str(traj)])
     assert result.exit_code == 3, result.output
-    assert f"configuration error: {traj} header: missing field 'task_kind'" in result.output
-    header = {"task_kind": "rendezvous", "satellite_id": "NOPE", "condition": "C1"}
+    assert f"configuration error: {traj}: no header line" in result.output
+    header = {"task_kind": "rendezvous", "satellite_id": "NOPE", "condition": "C1",
+              "schema_version": 1}
     traj.write_text(json.dumps({"header": header}) + "\n", encoding="utf-8")
     result = runner.invoke(main, ["report", "--trajectory", str(traj)])
     assert result.exit_code == 3, result.output

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxagent import bus, env
+from proxagent import bus, env, tools
 from proxagent.trajectory import StepRecord, Trajectory
 
 
@@ -116,9 +116,9 @@ def test_kept_rotation_is_the_formula_bit_for_bit(attitudes, normalize):
 def test_reset_places_chaser_at_start_range(satellites):
     sim, task, obs = fresh(satellites)
     # lateral jitter is within +/-1 m so the surface range stays near 15 m
-    assert obs.true_range == pytest.approx(15.0, abs=0.2)
-    assert obs.visible
-    assert obs.mean_brightness == pytest.approx(140.0)
+    assert obs["true_range"] == pytest.approx(15.0, abs=0.2)
+    assert obs["visible"]
+    assert obs["mean_brightness"] == pytest.approx(140.0)
 
 
 def test_reset_is_seed_deterministic(satellites):
@@ -131,16 +131,16 @@ def test_reset_is_seed_deterministic(satellites):
 
 def test_search_start_hides_target(satellites):
     _, _, obs = fresh(satellites, kind="search")
-    assert not obs.visible
-    assert obs.lidar_range is None
+    assert not obs["visible"]
+    assert obs["lidar_range"] is None
 
 
 def test_conditions_change_offset_and_gain(satellites):
     _, _, c2 = fresh(satellites, condition="C2")
-    assert c2.exposure_gain == pytest.approx(0.1)
-    assert c2.mean_brightness == pytest.approx(14.0)
+    assert c2["exposure_gain"] == pytest.approx(0.1)
+    assert c2["mean_brightness"] == pytest.approx(14.0)
     _, _, c3 = fresh(satellites, condition="C3")
-    assert c3.mean_brightness == pytest.approx(255.0)  # saturated
+    assert c3["mean_brightness"] == pytest.approx(255.0)  # saturated
 
 
 def test_angular_size_law(satellites):
@@ -148,14 +148,21 @@ def test_angular_size_law(satellites):
     tx, ty, tz = sim.target.position
     center = math.dist((sim.chaser.x, sim.chaser.y, sim.chaser.z), (tx, ty, tz))
     expected = math.degrees(2 * math.atan2(sim.target.bounding_radius, center))
-    assert obs.angular_size == pytest.approx(expected)
+    assert obs["angular_size"] == pytest.approx(expected)
+
+
+def test_observe_is_the_camera_record_plus_lidar_range(satellites):
+    sim, _, obs = fresh(satellites)
+    assert list(obs) == [*bus.CHANNEL_SCHEMAS[bus.SENSOR_RGB], "lidar_range"]
+    assert sim.observe() == obs
+    assert sim.observe() is not obs
 
 
 def test_lidar_needs_narrow_cone(satellites):
     sim, _, _ = fresh(satellites)
     obs = sim.step({"dyaw": 20.0})  # outside the 15-degree lidar cone
-    assert obs.visible  # still inside the 30-degree camera FOV
-    assert obs.lidar_range is None
+    assert obs["visible"]  # still inside the 30-degree camera FOV
+    assert obs["lidar_range"] is None
 
 
 # -- stepping ----------------------------------------------------------
@@ -175,18 +182,18 @@ def test_gain_bounds(satellites):
     with pytest.raises(env.GainOutOfRange):
         sim.set_exposure(7.5)  # 1.0 + 7.5 > 8.0
     obs = sim.set_exposure(-0.5)
-    assert obs.exposure_gain == pytest.approx(0.5)
-    assert obs.mean_brightness == pytest.approx(70.0)
+    assert obs["exposure_gain"] == pytest.approx(0.5)
+    assert obs["mean_brightness"] == pytest.approx(70.0)
 
 
 def test_collision_flag_latches(satellites):
     sim, _, _ = fresh(satellites)
     for _ in range(8):
         obs = sim.step({"dx": 2.0})
-        if obs.collided:
+        if obs["collided"]:
             break
-    assert obs.collided
-    assert obs.true_range < env.COLLISION_MARGIN
+    assert obs["collided"]
+    assert obs["true_range"] < env.COLLISION_MARGIN
 
 
 @given(gain=st.floats(0.05, 8.0))
@@ -196,7 +203,7 @@ def test_brightness_law_exact(satellites, gain):
     sim.exposure_gain = gain
     obs = sim.observe()
     expected = min(max(140.0 * gain, 0.0), 255.0)
-    assert obs.mean_brightness == expected
+    assert obs["mean_brightness"] == expected
 
 
 # -- scoring ------------------------------------------------------------
@@ -329,6 +336,43 @@ def test_bridge_ignores_commands_after_terminate(satellites):
         {"dx": 1.0, "dy": 0.0, "dz": 0.0, "dyaw": 0.0, "dpitch": 0.0, "droll": 0.0},
     )
     assert backend.get_latest(bus.SENSOR_RGB).seq == seq
+    bridge.close()
+
+
+def test_the_decision_side_reads_what_the_simulator_returned(satellites, monkeypatch):
+    returned = []
+
+    def recording(method):
+        def record(self, *args, **kwargs):
+            obs = method(self, *args, **kwargs)
+            returned.append(obs)
+            return obs
+        return record
+
+    for name in ("reset", "step", "set_exposure", "observe"):
+        monkeypatch.setattr(env.SimEnv, name, recording(getattr(env.SimEnv, name)))
+    backend = bus.InProcessBus()
+    bridge = env.EnvBridge(env.SimEnv(satellites), backend)
+    assert bridge.reset(env.make_task("rendezvous"), seed=0) is returned[-1]
+    dispatcher = tools.ToolDispatcher(
+        backend, tools.builtin_catalog(), tools.builtin_profiles()["hybrid-nav"],
+        satellites, "CAPSTONE", obs_timeout=0.5,
+    )
+    assert dispatcher.latest_observation() == returned[-1]
+    calls = [
+        ("set_position", {"dx": 1.0, "dy": 0.0, "dz": 0.0}),
+        ("set_attitude", {"dyaw": 20.0, "dpitch": 0.0, "droll": 0.0}),  # out of the LiDAR cone
+        ("set_exposure", {"gain_delta": 50.0}),  # rejected: the gain leaves its range
+        ("set_exposure", {"gain_delta": -0.5}),
+    ]
+    after = []
+    for tool, args in calls:
+        result = dispatcher.dispatch(tools.ToolCall(tool=tool, args=args))
+        assert dispatcher.observation_after(result) == returned[-1]
+        after.append(returned[-1])
+    assert ["note" in obs for obs in after] == [False, False, True, False]
+    assert after[2]["note"].startswith("GainOutOfRange")
+    assert after[1]["lidar_range"] is None
     bridge.close()
 
 

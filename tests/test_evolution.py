@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -507,3 +508,30 @@ def test_malformed_history_line_is_named_by_file_and_line(tmp_path, line, proble
     with pytest.raises(evolution.EvolutionError) as info:
         SkillStore(tmp_path).history()
     assert str(info.value).startswith(f"{tmp_path / 'episodes.jsonl'} line 3: {problem}")
+
+
+@pytest.mark.parametrize("over, problem", [
+    ({"score": "high"}, "field 'score' must be a finite number or null, got 'high'"),
+    ({"terminal_distance": True},
+     "field 'terminal_distance' must be a finite number or null, got True"),
+    ({"success": "yes"}, "field 'success' must be a boolean or null, got 'yes'"),
+    ({"steps": 1.5}, "field 'steps' must be an integer, got 1.5"),
+    ({"notes": ["ok", 1]}, "field 'notes' must be an array of strings, got ['ok', 1]"),
+    ({"movement": {}}, "field 'movement' must be an array, got {}"),
+    ({"colour": "red"}, "unknown field 'colour'"),
+])
+def test_a_history_line_is_checked_field_by_field(tmp_path, over, problem):
+    (tmp_path / "episodes.jsonl").write_text(json.dumps(summary_dict(**over)) + "\n",
+                                             encoding="utf-8")
+    with pytest.raises(evolution.EvolutionError) as info:
+        SkillStore(tmp_path).history()
+    assert str(info.value) == (f"{tmp_path / 'episodes.jsonl'} line 1: not an episode summary "
+                               f"({problem})")
+
+
+def test_the_history_table_is_the_summary_fields():
+    fields = dataclasses.fields(EpisodeSummary)
+    defaulted = [f.name for f in fields if f.default is not dataclasses.MISSING
+                 or f.default_factory is not dataclasses.MISSING]
+    assert list(evolution._SUMMARY_FIELDS) == [f.name for f in fields]
+    assert list(evolution._SUMMARY_OPTIONAL) == defaulted

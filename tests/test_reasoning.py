@@ -421,6 +421,15 @@ def test_remote_provider_rejects_hot_temperature():
         reasoning.RemoteProvider("http://localhost:9", "m", temperature=0.9)
 
 
+@pytest.mark.parametrize("temperature", [-5, -0.01, 0.31])
+def test_a_remote_temperature_must_be_in_range(temperature):
+    spec = {"kind": "remote", "endpoint": "http://127.0.0.1:9/v1", "temperature": temperature}
+    with pytest.raises(reasoning.ReasoningError, match=r"^temperature must be in \[0, 0\.3\]$"):
+        reasoning.make_provider(spec)
+    for edge in (0, 0.3):
+        assert reasoning.make_provider({**spec, "temperature": edge}).temperature == edge
+
+
 # -- remote provider (requests.post stubbed: nothing leaves the process) --
 
 

@@ -229,6 +229,9 @@ def run(config_path, task, satellite, condition, profile, mode, seed,
             workspace=effective.workspace, evolve=effective.evolve,
         )
         setup = Setup(root, [episode])
+        if episode.workspace is not None:
+            episode = replace(episode,
+                              episode_id=setup.stores[episode.workspace].next_episode_id())
     try:
         result = setup.run(episode)
     except Exception as exc:
@@ -414,15 +417,9 @@ def skills_list(config_path, workspace) -> None:
             from .evolution import SkillStore  # noqa: PLC0415
 
             learned = SkillStore(workspace).load_all()
-    rows = [
-        [s.name, s.category, s.version, s.provenance, "yes" if s.enabled else "no"]
-        for s in catalog.skills
-    ]
-    for skill, _path in sorted(learned.values(), key=lambda e: e[0].name):
-        rows.append(
-            [skill.name, skill.category, skill.version, skill.provenance,
-             "yes" if skill.enabled else "no"]
-        )
+    learned_skills = sorted((skill for skill, _path in learned.values()), key=lambda s: s.name)
+    rows = [[s.name, s.category, s.version, s.provenance, "yes" if s.enabled else "no"]
+            for s in [*catalog.skills, *learned_skills]]
     click.echo(_render_table(["name", "category", "version", "provenance", "enabled"], rows))
     sys.exit(EXIT_OK)
 
@@ -437,12 +434,8 @@ def skills_audit(workspace) -> None:
     if not records:
         click.echo("audit log is empty")
         sys.exit(EXIT_OK)
-    rows = [
-        [r.get("episode", ""), r.get("action", ""), r.get("verdict", ""),
-         r.get("reason", ""), r.get("detail", "")]
-        for r in records
-    ]
-    click.echo(_render_table(["episode", "action", "verdict", "reason", "detail"], rows))
+    headers = ["episode", "action", "verdict", "reason", "detail"]
+    click.echo(_render_table(headers, [[r.get(h, "") for h in headers] for r in records]))
     sys.exit(EXIT_OK)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import marshal
 import re
 import sys
@@ -36,13 +35,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .bus import (
-    ARRAY, INTEGER, NUMBER, NUMBER_OR_NULL, STRING, dumps_strict, field_problem, loads,
-)
+from .bus import ARRAY, INTEGER, NUMBER, NUMBER_OR_NULL, STRING, field_problem
 from .env import MAX_STEP_TRANSLATION
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
-from .trajectory import Outcome, Trajectory, open_for_write
+from .trajectory import Outcome, Trajectory, open_for_write, read_jsonl, write_jsonl
 
 ACTION_CREATE = "create"
 ACTION_OVERLAY = "overlay"
@@ -336,12 +333,13 @@ class SkillStore:
     there, so the view matches the directory. It reads ``episodes.jsonl``
     once, on first use of ``history``, parsing only the last
     ``REFLECTION_HISTORY`` lines into a bounded tail that ``record_episode``
-    extends. Both hold only while the store is the workspace's one writer:
-    a workspace must not be written by two stores, or two processes, at
-    once.
+    extends. It lists the workspace's trajectories once, on first use of
+    ``next_episode_id``. All of this holds only while the store is the
+    workspace's one writer: a workspace must not be written by two stores,
+    or two processes, at once.
 
     Reading creates nothing. ``record_episode`` and ``audit`` append one
-    sorted-key JSON line each, and the first append to a missing
+    line each through ``write_jsonl``, and the first append to a missing
     workspace, or a missing ``learned/``, makes it; an append into a
     directory that exists makes no ``mkdir`` call."""
 
@@ -354,46 +352,10 @@ class SkillStore:
         # copy (marshal: the quickest copy of JSON-shaped data, and built in)
         self._tail: Optional[deque[bytes]] = None
         self._episodes = 0  # summaries in episodes.jsonl, once _tail is read
+        self._last_id: Optional[int] = None  # the last id handed out, once listed
 
     def trajectory_path(self, episode_id: str) -> Path:
         return self.workspace / f"{episode_id}.jsonl"
-
-    @staticmethod
-    def _read_jsonl(path: Path, last: Optional[int] = None) -> tuple[int, list[tuple[int, dict]]]:
-        """The number of non-blank lines of ``path``, and (line number,
-        record) for each of them, or for the last ``last`` of them only; a
-        line that is not a JSON object is an error naming the file and the
-        line."""
-        if not path.exists():
-            return 0, []
-        count = 0
-        lines: deque[tuple[int, str]] = deque(maxlen=last)
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                if line.strip():
-                    count += 1
-                    lines.append((number, line))
-        records = []
-        for number, line in lines:
-            try:
-                record = loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvolutionError(f"{path} line {number}: not JSON ({exc.msg})") from None
-            except RecursionError:
-                raise EvolutionError(f"{path} line {number}: not JSON "
-                                     "(nests too deeply)") from None
-            if not isinstance(record, dict):
-                raise EvolutionError(f"{path} line {number}: not a JSON object")
-            records.append((number, record))
-        return count, records
-
-    @staticmethod
-    def _append_jsonl(path: Path, record: dict) -> None:
-        """Append ``record`` as one strict sorted-key JSON line; the first
-        append to a missing directory makes it."""
-        line = dumps_strict(record) + "\n"
-        with open_for_write(path, "a") as fh:
-            fh.write(line)
 
     # -- learned skills ------------------------------------------------
 
@@ -419,13 +381,16 @@ class SkillStore:
 
     def _read_history(self) -> deque[bytes]:
         if self._tail is None:
+            path = self.history_path
             tail: deque[bytes] = deque(maxlen=REFLECTION_HISTORY)
-            count, records = self._read_jsonl(self.history_path, REFLECTION_HISTORY)
+            count, records = (read_jsonl(path, EvolutionError, REFLECTION_HISTORY)
+                              if path.exists() else (0, ()))
             for number, record in records:
-                problem = field_problem(_SUMMARY_FIELDS, record, _SUMMARY_OPTIONAL, closed=True)
+                problem = field_problem(_SUMMARY_FIELDS, _json_object(path, number, record),
+                                        _SUMMARY_OPTIONAL, closed=True)
                 if problem is not None:
                     raise EvolutionError(
-                        f"{self.history_path} line {number}: not an episode summary ({problem})"
+                        f"{path} line {number}: not an episode summary ({problem})"
                     )
                 tail.append(marshal.dumps(record))
             self._tail, self._episodes = tail, count
@@ -436,14 +401,19 @@ class SkillStore:
         oldest first, as copies: nothing done to them reaches the store."""
         return [EpisodeSummary(**marshal.loads(entry)) for entry in self._read_history()]
 
-    def episode_count(self) -> int:
-        """How many episode summaries the workspace holds."""
+    def next_episode_id(self) -> str:
+        """A new ``ep-NNNNNN``, after every summary, ``ep-NNNNNN.jsonl`` and
+        id the workspace has: a round that died before its summary keeps its log."""
+        if self._last_id is None:
+            numbers = [p.stem[3:] for p in self.workspace.glob("ep-*.jsonl")]
+            self._last_id = max((int(n) for n in numbers if n.isdecimal()), default=0)
         self._read_history()
-        return self._episodes
+        self._last_id = max(self._last_id, self._episodes) + 1
+        return f"ep-{self._last_id:06d}"
 
     def record_episode(self, summary: EpisodeSummary) -> None:
         record = summary.to_dict()
-        self._append_jsonl(self.history_path, record)
+        write_jsonl(self.history_path, [record], "a")
         if self._tail is not None:  # else the first read finds it in the file
             self._tail.append(marshal.dumps(record))
             self._episodes += 1
@@ -451,10 +421,21 @@ class SkillStore:
     # -- audit ---------------------------------------------------------
 
     def audit(self, record: dict) -> None:
-        self._append_jsonl(self.audit_path, record)
+        write_jsonl(self.audit_path, [record], "a")
 
     def audit_records(self) -> list[dict]:
-        return [record for _number, record in self._read_jsonl(self.audit_path)[1]]
+        if not self.audit_path.exists():
+            return []
+        return [_json_object(self.audit_path, number, record)
+                for number, record in read_jsonl(self.audit_path, EvolutionError, None)[1]]
+
+
+def _json_object(path: Path, number: int, value) -> dict:
+    """``value``, read from line ``number`` of the workspace file ``path``,
+    if it is an object; else an EvolutionError naming the file and line."""
+    if not isinstance(value, dict):
+        raise EvolutionError(f"{path} line {number}: not a JSON object")
+    return value
 
 
 def quality_gate(

@@ -321,16 +321,15 @@ def run_campaign(
     store: Optional[SkillStore] = None,
 ) -> CampaignReport:
     """Sequential multi-round campaign over a shared evolution workspace,
-    whose one ``SkillStore`` (``store``, or a new one) serves every round.
-    Rounds are numbered after the episodes the workspace already holds, so
-    each episode id names one episode of the workspace."""
+    whose one ``SkillStore`` (``store``, or a new one) serves every round
+    and numbers it (``SkillStore.next_episode_id``), so each episode id
+    names one episode of the workspace."""
     store = _workspace_store(Path(workspace), store)
     satellites = load_satellite_catalog() if satellites is None else satellites
     provider_factory = ScriptedProvider if provider_factory is None else provider_factory
     report = CampaignReport()
-    first = store.episode_count() + 1
-    for index in range(rounds):
-        episode_id = f"ep-{first + index:06d}"
+    for _ in range(rounds):
+        episode_id = store.next_episode_id()
         config = replace(
             base, episode_id=episode_id, workspace=store.workspace,
             trajectory_path=store.trajectory_path(episode_id), evolve=True,

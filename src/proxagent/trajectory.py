@@ -7,9 +7,10 @@ the same configuration and seed produce byte-identical logs.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 from .bus import ARRAY, INTEGER, OBJECT, STRING, dumps_strict, field_problem, loads
 
@@ -31,6 +32,41 @@ def open_for_write(path: Path, mode: str = "w") -> IO[str]:
     except FileNotFoundError:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         return open(path, mode, encoding="utf-8")
+
+
+def write_jsonl(path: Path, records: Iterable[dict], mode: str) -> None:
+    """The program's one JSON-lines writer: ``records`` as strict sorted-key
+    lines, all encoded before ``open_for_write(path, mode)``, written at once."""
+    text = "\n".join(map(dumps_strict, records)) + "\n"
+    with open_for_write(path, mode) as fh:
+        fh.write(text)
+
+
+def read_jsonl(path: Path, error: type[Exception],
+               last: Optional[int]) -> tuple[int, Iterator[tuple[int, object]]]:
+    """The program's one JSON-lines reader: the number of non-blank lines of
+    ``path``, and (line number, value) for each, or for the last ``last``,
+    decoded as the iterator reaches it; a line that is not JSON is an
+    ``error`` naming the file and the line."""
+    count = 0
+    lines: deque[tuple[int, str]] = deque(maxlen=last)
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.isspace():
+                count += 1
+                lines.append((number, line))
+
+    def decoded() -> Iterator[tuple[int, object]]:
+        for number, line in lines:
+            try:
+                value = loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path} line {number}: not JSON ({exc.msg})") from None
+            except RecursionError:
+                raise error(f"{path} line {number}: not JSON (nests too deeply)") from None
+            yield number, value
+
+    return count, decoded()
 
 
 @dataclass
@@ -84,17 +120,11 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
-        """Write the log in one call, making its directory if it is missing.
-        Every line is encoded first, so a NaN or Infinity anywhere raises
-        ValueError before the file is opened."""
-        header = dict(self.meta)
-        header["schema_version"] = SCHEMA_VERSION
-        lines = [dumps_strict({"header": header})]
-        lines.extend(record.to_json() for record in self.steps)
-        lines.append(dumps_strict({"ended_by": self.ended_by}))
-        text = "\n".join(lines) + "\n"
-        with open_for_write(path) as fh:
-            fh.write(text)
+        """Write the log; a NaN or Infinity raises ValueError before the
+        file is opened."""
+        header = {**self.meta, "schema_version": SCHEMA_VERSION}
+        write_jsonl(path, [{"header": header}, *map(vars, self.steps),
+                           {"ended_by": self.ended_by}], "w")
 
     @classmethod
     def read(cls, path: Path) -> "Trajectory":
@@ -105,34 +135,24 @@ class Trajectory:
         replaces an earlier one."""
         traj = cls()
         header = None
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = loads(line)
-                    # a line that is no object is refused as a step record
-                    keys = data if isinstance(data, dict) else ()
-                    if "header" in keys:
-                        header = data["header"]
-                        problem = field_problem(_HEADER_FIELDS, header)
-                        if problem is not None:
-                            raise TypeError(f"header: {problem}")
-                        traj.meta = {k: v for k, v in header.items() if k != "schema_version"}
-                    elif "ended_by" in keys:
-                        traj.ended_by = _fitting(_FOOTER_FIELDS, data)["ended_by"]
-                    else:
-                        traj.steps.append(StepRecord(**_fitting(_STEP_FIELDS, data,
-                                                                _STEP_OPTIONAL)))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path} line {number}: not JSON ({exc.msg})") from None
-                except RecursionError:
-                    raise ValueError(f"{path} line {number}: not JSON "
-                                     "(nests too deeply)") from None
-                except TypeError as exc:
-                    raise ValueError(f"{path} line {number}: not a trajectory record "
-                                     f"({exc})") from None
+        for number, data in read_jsonl(path, ValueError, None)[1]:
+            try:
+                # a line that is no object is refused as a step record
+                keys = data if isinstance(data, dict) else ()
+                if "header" in keys:
+                    header = data["header"]
+                    problem = field_problem(_HEADER_FIELDS, header)
+                    if problem is not None:
+                        raise TypeError(f"header: {problem}")
+                    traj.meta = {k: v for k, v in header.items() if k != "schema_version"}
+                elif "ended_by" in keys:
+                    traj.ended_by = _fitting(_FOOTER_FIELDS, data)["ended_by"]
+                else:
+                    traj.steps.append(StepRecord(**_fitting(_STEP_FIELDS, data,
+                                                            _STEP_OPTIONAL)))
+            except TypeError as exc:
+                raise ValueError(f"{path} line {number}: not a trajectory record "
+                                 f"({exc})") from None
         if header is None:
             raise ValueError(f"{path}: no header line")
         return traj

@@ -281,6 +281,29 @@ def test_malformed_history_exits_three_before_any_episode(runner, tmp_path, comm
     assert sorted(p.name for p in ws.iterdir()) == [".lock", "episodes.jsonl"]
 
 
+def history_ids(ws):
+    return [json.loads(line)["episode_id"]
+            for line in (ws / "episodes.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def test_run_records_its_episode_under_the_workspace_next_id(runner, tmp_path):
+    ws = tmp_path / "ws"
+    for _ in range(2):
+        result = runner.invoke(main, ["run", "--workspace", str(ws), "--evolve"])
+        assert result.exit_code == 0, result.output
+    assert history_ids(ws) == ["ep-000001", "ep-000002"]
+
+
+def test_runs_and_campaigns_in_one_workspace_number_its_episodes_once(runner, tmp_path):
+    ws = tmp_path / "ws"
+    for command in (["evolve", "--rounds", "2"], ["run", "--evolve"], ["evolve", "--rounds", "1"]):
+        result = runner.invoke(main, command + ["--workspace", str(ws)])
+        assert result.exit_code == 0, result.output
+    assert history_ids(ws) == ["ep-000001", "ep-000002", "ep-000003", "ep-000004"]
+    assert sorted(p.name for p in ws.glob("ep-*.jsonl")) == [
+        "ep-000001.jsonl", "ep-000002.jsonl", "ep-000004.jsonl"]
+
+
 def test_a_history_line_with_a_field_of_the_wrong_kind_exits_three(runner, tmp_path):
     ws = tmp_path / "ws"
     ws.mkdir()

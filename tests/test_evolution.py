@@ -477,10 +477,10 @@ def test_failed_history_append_leaves_the_tail_unchanged(tmp_path, monkeypatch):
     store.record_episode(EpisodeSummary(**summary_dict(episode_id="ep-000001")))
     before = store.history()
 
-    def disk_full(path, record):
+    def disk_full(path, records, mode):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(SkillStore, "_append_jsonl", staticmethod(disk_full))
+    monkeypatch.setattr(evolution, "write_jsonl", disk_full)
     with pytest.raises(OSError):
         store.record_episode(EpisodeSummary(**summary_dict(episode_id="ep-000002")))
     monkeypatch.undo()
@@ -495,6 +495,76 @@ def test_history_parses_only_the_reflection_tail(tmp_path):
     history = SkillStore(tmp_path).history()
     assert [s.episode_id for s in history] == ["ep-000002", "ep-000003", "ep-000004"]
     assert len(history) == evolution.REFLECTION_HISTORY
+
+
+# The three JSON-lines files and how each is read: a good first line, the
+# call that reads the file and the exception class its errors take
+_JSONL_FILES = {
+    "trajectory": ("ep-000001.jsonl", json.dumps({"header": {
+        "task_kind": "rendezvous", "satellite_id": "sat-a", "condition": "C0",
+        "schema_version": 1}}), lambda ws: Trajectory.read(ws / "ep-000001.jsonl"), ValueError),
+    "history": ("episodes.jsonl", json.dumps(summary_dict()),
+                lambda ws: SkillStore(ws).history(), evolution.EvolutionError),
+    "audit": ("learned/audit.log", json.dumps({"verdict": "accepted"}),
+              lambda ws: SkillStore(ws).audit_records(), evolution.EvolutionError),
+}
+_TOO_DEEP_LINE = "[" * 100_000 + "]" * 100_000  # beyond what json.loads can recurse
+
+
+# label: the line, and what a trajectory log and a workspace file call it
+_BAD_LINES = {
+    "not-json": ("not json", *["not JSON (Expecting value)"] * 2),
+    "nests-too-deeply": (_TOO_DEEP_LINE, *["not JSON (nests too deeply)"] * 2),
+    "not-an-object": ("[1, 2]", "not a trajectory record (must be an object, got [1, 2])",
+                      "not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("kind, bad", [pytest.param(kind, bad, id=f"{kind}-{bad}")
+                                       for kind in _JSONL_FILES for bad in _BAD_LINES])
+def test_every_jsonl_file_refuses_a_bad_line_naming_file_and_line(tmp_path, kind, bad):
+    name, good, read, error = _JSONL_FILES[kind]
+    line, in_log, in_workspace = _BAD_LINES[bad]
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    with pytest.raises(error) as info:
+        read(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path} line 2: {in_log if kind == 'trajectory' else in_workspace}"
+
+
+def test_a_log_is_reported_at_its_first_bad_line(tmp_path):
+    step = StepRecord(step=0, observation={}, call={"tool": "hover", "args": {}},
+                      result={}).to_json()
+    name, header, read, _error = _JSONL_FILES["trajectory"]
+    (tmp_path / name).write_text(
+        "\n".join([header, step, '{"stepp": 0}', step, "not json"]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: not a trajectory record "
+                                         r"\(missing field 'step'\)"):
+        read(tmp_path)
+
+
+def test_the_history_tail_is_reported_at_its_first_bad_line(tmp_path):
+    good = json.dumps(summary_dict())
+    lines = [good, good, json.dumps(summary_dict(steps="many")), good, "not json"]
+    (tmp_path / "episodes.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(evolution.EvolutionError) as info:
+        SkillStore(tmp_path).history()
+    assert str(info.value) == (f"{tmp_path / 'episodes.jsonl'} line 3: not an episode "
+                               "summary (field 'steps' must be an integer, got 'many')")
+
+
+def test_episode_ids_come_after_every_summary_and_trajectory(tmp_path):
+    fresh = SkillStore(tmp_path / "fresh")
+    assert [fresh.next_episode_id(), fresh.next_episode_id()] == ["ep-000001", "ep-000002"]
+    for name in ("ep-000005.jsonl", "ep-x.jsonl", "ep-000009.json", "run-000012.jsonl"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    store = SkillStore(tmp_path)
+    assert [store.next_episode_id(), store.next_episode_id()] == ["ep-000006", "ep-000007"]
+    lines = [json.dumps(summary_dict(episode_id=f"ep-{i:06d}")) for i in range(1, 10)]
+    (tmp_path / "episodes.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert SkillStore(tmp_path).next_episode_id() == "ep-000010"
 
 
 @pytest.mark.parametrize("line, problem", [

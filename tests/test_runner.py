@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxagent import evolution, runner
+from proxagent import trajectory as trajectory_module
 from proxagent.bus import SENSOR_LIDAR, SENSOR_RGB, InProcessBus, is_number
 from proxagent.evolution import REFLECTION_HISTORY, SkillStore
 from proxagent.env import UnknownSatellite, evaluate, load_satellite_catalog, make_task
@@ -216,11 +217,30 @@ def test_campaign_opens_the_history_for_reading_once(satellites, tmp_path, monke
             history_reads.append(file)
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(evolution, "open", counting_open, raising=False)
+    monkeypatch.setattr(trajectory_module, "open", counting_open, raising=False)
     run_campaign(config(), 30, ws, provider_factory=induced_provider, satellites=satellites)
     assert len(history_reads) == 1
     monkeypatch.undo()
     assert len((ws / "episodes.jsonl").read_text().splitlines()) == 34
+
+
+def test_a_campaign_after_a_failed_round_overwrites_no_trajectory(satellites, tmp_path,
+                                                                  monkeypatch):
+    ws = tmp_path / "ws"
+
+    def disk_full(store, summary):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(SkillStore, "record_episode", disk_full)
+    with pytest.raises(OSError):
+        run_campaign(config(), 1, ws, satellites=satellites)
+    monkeypatch.undo()
+    first = (ws / "ep-000001.jsonl").read_bytes()
+    report = run_campaign(config(seed=1), 1, ws, satellites=satellites)
+    assert [row["episode_id"] for row in report.rounds] == ["ep-000002"]
+    assert sorted(p.name for p in ws.glob("ep-*.jsonl")) == ["ep-000001.jsonl",
+                                                             "ep-000002.jsonl"]
+    assert (ws / "ep-000001.jsonl").read_bytes() == first
 
 
 def test_campaign_store_history_matches_the_workspace_after_every_round(satellites,

@@ -225,13 +225,10 @@ def run(config_path, task, satellite, condition, profile, mode, seed,
             mode=mode, seed=seed, max_steps=max_steps, workspace=workspace, evolve=evolve,
         )
         episode = effective.episode_config(
-            "ep-000001", trajectory=trajectory,
+            None, trajectory=trajectory,
             workspace=effective.workspace, evolve=effective.evolve,
         )
         setup = Setup(root, [episode])
-        if episode.workspace is not None:
-            episode = replace(episode,
-                              episode_id=setup.stores[episode.workspace].next_episode_id())
     try:
         result = setup.run(episode)
     except Exception as exc:

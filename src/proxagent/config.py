@@ -96,7 +96,7 @@ class RunSection:
     evolve: bool = False
     workspace: Optional[str] = None
 
-    def episode_config(self, episode_id: str, trajectory=None, workspace=None,
+    def episode_config(self, episode_id: Optional[str], trajectory=None, workspace=None,
                        evolve: bool = False) -> EpisodeConfig:
         task = make_task(
             self.task,

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .bus import TOO_DEEP, dumps_sorted, is_number, loads, record_copy
 from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
+from .skills import AssembledPrompt
 from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
                     ToolDescriptor, validate_args)
 
@@ -383,8 +384,8 @@ class ScriptedProvider(DecisionProvider):
                 self._gathered_kb = payload
 
     def _directives(self, prompt: str) -> tuple[float, Optional[tuple[float, float]]]:
-        """The step limit and cap for ``prompt``, parsed once per prompt text:
-        an episode's prompt is the same at every step."""
+        """The step limit and cap for ``prompt``, parsed again only when the
+        prompt text differs from the last call's."""
         if prompt != self._directive_prompt:
             max_step = self.config.max_forward_step
             for match in _DIRECTIVE_MAX_STEP.finditer(prompt):
@@ -549,8 +550,11 @@ class ScriptedProvider(DecisionProvider):
 class RemoteProvider(DecisionProvider):
     """Chat-completions-shaped HTTP provider.
 
-    System content is the assembled skill prompt plus memory; user content is
-    the observation record and, per call kind, a grammar reminder.
+    System content is the call kind's prompt (the skill sections that kind
+    of call is sent) plus memory; user content is the observation record,
+    the visible tools, the inner results and the call's extras (a SELECT
+    call's candidate listing among them) and, per call kind, a grammar
+    reminder.
     """
 
     kind = "remote"
@@ -600,9 +604,7 @@ class RemoteProvider(DecisionProvider):
                 "observation": request.observation,
                 "visible_tools": [t.name for t in request.visible_tools],
                 "inner_results": request.inner_results,
-                "extra": {
-                    k: v for k, v in request.extra.items() if k != "candidates"
-                },
+                "extra": request.extra,
             }
         )
         user += "\n" + self._GRAMMAR_HINTS.get(request.call_kind, "")
@@ -703,7 +705,7 @@ class StepContext:
     returns it, the committed call and whether the mode degraded."""
 
     obs: dict
-    prompt: object  # anything with a ``text`` attribute (an AssembledPrompt)
+    prompt: AssembledPrompt
     memory: MemoryState
     visible: list[ToolDescriptor]
     provider: DecisionProvider
@@ -717,11 +719,11 @@ class StepContext:
     degraded: bool = field(default=False, init=False)
 
     def ask(self, call_kind: str, visible=None, hint: str = "", extra=None) -> str:
-        """One counted provider call."""
+        """One counted provider call, sent its call kind's prompt."""
         self.provider_calls += 1
         return self.provider.complete(ProviderRequest(
             call_kind=call_kind,
-            prompt=self.prompt.text,
+            prompt=self.prompt.for_call(call_kind),
             observation=self.obs,
             memory_text=self.memory.memory_text(),
             visible_tools=self.visible if visible is None else visible,

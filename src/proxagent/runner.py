@@ -88,7 +88,7 @@ class EpisodeConfig:
     profile: str = "hybrid-nav"
     mode: str = MODE_STANDARD
     seed: int = 0
-    episode_id: str = "ep-000001"
+    episode_id: Optional[str] = None       # None: the store's next, else ep-000001
     workspace: Optional[Path] = None       # a SkillStore's workspace
     trajectory_path: Optional[Path] = None
     evolve: bool = False
@@ -180,7 +180,9 @@ def run_episode(
 
     ``skill_catalog`` defaults to the shipped skills. ``store`` is the
     ``SkillStore`` of ``config.workspace``, shared by the caller's episodes;
-    without one, an episode with a workspace opens its own.
+    without one, an episode with a workspace opens its own. An episode
+    without an ``episode_id`` takes the store's next one
+    (``SkillStore.next_episode_id``), or ``ep-000001`` without a workspace.
     """
     task = config.task
     provider = ScriptedProvider() if provider is None else provider
@@ -199,6 +201,9 @@ def run_episode(
     mode_skills = skill_catalog.mode_skills(config.mode)
 
     store = _workspace_store(config.workspace, store)
+    episode_id = config.episode_id
+    if episode_id is None:
+        episode_id = "ep-000001" if store is None else store.next_episode_id()
     learned = []
     if store is not None:
         from .evolution import select_learned  # noqa: PLC0415
@@ -210,13 +215,13 @@ def run_episode(
     bridge = EnvBridge(env, backend)
     bridge.reset(task, seed=config.seed)
     dispatcher = ToolDispatcher(backend, catalog, profile, satellites, task.satellite_id)
-    provider.reset_episode(config.episode_id)
+    provider.reset_episode(episode_id)
     memory = MemoryState()
     step_fn = _MODE_STEP[config.mode]
 
     trajectory = Trajectory(
         meta={
-            "episode_id": config.episode_id,
+            "episode_id": episode_id,
             "task_kind": task.kind,
             "satellite_id": task.satellite_id,
             "condition": task.condition.id,
@@ -290,7 +295,7 @@ def run_episode(
     if store is not None:
         from .evolution import run_evolution, summarize_episode  # noqa: PLC0415
 
-        summary = summarize_episode(trajectory, outcome, task.kind, config.episode_id)
+        summary = summarize_episode(trajectory, outcome, task.kind, episode_id)
         if config.evolve:
             evolution_event = run_evolution(summary, prompt.skill_names, provider, store)
         store.record_episode(summary)

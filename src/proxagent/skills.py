@@ -29,14 +29,16 @@ CATEGORIES = (CORE, TASK, HELPER, MODE, LEARNED)
 
 PROVENANCE_HAND = "hand-authored"
 
-# Reasoning-mode names and the mode skills they inject
+# Reasoning-mode names and, per mode, the mode skills each phase's provider
+# calls get, by call kind (``reasoning.CALL_DECIDE``, ``CALL_PLAN``,
+# ``CALL_SELECT``); a call kind its mode does not list gets none
 MODE_STANDARD = "standard"
 MODE_REACT = "react"
 MODE_PROSPECTIVE = "prospective"
 MODE_SKILLS = {
-    MODE_STANDARD: [],
-    MODE_REACT: ["react-loop"],
-    MODE_PROSPECTIVE: ["prospective-plan", "prospective-select"],
+    MODE_STANDARD: {},
+    MODE_REACT: {"decide_action": ["react-loop"]},
+    MODE_PROSPECTIVE: {"plan": ["prospective-plan"], "select": ["prospective-select"]},
 }
 REASONING_MODES = tuple(MODE_SKILLS)
 
@@ -181,10 +183,18 @@ class RoutingResult:
 
 @dataclass
 class AssembledPrompt:
-    """An episode's system prompt and the names of the skills it holds, in order."""
+    """An episode's system prompts. ``text`` holds every section injected into
+    any provider call, and ``skill_names`` names them, in order; ``by_call``
+    is the text each call kind with mode skills of its own is sent, and
+    ``base``, without mode skills, the text of every other call kind."""
 
     text: str
     skill_names: list[str]
+    base: str
+    by_call: dict[str, str]
+
+    def for_call(self, call_kind: str) -> str:
+        return self.by_call.get(call_kind, self.base)
 
 
 class SkillCatalog:
@@ -223,14 +233,17 @@ class SkillCatalog:
         skill = self.by_name.get(name)
         return skill if skill is not None and skill.enabled else None
 
-    def mode_skills(self, mode: str) -> list[Skill]:
-        """The skills ``mode`` injects; one missing or disabled is a SkillError."""
-        for name in MODE_SKILLS[mode]:
-            if self.enabled(name) is None:
-                state = "disabled in" if name in self.by_name else "missing from"
-                raise SkillError(f"{mode} mode needs skill {name!r}, which is {state} "
-                                 "the catalog")
-        return [self.by_name[name] for name in MODE_SKILLS[mode]]
+    def mode_skills(self, mode: str) -> dict[str, list[Skill]]:
+        """The skills ``mode`` injects, by call kind; one missing or disabled
+        is a SkillError."""
+        for names in MODE_SKILLS[mode].values():
+            for name in names:
+                if self.enabled(name) is None:
+                    state = "disabled in" if name in self.by_name else "missing from"
+                    raise SkillError(f"{mode} mode needs skill {name!r}, which is "
+                                     f"{state} the catalog")
+        return {kind: [self.by_name[name] for name in names]
+                for kind, names in MODE_SKILLS[mode].items()}
 
 
 def _default_route(task_kind: str, catalog: SkillCatalog) -> RoutingResult:
@@ -351,25 +364,36 @@ def route(
 def assemble_prompt(
     core_skills: list[Skill],
     routed: RoutingResult,
-    mode_skills: list[Skill],
+    mode_skills: dict[str, list[Skill]],
     learned_skills: list[Skill],
     catalog: SkillCatalog,
 ) -> AssembledPrompt:
-    """Deterministic concatenation: core, task, helpers, mode, learned."""
+    """Deterministic concatenation: core, task, helpers, mode, learned.
+
+    ``mode_skills`` holds, by call kind, the mode skills of that kind's
+    calls: each call kind's text holds only its own, ``text`` all of them.
+    """
     task_skill = catalog.by_name[routed.task_skill]
     helpers = [catalog.by_name[name] for name in routed.helper_skills]
-    ordered = list(core_skills) + [task_skill] + helpers + list(mode_skills) + list(
-        learned_skills
-    )
+    head = list(core_skills) + [task_skill] + helpers
+    modes = [skill for skills in mode_skills.values() for skill in skills]
+    ordered = head + modes + list(learned_skills)
     for skill in ordered:
         if not skill.enabled:
             raise DisabledSkillIncluded(skill.name)
-    sections = []
-    for skill in ordered:
-        sections.append(
-            f"{SECTION_DELIM} SKILL {skill.name} ({skill.category}) {SECTION_DELIM}\n"
-            f"{skill.body}"
-        )
+    head_sections = [_section(skill) for skill in head]
+    learned_sections = [_section(skill) for skill in learned_skills]
+
+    def text(skills: list[Skill]) -> str:
+        return "\n\n".join(head_sections + [_section(s) for s in skills] + learned_sections)
+
     return AssembledPrompt(
-        text="\n\n".join(sections), skill_names=[s.name for s in ordered]
+        text=text(modes),
+        skill_names=[s.name for s in ordered],
+        base=text([]),
+        by_call={kind: text(skills) for kind, skills in mode_skills.items()},
     )
+
+
+def _section(skill: Skill) -> str:
+    return f"{SECTION_DELIM} SKILL {skill.name} ({skill.category}) {SECTION_DELIM}\n{skill.body}"

@@ -274,7 +274,7 @@ def test_criterion_06_mode_conformance():
     obs = {"visible": True, "bearing_az": 0.0, "bearing_el": 0.0,
            "angular_size": 4.0, "mean_brightness": 140.0, "exposure_gain": 1.0,
            "step_index": 0, "collided": False, "lidar_range": 10.0}
-    prompt = type("P", (), {"text": ""})()
+    prompt = skills.AssembledPrompt(text="", skill_names=[], base="", by_call={})
     for _ in range(1000):
         junk = "".join(rng.choice("CANDIDATE TOOL ARGS {}: xyz\n") for _ in range(40))
         result = reasoning.step_prospective(reasoning.StepContext(

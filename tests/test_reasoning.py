@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from proxagent import bus, reasoning
 from proxagent.env import make_task
-from proxagent.runner import EpisodeConfig, run_episode
+from proxagent.runner import EpisodeConfig, run_episode, shipped_catalog
+from proxagent.skills import AssembledPrompt, RoutingResult, assemble_prompt
 from proxagent.tools import builtin_catalog, builtin_profiles, visible_tools
 
 VISIBLE = visible_tools(builtin_catalog(), builtin_profiles()["hybrid-nav-code"])
 CONTROL = [t for t in VISIBLE if t.category == "control"]
+NO_SKILLS = AssembledPrompt(text="", skill_names=[], base="", by_call={})
 
 
 def obs(**over):
@@ -502,7 +504,7 @@ def test_remote_provider_sends_prompt_memory_observation_and_hints(posts):
         "observation": obs(),
         "visible_tools": [t.name for t in CONTROL],
         "inner_results": [{"tool": "lidar_range", "payload": {"range_m": 3.0}}],
-        "extra": {"history": [1, 2]},  # the candidates are left out
+        "extra": {"candidates": [{"index": 0}], "history": [1, 2]},
     }
     assert grammar == reasoning.RemoteProvider._GRAMMAR_HINTS[reasoning.CALL_PLAN]
     assert retry == "Previous answer was malformed: no TOOL line found"
@@ -590,9 +592,11 @@ class _QueueProvider(reasoning.DecisionProvider):
     def __init__(self, outputs):
         self.outputs = list(outputs)
         self.calls = []
+        self.prompts = []
 
     def complete(self, request):
         self.calls.append(request.call_kind)
+        self.prompts.append(request.prompt)
         return self.outputs.pop(0)
 
 
@@ -615,7 +619,7 @@ def _memory():
 def test_standard_commits_control_directly():
     provider = _QueueProvider(['TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0}'])
     result = reasoning.step_standard(reasoning.StepContext(
-        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+        obs(), NO_SKILLS, _memory(), VISIBLE, provider,
         _NullDispatcher(),
     ))
     assert result.call.tool == "set_position"
@@ -630,7 +634,7 @@ def test_standard_follow_up_after_perception():
     )
     dispatcher = _NullDispatcher()
     result = reasoning.step_standard(reasoning.StepContext(
-        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+        obs(), NO_SKILLS, _memory(), VISIBLE, provider,
         dispatcher,
     ))
     assert dispatcher.dispatched == ["brightness_assess"]
@@ -642,7 +646,7 @@ def test_standard_retries_once_then_raises():
     provider = _QueueProvider(["garbage", "still garbage"])
     with pytest.raises(reasoning.MalformedOutput):
         reasoning.step_standard(reasoning.StepContext(
-            obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+            obs(), NO_SKILLS, _memory(), VISIBLE, provider,
             _NullDispatcher(),
         ))
     assert len(provider.calls) == 2
@@ -654,7 +658,7 @@ def test_react_runs_inner_rounds_then_commits():
          'TOOL terminate ARGS {"reason": "done"}']
     )
     result = reasoning.step_react(reasoning.StepContext(
-        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+        obs(), NO_SKILLS, _memory(), VISIBLE, provider,
         _NullDispatcher(),
     ))
     assert result.call.tool == "terminate"
@@ -671,7 +675,7 @@ def test_react_final_round_is_control_restricted():
     )
     with pytest.raises(reasoning.MalformedOutput):
         reasoning.step_react(reasoning.StepContext(
-            obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+            obs(), NO_SKILLS, _memory(), VISIBLE, provider,
             _NullDispatcher(),
         ))
 
@@ -686,7 +690,7 @@ def test_prospective_plan_select():
         ]
     )
     result = reasoning.step_prospective(reasoning.StepContext(
-        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+        obs(), NO_SKILLS, _memory(), VISIBLE, provider,
         _NullDispatcher(),
     ))
     assert result.call.tool == "terminate"
@@ -700,7 +704,7 @@ def test_prospective_degrades_on_malformed_plan():
          'TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0}']
     )
     result = reasoning.step_prospective(reasoning.StepContext(
-        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+        obs(), NO_SKILLS, _memory(), VISIBLE, provider,
         _NullDispatcher(),
     ))
     assert result.degraded
@@ -714,11 +718,51 @@ def test_prospective_degrades_on_malformed_select():
          'TOOL terminate ARGS {}']
     )
     result = reasoning.step_prospective(reasoning.StepContext(
-        obs(), type("P", (), {"text": ""})(), _memory(), VISIBLE, provider,
+        obs(), NO_SKILLS, _memory(), VISIBLE, provider,
         _NullDispatcher(),
     ))
     assert result.degraded
     assert result.call.tool == "terminate"
+
+
+def test_a_degraded_prospective_decide_is_sent_no_plan_or_select_skill():
+    catalog = shipped_catalog()
+    prompt = assemble_prompt(catalog.of_category("core"),
+                             RoutingResult("approach", ["distance"], "test"),
+                             catalog.mode_skills("prospective"), [], catalog)
+    provider = _QueueProvider(
+        ["no plan here", 'TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0}'])
+    result = reasoning.step_prospective(reasoning.StepContext(
+        obs(), prompt, _memory(), VISIBLE, provider, _NullDispatcher(),
+    ))
+    assert result.degraded
+    assert provider.calls == [reasoning.CALL_PLAN, reasoning.CALL_DECIDE]
+    assert provider.prompts == [prompt.for_call(reasoning.CALL_PLAN), prompt.base]
+    assert "(mode)" not in prompt.base
+
+
+def test_a_remote_select_call_carries_the_candidate_listing(monkeypatch):
+    replies = iter([
+        _answer('CANDIDATE 0: TOOL terminate ARGS {"reason": "done"} OUTCOME stop RISK Low'),
+        _answer("SELECT 0"),
+    ])
+    users = []
+
+    def post(url, **kwargs):
+        users.append(kwargs["json"]["messages"][1]["content"])
+        return _Reply(next(replies))
+
+    monkeypatch.setattr(requests, "post", post)
+    provider = reasoning.RemoteProvider("http://127.0.0.1:1/v1", "m")
+    result = reasoning.step_prospective(reasoning.StepContext(
+        obs(), NO_SKILLS, _memory(), VISIBLE, provider, _NullDispatcher(),
+    ))
+    assert result.call.tool == "terminate" and not result.degraded
+    record = json.loads(users[1].split("\n")[0])
+    assert record["extra"] == {"candidates": [{
+        "index": 0, "tool": "terminate", "args": {"reason": "done"},
+        "outcome": "stop", "risk": "Low",
+    }]}
 
 
 def _steps(result):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from proxagent.runner import (
     run_campaign,
     run_episode,
 )
-from proxagent.skills import SkillCatalog
+from proxagent.skills import MODE_SKILLS, SkillCatalog
 from proxagent.tools import (
     CATEGORY_PERCEPTION,
     ERR_ENV_TIMEOUT,
@@ -189,6 +190,69 @@ def test_skill_learned_in_one_round_is_in_the_next_rounds_prompt(satellites, tmp
                      for row in report.rounds)
     assert learned_name not in first
     assert learned_name in second
+
+
+class RecordingProvider(ScriptedProvider):
+    """``induced_provider``'s policy, keeping each request's (call kind, prompt)."""
+
+    def __init__(self):
+        super().__init__(induced_provider().config)
+        self.sent = []
+
+    def complete(self, request):
+        self.sent.append((request.call_kind, request.prompt))
+        return super().complete(request)
+
+
+def _section_names(prompt):
+    return re.findall(r"^======== SKILL (\S+) ", prompt, re.MULTILINE)
+
+
+@pytest.mark.parametrize("mode", ["standard", "react", "prospective"])
+def test_each_provider_call_is_sent_only_its_own_phases_mode_skill(satellites, tmp_path,
+                                                                   mode):
+    ws = tmp_path / "ws"
+    providers = []
+
+    def factory():
+        providers.append(RecordingProvider())
+        return providers[-1]
+
+    report = run_campaign(config(mode=mode), 2, ws, provider_factory=factory,
+                          satellites=satellites)
+    assert report.rounds[0]["evolution"]["accepted"] is True
+    mode_names = {n for names in MODE_SKILLS[mode].values() for n in names}
+    for row, provider in zip(report.rounds, providers):
+        names = Trajectory.read(ws / f"{row['episode_id']}.jsonl").meta["skills"]
+        calls = [(k, p) for k, p in provider.sent if k in ("decide_action", "plan", "select")]
+        assert calls
+        for kind, prompt in calls:
+            # core, task, helpers and learned skills in order, and the call's
+            # own mode skills in their place among them
+            own = MODE_SKILLS[mode].get(kind, [])
+            assert _section_names(prompt) == [n for n in names
+                                              if n not in mode_names or n in own]
+    (learned,) = SkillStore(ws).load_all()
+    assert learned in names  # so every call of the second round was sent it
+    for kind, prompt in calls:
+        if kind != "select":
+            # the step limit and the cap close in that the learned skill
+            # states reach the calls that choose a forward step
+            assert ScriptedProvider()._directives(prompt) == (2.0, (0.5, 5.0))
+
+
+def test_episodes_without_an_id_are_numbered_by_the_workspace(satellites, tmp_path):
+    ws = tmp_path / "ws"
+    for _ in range(2):
+        run_episode(EpisodeConfig(task=make_task("rendezvous"), workspace=ws),
+                    satellites=satellites)
+    store = SkillStore(ws)
+    run_episode(EpisodeConfig(task=make_task("rendezvous"), workspace=ws),
+                satellites=satellites, store=store)
+    assert [s.episode_id for s in SkillStore(ws).history()] == [
+        "ep-000001", "ep-000002", "ep-000003"]
+    alone = run_episode(EpisodeConfig(task=make_task("rendezvous")), satellites=satellites)
+    assert alone.trajectory.meta["episode_id"] == "ep-000001"
 
 
 def test_campaign_reads_the_learned_store_once_per_campaign(satellites, tmp_path,

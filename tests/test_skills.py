@@ -1,10 +1,11 @@
+import re
 import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import skills
+from proxagent import reasoning, skills
 from proxagent.evolution import SkillStore
 from proxagent.runner import default_skills_root
 
@@ -223,20 +224,33 @@ def test_routing_never_invalid_under_fuzz(text):
 # -- prompt assembly ----------------------------------------------------
 
 
+def _section_names(text):
+    return re.findall(r"^======== SKILL (\S+) ", text, re.MULTILINE)
+
+
 def test_assemble_prompt_order_and_delimiters(catalog):
     routed = skills.RoutingResult("approach", ["distance"], "test", False)
-    mode_skills = [catalog.by_name[n] for n in skills.MODE_SKILLS["prospective"]]
+    learned = skills.Skill(name="cap", category="learned", body="cap_forward_step: 1.0")
     prompt = skills.assemble_prompt(
-        catalog.of_category("core"), routed, mode_skills, [], catalog
+        catalog.of_category("core"), routed, catalog.mode_skills("prospective"), [learned],
+        catalog,
     )
     names = prompt.skill_names
-    assert names[:3] == [s.name for s in catalog.of_category("core")]
-    assert names[3:5] == ["approach", "distance"]
-    assert names[5:] == ["prospective-plan", "prospective-select"]
+    head = [s.name for s in catalog.of_category("core")] + ["approach", "distance"]
+    assert names == head + ["prospective-plan", "prospective-select", "cap"]
     assert prompt.text.count("======== SKILL ") == len(names)
     # section order in the text matches the declared order
-    positions = [prompt.text.index(f"SKILL {name} ") for name in names]
-    assert positions == sorted(positions)
+    assert _section_names(prompt.text) == names
+    # each call kind is sent the same sections, with only its own mode skill
+    assert _section_names(prompt.for_call("plan")) == head + ["prospective-plan", "cap"]
+    assert _section_names(prompt.for_call("select")) == head + ["prospective-select", "cap"]
+    assert _section_names(prompt.for_call("decide_action")) == head + ["cap"]
+    assert prompt.for_call("decide_action") == prompt.base
+    # a call kind's text is the full text without the other phase's section
+    select = ("\n\n======== SKILL prospective-select (mode) ========\n"
+              + catalog.by_name["prospective-select"].body)
+    assert select in prompt.text
+    assert prompt.for_call("plan") == prompt.text.replace(select, "")
 
 
 def test_assemble_prompt_rejects_disabled(catalog):
@@ -244,16 +258,19 @@ def test_assemble_prompt_rejects_disabled(catalog):
     routed = skills.RoutingResult("approach", [], "test", False)
     with pytest.raises(skills.DisabledSkillIncluded):
         skills.assemble_prompt(
-            catalog.of_category("core"), routed, [], [disabled], catalog
+            catalog.of_category("core"), routed, {}, [disabled], catalog
         )
 
 
 def test_mode_skill_table():
-    assert skills.MODE_SKILLS["standard"] == []
-    assert skills.MODE_SKILLS["react"] == ["react-loop"]
-    assert skills.MODE_SKILLS["prospective"] == [
-        "prospective-plan", "prospective-select",
-    ]
+    assert skills.MODE_SKILLS["standard"] == {}
+    assert skills.MODE_SKILLS["react"] == {"decide_action": ["react-loop"]}
+    assert skills.MODE_SKILLS["prospective"] == {
+        "plan": ["prospective-plan"], "select": ["prospective-select"],
+    }
+    kinds = {reasoning.CALL_DECIDE, reasoning.CALL_PLAN, reasoning.CALL_SELECT}
+    for table in skills.MODE_SKILLS.values():
+        assert set(table) <= kinds
 
 
 def test_keyword_routes_are_computed_once_and_handed_out_as_copies(monkeypatch):

@@ -17,12 +17,14 @@ native delivery semantics.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import threading
 import time
+from dataclasses import is_dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, get_args
 
 
 class BusError(Exception):
@@ -110,6 +112,29 @@ def field_problem(table: dict, record, optional=(), closed: bool = False,
         unknown = next(name for name in record if name not in table)
         return f"unknown {noun} {unknown!r}"
     return None
+
+
+_KINDS = {str: STRING, int: INTEGER, float: NUMBER, bool: BOOLEAN, dict: OBJECT, list: ARRAY}
+
+
+def parameter_table(fn) -> tuple[dict, tuple]:
+    """The field table of ``fn``'s keyword parameters, each of its
+    annotation's kind (``Optional[X]`` X's, a dataclass an object; any other
+    annotation is a TypeError), and the names of those with a default."""
+    table, defaulted = {}, []
+    for name, param in inspect.signature(fn, eval_str=True).parameters.items():
+        if param.kind not in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY):
+            continue
+        hint = param.annotation
+        args = get_args(hint)
+        if len(args) == 2 and type(None) in args:  # Optional[X]
+            hint = args[args[0] is type(None)]
+        table[name] = OBJECT if is_dataclass(hint) else _KINDS.get(hint)
+        if table[name] is None:
+            raise TypeError(f"{fn.__qualname__}: no field kind for {name}: {hint!r}")
+        if param.default is not param.empty:
+            defaulted.append(name)
+    return table, tuple(defaulted)
 
 
 # The field table of each key. Extra fields are allowed (e.g. diagnostic

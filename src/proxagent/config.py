@@ -12,13 +12,13 @@ The YAML parser is imported only when a configuration file is read
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import Optional, get_type_hints
 
-from .bus import BACKENDS
-from .env import EnvError, make_task
-from .reasoning import PROVIDER_KINDS
+from .bus import BACKENDS, field_problem, parameter_table
+from .env import DEFAULT_CONDITION, DEFAULT_SATELLITE, EnvError, make_task
+from .reasoning import DEFAULT_PROVIDER_KIND, PROVIDER_KINDS
 from .runner import EpisodeConfig, RunnerError
 
 
@@ -27,32 +27,29 @@ class ConfigError(Exception):
 
 
 def _fields(cls, record, where: str, keys=None) -> dict:
-    """Keyword arguments for the dataclass ``cls`` from a configuration mapping.
+    """Keyword arguments for the dataclass ``cls`` from the configuration
+    mapping at ``where``.
 
-    The allowed keys are ``keys``, by default the dataclass fields. Each
-    value must have its field's type (``bool`` is not an ``int``); a field
-    typed as a section is built the same way. A key set to null is left out,
-    so it takes its default.
+    A key set to null is left out, so it takes its default. The allowed keys
+    are ``keys``, by default every field, and each value must be of its
+    field's kind (``bus.parameter_table``); a field typed as a section is
+    built the same way.
     """
-    if record is None:
+    if isinstance(record, dict):
+        record = {key: value for key, value in record.items() if value is not None}
+    elif record is None:
         record = {}
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where} must be a mapping, got {record!r}")
-    unknown = set(record) - set(keys or (f.name for f in fields(cls)))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    table, defaulted = parameter_table(cls)
+    if keys is not None:
+        table = {key: table[key] for key in keys}
+    problem = field_problem(table, record, defaulted, closed=True, noun="key")
+    if problem is not None:
+        raise ConfigError(f"{where}: {problem}")
     hints = get_type_hints(cls)
-    values = {}
     for key, value in record.items():
-        hint = hints[key]
-        if is_dataclass(hint):
-            values[key] = hint(**_fields(hint, value, key))
-        elif value is not None:
-            types = get_args(hint) or (hint,)  # Optional[int] -> (int, NoneType)
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-                raise ConfigError(f"{where}.{key} must be {types[0].__name__}, got {value!r}")
-            values[key] = value
-    return values
+        if is_dataclass(hints[key]):
+            record[key] = hints[key](**_fields(hints[key], value, key))
+    return record
 
 
 @dataclass
@@ -71,7 +68,7 @@ class BusSection:
 class ProviderSection:
     """The ``provider:`` section: the provider's kind and its factory options."""
 
-    kind: str = "scripted"
+    kind: str = DEFAULT_PROVIDER_KIND
     options: dict = field(default_factory=dict)  # passed to the provider factory
 
     def validate(self) -> None:
@@ -87,13 +84,13 @@ class RunSection:
     """The ``run:`` section: one episode's task, target, start, profile, mode and seed."""
 
     task: str = "rendezvous"
-    satellite: str = "CAPSTONE"
-    condition: str = "C1"
-    profile: str = "hybrid-nav"
-    mode: str = "standard"
-    seed: int = 0
+    satellite: str = DEFAULT_SATELLITE
+    condition: str = DEFAULT_CONDITION
+    profile: str = EpisodeConfig.profile
+    mode: str = EpisodeConfig.mode
+    seed: int = EpisodeConfig.seed
     max_steps: Optional[int] = None
-    evolve: bool = False
+    evolve: bool = EpisodeConfig.evolve
     workspace: Optional[str] = None
 
     def episode_config(self, episode_id: Optional[str], trajectory=None, workspace=None,
@@ -124,7 +121,7 @@ class RunSection:
 
 
 # Per-task override fields operators may set under ``tasks:``
-_OVERRIDE_FIELDS = {"satellite", "condition", "profile", "mode", "seed", "max_steps"}
+_OVERRIDE_FIELDS = ("satellite", "condition", "profile", "mode", "seed", "max_steps")
 
 
 @dataclass

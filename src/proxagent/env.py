@@ -68,6 +68,9 @@ START_RANGE = {RENDEZVOUS: 15.0, SEARCH: 15.0, INSPECTION: 6.0}
 SEARCH_YAW_OFFSET = -75.0
 
 DEFAULT_MAX_STEPS = {RENDEZVOUS: 50, SEARCH: 50, INSPECTION: 15}
+# The target and start condition of a task that names none
+DEFAULT_SATELLITE = "CAPSTONE"
+DEFAULT_CONDITION = "C1"
 
 REPORT_DIMENSIONS = ("structure", "appendages", "surface", "condition", "scale")
 
@@ -254,8 +257,8 @@ class TaskSpec:
 
 def make_task(
     kind: str,
-    satellite_id: str = "CAPSTONE",
-    condition: str = "C1",
+    satellite_id: str = DEFAULT_SATELLITE,
+    condition: str = DEFAULT_CONDITION,
     max_steps: Optional[int] = None,
 ) -> TaskSpec:
     default_desc = {

@@ -31,12 +31,11 @@ import marshal
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .bus import ARRAY, INTEGER, NUMBER, NUMBER_OR_NULL, STRING, field_problem
-from .env import MAX_STEP_TRANSLATION
+from .bus import ARRAY, INTEGER, NUMBER, NUMBER_OR_NULL, STRING, field_problem, record_copy
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
 from .trajectory import Outcome, Trajectory, open_for_write, read_jsonl, write_jsonl
@@ -82,30 +81,9 @@ class StoreWriteFailure(EvolutionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EpisodeSummary:
-    """One finished episode as the workspace history keeps it and reflection reads it."""
-
-    episode_id: str
-    task_kind: str
-    success: Optional[bool]
-    terminal_distance: Optional[float]
-    score: Optional[float]
-    steps: int
-    reason: str
-    movement: list[dict] = field(default_factory=list)
-    movement_omitted: int = 0
-    perception: list[dict] = field(default_factory=list)
-    perception_omitted: int = 0
-    max_attempted_translation: float = 0.0
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-# The field table of a history line, the EpisodeSummary fields, of which the
-# last six may be left out: lines written before those fields existed load.
+# The field table of a history line, which is what a summary is: one finished
+# episode as the workspace keeps it and reflection reads it. Lines written
+# before the fields in _SUMMARY_DEFAULTS existed load with those defaults.
 _SUMMARY_FIELDS = {
     "episode_id": STRING, "task_kind": STRING,
     "success": (lambda v: v is None or isinstance(v, bool), "a boolean or null"),
@@ -117,8 +95,8 @@ _SUMMARY_FIELDS = {
     "notes": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
               "an array of strings"),
 }
-_SUMMARY_OPTIONAL = ("movement", "movement_omitted", "perception", "perception_omitted",
-                     "max_attempted_translation", "notes")
+_SUMMARY_DEFAULTS = {"movement": [], "movement_omitted": 0, "perception": [],
+                     "perception_omitted": 0, "max_attempted_translation": 0.0, "notes": []}
 
 
 def _digest_edges(entries: list[dict]) -> tuple[list[dict], int]:
@@ -132,8 +110,9 @@ def _digest_edges(entries: list[dict]) -> tuple[list[dict], int]:
 
 def summarize_episode(
     trajectory: Trajectory, outcome: Outcome, task_kind: str, episode_id: str = ""
-) -> EpisodeSummary:
-    """Deterministic, bounded digest of an ended trajectory."""
+) -> dict:
+    """Deterministic, bounded digest of an ended trajectory: its history line,
+    every ``_SUMMARY_FIELDS`` field set."""
     movement = []
     max_translation = 0.0
     perception = []
@@ -162,20 +141,21 @@ def summarize_episode(
     movement, movement_omitted = _digest_edges(movement)
     perception, perception_omitted = _digest_edges(perception)
     reason = outcome.reason if trajectory.steps else "error"
-    return EpisodeSummary(
-        episode_id=episode_id,
-        task_kind=task_kind,
-        success=outcome.success,
-        terminal_distance=outcome.terminal_distance,
-        score=outcome.score,
-        steps=outcome.steps,
-        reason=reason,
-        movement=movement,
-        movement_omitted=movement_omitted,
-        perception=perception,
-        perception_omitted=perception_omitted,
-        max_attempted_translation=round(max_translation, 4),
-    )
+    return {
+        "episode_id": episode_id,
+        "task_kind": task_kind,
+        "success": outcome.success,
+        "terminal_distance": outcome.terminal_distance,
+        "score": outcome.score,
+        "steps": outcome.steps,
+        "reason": reason,
+        "movement": movement,
+        "movement_omitted": movement_omitted,
+        "perception": perception,
+        "perception_omitted": perception_omitted,
+        "max_attempted_translation": round(max_translation, 4),
+        "notes": [],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +235,21 @@ def no_change(scope: str, justification: str = "") -> MutationDecision:
 
 
 def reflect(
-    summary: EpisodeSummary,
-    history: list[EpisodeSummary],
+    summary: dict,
+    history: list[dict],
     active_skills: list[str],
     provider: DecisionProvider,
     learned_names: Optional[list[str]] = None,
 ) -> MutationDecision:
-    """Reflection call; malformed output degrades to no_change, never raises."""
+    """Reflection call, sent a copy of the summary, whose line is written
+    after it; malformed output degrades to no_change, never raises."""
     request = ProviderRequest(
         call_kind=CALL_REFLECT,
         prompt="Reflect on the episode and propose at most one skill mutation.",
-        task_kind=summary.task_kind,
+        task_kind=summary["task_kind"],
         extra={
-            "summary": summary.to_dict(),
-            "history": [h.to_dict() for h in history[-REFLECTION_HISTORY:]],
+            "summary": record_copy(summary),
+            "history": history[-REFLECTION_HISTORY:],
             "active_skills": active_skills,
             "learned_names": learned_names or [],
         },
@@ -277,7 +258,7 @@ def reflect(
         raw = provider.complete(request)
         return parse_mutation(raw)
     except Exception:
-        return no_change(summary.task_kind, "reflection output malformed")
+        return no_change(summary["task_kind"], "reflection output malformed")
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +368,19 @@ class SkillStore:
                               if path.exists() else (0, ()))
             for number, record in records:
                 problem = field_problem(_SUMMARY_FIELDS, _json_object(path, number, record),
-                                        _SUMMARY_OPTIONAL, closed=True)
+                                        _SUMMARY_DEFAULTS, closed=True)
                 if problem is not None:
                     raise EvolutionError(
                         f"{path} line {number}: not an episode summary ({problem})"
                     )
-                tail.append(marshal.dumps(record))
+                tail.append(marshal.dumps({**_SUMMARY_DEFAULTS, **record}))
             self._tail, self._episodes = tail, count
         return self._tail
 
-    def history(self) -> list[EpisodeSummary]:
+    def history(self) -> list[dict]:
         """The workspace's last ``REFLECTION_HISTORY`` episode summaries,
         oldest first, as copies: nothing done to them reaches the store."""
-        return [EpisodeSummary(**marshal.loads(entry)) for entry in self._read_history()]
+        return [marshal.loads(entry) for entry in self._read_history()]
 
     def next_episode_id(self) -> str:
         """A new ``ep-NNNNNN``, after every summary, ``ep-NNNNNN.jsonl`` and
@@ -411,11 +392,10 @@ class SkillStore:
         self._last_id = max(self._last_id, self._episodes) + 1
         return f"ep-{self._last_id:06d}"
 
-    def record_episode(self, summary: EpisodeSummary) -> None:
-        record = summary.to_dict()
-        write_jsonl(self.history_path, [record], "a")
+    def record_episode(self, summary: dict) -> None:
+        write_jsonl(self.history_path, [summary], "a")
         if self._tail is not None:  # else the first read finds it in the file
-            self._tail.append(marshal.dumps(record))
+            self._tail.append(marshal.dumps(summary))
             self._episodes += 1
 
     # -- audit ---------------------------------------------------------
@@ -610,92 +590,12 @@ def _episode_recency(episode: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scripted reflection (deterministic rule table)
-# ---------------------------------------------------------------------------
-
-LOW_SCORE_THRESHOLD = 40.0
-HARMFUL_MARKER = "harmful-skill:"
-
-
-def scripted_reflection(extra: dict) -> str:
-    """Rule-table reflector emitting the mutation grammar."""
-    summary = extra.get("summary", {})
-    history = extra.get("history", [])
-    learned_names = extra.get("learned_names", [])
-    kind = summary.get("task_kind", "")
-    episode = summary.get("episode_id", "")
-
-    for note in summary.get("notes", []):
-        if HARMFUL_MARKER in note:
-            target = note.split(HARMFUL_MARKER, 1)[1].strip()
-            return (
-                f"MUTATION disable\nTARGET {target}\nSCOPE {kind}\n"
-                f"JUSTIFY skill {target} marked harmful in episode {episode}"
-            )
-
-    failed = summary.get("success") is False
-    if (
-        failed
-        and summary.get("reason") == "timeout"
-        and summary.get("max_attempted_translation", 0.0) > MAX_STEP_TRANSLATION
-    ):
-        biggest = summary.get("max_attempted_translation")
-        return "\n".join(
-            [
-                "MUTATION create",
-                "TARGET -",
-                f"SCOPE {kind}",
-                "INTENT cap forward translation steps near the target",
-                "TRIGGER commanded translations rejected by the actuator while closing in",
-                "RULE keep every forward step within the actuator limit "
-                f"(max_forward_step: {MAX_STEP_TRANSLATION}) and reduce steps close in "
-                "(cap_forward_step: 0.5 within_range_m: 5.0)",
-                f"CONSTRAINTS never command a translation longer than {MAX_STEP_TRANSLATION} m",
-                f"EVIDENCE episode {episode} ended by {summary.get('reason')} after "
-                f"{summary.get('steps')} steps with translations up to {biggest} m",
-                "JUSTIFY distance dependent step reduction prevents rejected "
-                "commands and overshoot",
-            ]
-        )
-
-    score = summary.get("score")
-    if score is not None and score < LOW_SCORE_THRESHOLD:
-        prior_low = any(
-            h.get("score") is not None and h.get("score") < LOW_SCORE_THRESHOLD
-            for h in history
-        )
-        if prior_low:
-            sections = [
-                "INTENT refine close range perception before reporting",
-                "TRIGGER inspection report scored low in consecutive episodes",
-                "RULE gather part segmentation and knowledge base attributes "
-                "before writing any report dimension",
-                "CONSTRAINTS keep exposure in the nominal band while imaging",
-                f"EVIDENCE episodes including {episode} scored below "
-                f"{LOW_SCORE_THRESHOLD} points",
-            ]
-            if learned_names:
-                head = [
-                    "MUTATION overlay",
-                    f"TARGET {learned_names[0]}",
-                    f"SCOPE {kind}",
-                ]
-            else:
-                head = ["MUTATION create", "TARGET -", f"SCOPE {kind}"]
-            return "\n".join(
-                head + sections + ["JUSTIFY repeated low inspection scores"]
-            )
-
-    return f"MUTATION no_change\nJUSTIFY no anomalies in episode {episode}"
-
-
-# ---------------------------------------------------------------------------
 # Post-episode pipeline
 # ---------------------------------------------------------------------------
 
 
 def run_evolution(
-    summary: EpisodeSummary,
+    summary: dict,
     active_skills: list[str],
     provider: DecisionProvider,
     store: SkillStore,
@@ -707,10 +607,10 @@ def run_evolution(
     event = {"action": mutation.action, "accepted": False, "skill": None}
     if mutation.action == ACTION_NO_CHANGE:
         return event
-    verdict = quality_gate(mutation, store, summary.task_kind, episode_id=summary.episode_id)
+    verdict = quality_gate(mutation, store, summary["task_kind"], summary["episode_id"])
     if not verdict.accepted:
         event["rejected_by"] = verdict.rejected_by
         return event
-    skill = materialize(mutation, store, episode_id=summary.episode_id)
+    skill = materialize(mutation, store, summary["episode_id"])
     event.update(accepted=True, skill=skill.name, version=skill.version)
     return event

@@ -15,13 +15,13 @@ malformed plans).
 
 from __future__ import annotations
 
-import inspect
 import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import TOO_DEEP, dumps_sorted, is_number, loads, record_copy
+from .bus import (TOO_DEEP, dumps_sorted, field_problem, loads, parameter_table,
+                  record_copy)
 from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
 from .skills import AssembledPrompt
 from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
@@ -298,6 +298,8 @@ LATERAL_GAIN_LIMIT = 0.5
 ASSUMED_RADIUS = 0.5
 VISION_RANGE_BIAS = 3.0  # monocular overestimation factor
 NOMINAL_GAIN = 1.0
+LOW_SCORE_THRESHOLD = 40.0  # the scripted reflector's: an inspection score below it is low
+HARMFUL_MARKER = "harmful-skill:"
 
 # the plan's fixed candidates 1 (when candidate 0 is not a forward step) and
 # 2: their text never changes, so it is built once
@@ -368,8 +370,6 @@ class ScriptedProvider(DecisionProvider):
             )
             return f"SELECT {best}"
         if request.call_kind == CALL_REFLECT:
-            from .evolution import scripted_reflection  # local to avoid cycle
-
             return scripted_reflection(request.extra)
         return ""  # route: no answer, so routing takes skills._default_route
 
@@ -542,6 +542,78 @@ class ScriptedProvider(DecisionProvider):
         return "\n".join(lines)
 
 
+def scripted_reflection(extra: dict) -> str:
+    """Rule-table reflector emitting the mutation grammar."""
+    summary = extra.get("summary", {})
+    history = extra.get("history", [])
+    learned_names = extra.get("learned_names", [])
+    kind = summary.get("task_kind", "")
+    episode = summary.get("episode_id", "")
+
+    for note in summary.get("notes", []):
+        if HARMFUL_MARKER in note:
+            target = note.split(HARMFUL_MARKER, 1)[1].strip()
+            return (
+                f"MUTATION disable\nTARGET {target}\nSCOPE {kind}\n"
+                f"JUSTIFY skill {target} marked harmful in episode {episode}"
+            )
+
+    failed = summary.get("success") is False
+    if (
+        failed
+        and summary.get("reason") == "timeout"
+        and summary.get("max_attempted_translation", 0.0) > MAX_STEP_TRANSLATION
+    ):
+        biggest = summary.get("max_attempted_translation")
+        return "\n".join(
+            [
+                "MUTATION create",
+                "TARGET -",
+                f"SCOPE {kind}",
+                "INTENT cap forward translation steps near the target",
+                "TRIGGER commanded translations rejected by the actuator while closing in",
+                "RULE keep every forward step within the actuator limit "
+                f"(max_forward_step: {MAX_STEP_TRANSLATION}) and reduce steps close in "
+                "(cap_forward_step: 0.5 within_range_m: 5.0)",
+                f"CONSTRAINTS never command a translation longer than {MAX_STEP_TRANSLATION} m",
+                f"EVIDENCE episode {episode} ended by {summary.get('reason')} after "
+                f"{summary.get('steps')} steps with translations up to {biggest} m",
+                "JUSTIFY distance dependent step reduction prevents rejected "
+                "commands and overshoot",
+            ]
+        )
+
+    score = summary.get("score")
+    if score is not None and score < LOW_SCORE_THRESHOLD:
+        prior_low = any(
+            h.get("score") is not None and h.get("score") < LOW_SCORE_THRESHOLD
+            for h in history
+        )
+        if prior_low:
+            sections = [
+                "INTENT refine close range perception before reporting",
+                "TRIGGER inspection report scored low in consecutive episodes",
+                "RULE gather part segmentation and knowledge base attributes "
+                "before writing any report dimension",
+                "CONSTRAINTS keep exposure in the nominal band while imaging",
+                f"EVIDENCE episodes including {episode} scored below "
+                f"{LOW_SCORE_THRESHOLD} points",
+            ]
+            if learned_names:
+                head = [
+                    "MUTATION overlay",
+                    f"TARGET {learned_names[0]}",
+                    f"SCOPE {kind}",
+                ]
+            else:
+                head = ["MUTATION create", "TARGET -", f"SCOPE {kind}"]
+            return "\n".join(
+                head + sections + ["JUSTIFY repeated low inspection scores"]
+            )
+
+    return f"MUTATION no_change\nJUSTIFY no anomalies in episode {episode}"
+
+
 # ---------------------------------------------------------------------------
 # Remote provider
 # ---------------------------------------------------------------------------
@@ -648,37 +720,22 @@ PROVIDER_KINDS = {
     "scripted": ScriptedPolicyConfig,
     "remote": RemoteProvider,
 }
-
-
-def _provider_options(kind: str, options: dict) -> dict:
-    """``options`` checked against the constructor for ``kind``: each names a
-    parameter, has its type (a ``float`` takes a number as ``bus.is_number``
-    defines it) and leaves out no parameter without a default."""
-    params = inspect.signature(PROVIDER_KINDS[kind], eval_str=True).parameters
-    unknown = set(options) - set(params)
-    if unknown:
-        raise ReasoningError(f"unknown {kind} provider options: {sorted(unknown)}")
-    missing = [n for n, p in params.items() if p.default is p.empty and n not in options]
-    if missing:
-        raise ReasoningError(f"{kind} provider options missing: {missing}")
-    for name, value in options.items():
-        if params[name].annotation is float:
-            wanted, ok = "a finite number", is_number(value)
-        else:
-            wanted, ok = "a string", isinstance(value, str)
-        if not ok:
-            raise ReasoningError(f"{kind} provider option {name} must be {wanted}, "
-                                 f"got {value!r}")
-    return options
+DEFAULT_PROVIDER_KIND = "scripted"
 
 
 def make_provider(spec: dict) -> DecisionProvider:
-    """Instantiate a provider from a configuration record."""
+    """Instantiate a provider from a configuration record: its ``kind`` and
+    the keyword arguments of that kind's constructor (``PROVIDER_KINDS``)."""
     options = dict(spec)
-    kind = options.pop("kind", "scripted")
+    kind = options.pop("kind", DEFAULT_PROVIDER_KIND)
     if kind not in PROVIDER_KINDS:
         raise ReasoningError(f"unknown provider kind: {kind!r}")
-    built = PROVIDER_KINDS[kind](**_provider_options(kind, options))
+    table, defaulted = parameter_table(PROVIDER_KINDS[kind])
+    problem = field_problem(table, options, defaulted, closed=True,
+                            noun=f"{kind} provider option")
+    if problem is not None:
+        raise ReasoningError(problem)
+    built = PROVIDER_KINDS[kind](**options)
     return ScriptedProvider(built) if kind == "scripted" else built
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+from .bus import STRING, field_problem
+
 CORE = "core"
 TASK = "task"
 HELPER = "helper"
@@ -88,6 +90,26 @@ class Skill:
         return not self.scope or task_kind in self.scope
 
 
+def _is_version(text: str) -> bool:
+    """True when ``text`` is ASCII digits that ``int`` reads as 1 or more."""
+    try:
+        return text.isascii() and text.isdigit() and int(text) >= 1
+    except ValueError:  # more digits than int reads from text
+        return False
+
+
+# The field table of a skill file's header, whose values are text; all but
+# name and category may be left out
+_HEADER_FIELDS = {
+    "name": (lambda v: v != "", "a non-empty string"),
+    "category": (lambda v: v in CATEGORIES, f"one of {', '.join(CATEGORIES)}"),
+    **dict.fromkeys(("routing_summary", "keywords", "scope", "provenance"), STRING),
+    "version": (_is_version, "a whole number of at least 1"),
+    "enabled": (lambda v: v.lower() in ("true", "false"), "true or false, in any letter case"),
+}
+_HEADER_OPTIONAL = _HEADER_FIELDS.keys() - {"name", "category"}
+
+
 def parse_skill_text(text: str) -> Skill:
     if "---" not in text:
         raise SkillError("skill file missing '---' delimiter")
@@ -104,28 +126,22 @@ def parse_skill_text(text: str) -> Skill:
         if key in header:
             raise SkillError(f"repeated header key {key!r}")
         header[key] = value.strip()
-    for required in ("name", "category"):
-        if required not in header:
-            raise SkillError(f"skill header missing {required!r}")
-    category = header["category"]
-    if category not in CATEGORIES:
-        raise SkillError(f"unknown category {category!r}")
+    problem = field_problem(_HEADER_FIELDS, header, _HEADER_OPTIONAL, closed=True,
+                            noun="header key")
+    if problem is not None:
+        raise SkillError(problem)
     keywords = [k.strip() for k in header.get("keywords", "").split(",") if k.strip()]
     scope = [s.strip() for s in header.get("scope", "").split(",") if s.strip()]
-    try:
-        version = int(header.get("version", "1"))
-    except ValueError:
-        raise SkillError(f"bad version {header['version']!r}") from None
     return Skill(
         name=header["name"],
-        category=category,
+        category=header["category"],
         routing_summary=header.get("routing_summary", ""),
         keywords=keywords,
         body=body.strip("\n"),
         scope=scope,
-        version=version,
+        version=int(header.get("version", "1")),
         provenance=header.get("provenance", PROVENANCE_HAND),
-        enabled=header.get("enabled", "true").lower() != "false",
+        enabled=header.get("enabled", "true").lower() == "true",
     )
 
 

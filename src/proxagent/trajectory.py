@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional
 
-from .bus import ARRAY, INTEGER, OBJECT, STRING, dumps_strict, field_problem, loads
+from .bus import OBJECT, STRING, dumps_strict, field_problem, loads, parameter_table
 
 ENDED_TERMINATE = "terminate"
 ENDED_TIMEOUT = "timeout"
@@ -89,11 +89,10 @@ _CALL_FIELDS = {"tool": STRING, "args": OBJECT}
 _CALL = (lambda v: field_problem(_CALL_FIELDS, v) is None,
          "an object with a string 'tool' and an object 'args'")
 
-# The field tables of a step line, the StepRecord fields, of which the last
-# three may be left out, and of the footer
-_STEP_FIELDS = {"step": INTEGER, "observation": OBJECT, "call": _CALL, "result": OBJECT,
-                "inner": ARRAY, "memory_hash": STRING, "provider_calls": INTEGER}
-_STEP_OPTIONAL = ("inner", "memory_hash", "provider_calls")
+# The field tables of a step line, the StepRecord parameters, of which those
+# with a default may be left out, and of the footer
+_STEP_FIELDS, _STEP_OPTIONAL = parameter_table(StepRecord)
+_STEP_FIELDS["call"] = _CALL
 _FOOTER_FIELDS = {"ended_by": (lambda v: v in ENDINGS, f"one of {', '.join(ENDINGS)}")}
 # The fields of the header that scoring reads, and the format's version; the
 # runner writes others (episode, profile, mode, seed, ...), which are kept

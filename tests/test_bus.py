@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import enum
 import json
 import math
 import re
 import threading
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -474,6 +476,34 @@ def test_a_value_too_long_or_deep_to_print_is_named_by_its_type():
         assert tools.validate_args(tools.builtin_catalog()["set_exposure"],
                                    {"gain_delta": value}) == (
             f"arg 'gain_delta' must be a finite number, got a value of type {kind}")
+
+
+@dataclasses.dataclass
+class _Section:
+    pass
+
+
+def _keywords(count: int, ratio: Optional[float], inner: _Section, *rest, items: list = (),
+              flags: Optional[dict] = None, on: bool = False, **more):
+    pass
+
+
+def _with_a_set(count: int, tags: set):
+    pass
+
+
+def test_a_parameter_table_is_read_off_the_signature():
+    table, defaulted = bus.parameter_table(_keywords)
+    assert table == {"count": bus.INTEGER, "ratio": bus.NUMBER, "inner": bus.OBJECT,
+                     "items": bus.ARRAY, "flags": bus.OBJECT, "on": bus.BOOLEAN}
+    assert defaulted == ("items", "flags", "on")
+    table, defaulted = bus.parameter_table(reasoning.RemoteProvider)
+    assert table == {"endpoint": bus.STRING, "model": bus.STRING, "temperature": bus.NUMBER,
+                     "timeout": bus.NUMBER, "api_key": bus.STRING}
+    assert defaulted == ("model", "temperature", "timeout", "api_key")
+    # a field type without a kind is refused, never judged as an object
+    with pytest.raises(TypeError, match="^_with_a_set: no field kind for tags: <class 'set'>$"):
+        bus.parameter_table(_with_a_set)
 
 
 def test_bus_message_is_immutable():

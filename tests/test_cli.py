@@ -94,7 +94,7 @@ def test_importing_the_cli_loads_no_optional_parser_or_client():
 
 @pytest.mark.parametrize("text, message", [
     ("run: [unclosed\n", "configuration is not valid YAML: "),
-    ("- a\n- b\n", "root must be a mapping, got ['a', 'b']"),
+    ("- a\n- b\n", "root: must be an object, got ['a', 'b']"),
 ])
 def test_load_config_names_what_is_wrong_with_the_text(tmp_path, text, message):
     path = tmp_path / "c.yaml"
@@ -111,7 +111,7 @@ def test_a_configuration_whose_root_is_not_a_mapping_exits_3(runner, tmp_path, t
     path.write_text(text)
     result = runner.invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 3
-    assert f"root must be a mapping, got {shown}" in result.output
+    assert f"root: must be an object, got {shown}" in result.output
 
 
 def test_an_empty_configuration_runs_with_every_default(runner, tmp_path):
@@ -125,27 +125,32 @@ def test_load_config_names_a_file_it_cannot_read(tmp_path):
         load_config(tmp_path / "missing.yaml")
 
 
-@pytest.mark.parametrize("record", [
-    {"bus": 5},
-    {"run": 7},
-    {"tasks": 5},
-    {"tasks": {"search": 5}},
-    {"run": {"seed": "x"}},
-    {"run": {"seed": True}},
-    {"run": {"max_steps": "5"}},
-    {"run": {"max_steps": 0}},
-    {"run": {"evolve": "yes"}},
-    {"provider": {"options": 3}},
-    {"tasks": {"search": {"task": "rendezvous"}}},
-    {"tasks": {"search": {"condition": "C9"}}},
-    {"tasks": {"docking": {}}},
-    {"provider": {"kind": "psychic"}},
-    {"bus": {"backend": "carrier-pigeon"}},
-    {"provider": {"kind": "replay"}},
+@pytest.mark.parametrize("record, message", [
+    ({"bus": 5}, "root: key 'bus' must be an object, got 5"),
+    ({"run": 7}, "root: key 'run' must be an object, got 7"),
+    ({"tasks": 5}, "root: key 'tasks' must be an object, got 5"),
+    ({"warp": 1}, "root: unknown key 'warp'"),
+    ({"tasks": {"search": 5}}, "tasks.search: must be an object, got 5"),
+    ({"run": {"seed": "x"}}, "run: key 'seed' must be an integer, got 'x'"),
+    ({"run": {"seed": True}}, "run: key 'seed' must be an integer, got True"),
+    ({"run": {"max_steps": "5"}}, "run: key 'max_steps' must be an integer, got '5'"),
+    ({"run": {"max_steps": 0}}, "max_steps must be >= 1"),
+    ({"run": {"evolve": "yes"}}, "run: key 'evolve' must be a boolean, got 'yes'"),
+    ({"run": {"warp": 1}}, "run: unknown key 'warp'"),
+    ({"provider": {"options": 3}}, "provider: key 'options' must be an object, got 3"),
+    ({"tasks": {"search": {"task": "rendezvous"}}}, "tasks.search: unknown key 'task'"),
+    ({"tasks": {"search": {"seed": 1.5}}},
+     "tasks.search: key 'seed' must be an integer, got 1.5"),
+    ({"tasks": {"search": {"condition": "C9"}}}, "unknown condition: 'C9'"),
+    ({"tasks": {"docking": {}}}, "unknown task kind: 'docking'"),
+    ({"provider": {"kind": "psychic"}}, "unknown provider kind 'psychic'"),
+    ({"bus": {"backend": "carrier-pigeon"}}, "unknown bus backend 'carrier-pigeon'"),
+    ({"provider": {"kind": "replay"}}, "unknown provider kind 'replay'"),
 ])
-def test_config_rejects_wrong_shapes_and_types(record):
-    with pytest.raises(ConfigError):
+def test_config_rejects_wrong_shapes_and_types(record, message):
+    with pytest.raises(ConfigError) as info:
         parse_config(record)
+    assert str(info.value) == message
 
 
 def test_config_null_keys_take_their_defaults():
@@ -745,7 +750,7 @@ def test_unknown_satellite_exits_three_before_any_episode(runner, tmp_path, comm
 
 @pytest.mark.parametrize("options,problem", [
     ("max_forward_stepp: 6.0", "max_forward_stepp"),
-    ("max_forward_step: '6'", "max_forward_step must be a finite number"),
+    ("max_forward_step: '6'", "option 'max_forward_step' must be a finite number, got '6'"),
 ])
 def test_bad_scripted_provider_options_exit_three(runner, tmp_path, options, problem):
     config = _config(tmp_path, f"provider:\n  kind: scripted\n  options:\n    {options}\n")
@@ -803,7 +808,7 @@ def test_remote_provider_option_typo_exits_three(runner, tmp_path):
     )
     result = runner.invoke(main, ["run", "--config", config])
     assert result.exit_code == 3, result.output
-    assert "unknown remote provider options: ['modle']" in result.output
+    assert "unknown remote provider option 'modle'" in result.output
 
 
 @pytest.mark.parametrize("command,flags,runs", [

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import sys
 
@@ -6,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import evolution
+from proxagent import evolution, reasoning
+from proxagent.bus import field_problem
 from proxagent.evolution import (
     ACTION_CREATE,
     ACTION_DISABLE,
     ACTION_NO_CHANGE,
     ACTION_OVERLAY,
     ACTION_REWRITE,
-    EpisodeSummary,
     MutationDecision,
     SkillStore,
     fingerprint,
@@ -77,10 +76,10 @@ def test_summary_is_bounded_and_tracks_max_translation():
     traj = make_trajectory(50, dx=6.0)
     outcome = Outcome(steps=50, reason="timeout", success=False)
     summary = summarize_episode(traj, outcome, "rendezvous", "ep-000001")
-    assert len(summary.movement) == 20  # first 10 + last 10
-    assert summary.movement_omitted == 30
-    assert summary.max_attempted_translation == pytest.approx(6.0)
-    assert summary.reason == "timeout"
+    assert len(summary["movement"]) == 20  # first 10 + last 10
+    assert summary["movement_omitted"] == 30
+    assert summary["max_attempted_translation"] == pytest.approx(6.0)
+    assert summary["reason"] == "timeout"
 
 
 @pytest.mark.parametrize("dx", [1e200, 1.4e154, 10**200, -(10**300)],
@@ -89,19 +88,19 @@ def test_summary_names_a_translation_beyond_float_range_infinite(dx):
     outcome = Outcome(steps=3, reason="timeout", success=False)
     summary = summarize_episode(make_trajectory(3, dx=dx), outcome, "rendezvous", "e")
     # the largest float, not inf: the summary is written as strict JSON
-    assert summary.max_attempted_translation == sys.float_info.max
+    assert summary["max_attempted_translation"] == sys.float_info.max
 
 
 def test_summary_perception_is_bounded_like_movement():
     outcome = Outcome(steps=50, reason="timeout", success=False)
     summary = summarize_episode(make_trajectory(50), outcome, "rendezvous", "ep-000001")
-    assert [entry["step"] for entry in summary.perception] == [*range(10), *range(40, 50)]
-    assert summary.perception_omitted == 30
+    assert [entry["step"] for entry in summary["perception"]] == [*range(10), *range(40, 50)]
+    assert summary["perception_omitted"] == 30
     longer = summarize_episode(make_trajectory(500), outcome, "rendezvous", "ep-000001")
-    assert len(longer.perception) == len(longer.movement) == 20
+    assert len(longer["perception"]) == len(longer["movement"]) == 20
     short = summarize_episode(make_trajectory(12), outcome, "rendezvous", "ep-000001")
-    assert len(short.perception) == 12
-    assert short.perception_omitted == 0
+    assert len(short["perception"]) == 12
+    assert short["perception_omitted"] == 0
 
 
 def test_summary_line_without_perception_omitted_still_loads(tmp_path):
@@ -109,15 +108,40 @@ def test_summary_line_without_perception_omitted_still_loads(tmp_path):
     assert "perception_omitted" not in record  # as written before the field existed
     (tmp_path / "episodes.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
     (summary,) = SkillStore(tmp_path).history()
-    assert summary.perception_omitted == 0
+    assert summary["perception_omitted"] == 0
 
 
 def test_summary_is_deterministic():
     traj = make_trajectory(12)
     outcome = Outcome(steps=12, reason="timeout", success=False)
-    a = summarize_episode(traj, outcome, "rendezvous", "e").to_dict()
-    b = summarize_episode(traj, outcome, "rendezvous", "e").to_dict()
+    a = summarize_episode(traj, outcome, "rendezvous", "e")
+    b = summarize_episode(traj, outcome, "rendezvous", "e")
     assert a == b
+
+
+def test_a_summary_is_its_history_line():
+    outcome = Outcome(steps=3, reason="timeout", success=False)
+    summary = summarize_episode(make_trajectory(3), outcome, "rendezvous", "ep-000001")
+    assert list(summary) == list(evolution._SUMMARY_FIELDS)
+    assert field_problem(evolution._SUMMARY_FIELDS, summary, closed=True) is None
+
+
+def test_a_provider_that_edits_its_summary_changes_no_history_line(tmp_path):
+    class Editing:
+        def complete(self, request):
+            edited = request.extra["summary"]
+            edited["steps"] = -1
+            edited["notes"].append("edited")
+            edited["movement"][0]["args"]["dx"] = 99.0
+            return "MUTATION no_change\nJUSTIFY nothing to learn"
+
+    outcome = Outcome(steps=3, reason="timeout", success=False)
+    summary = summarize_episode(make_trajectory(3), outcome, "rendezvous", "ep-000001")
+    line = json.dumps(summary, sort_keys=True)
+    store = SkillStore(tmp_path)
+    assert evolution.run_evolution(summary, [], Editing(), store)["action"] == ACTION_NO_CHANGE
+    store.record_episode(summary)
+    assert (tmp_path / "episodes.jsonl").read_text(encoding="utf-8") == line + "\n"
 
 
 # -- mutation grammar ---------------------------------------------------
@@ -165,10 +189,7 @@ def test_reflect_degrades_to_no_change_on_malformed_output():
         def complete(self, request):
             return "I have thoughts but no grammar"
 
-    summary = EpisodeSummary(
-        episode_id="e", task_kind="rendezvous", success=True,
-        terminal_distance=2.0, score=None, steps=9, reason="terminate",
-    )
+    summary = summary_dict(success=True, terminal_distance=2.0, steps=9, reason="terminate")
     decision = evolution.reflect(summary, [], [], Babbler())
     assert decision.action == ACTION_NO_CHANGE
 
@@ -315,7 +336,7 @@ def summary_dict(**over):
 
 
 def test_reflection_creates_step_cap_after_oversized_timeout():
-    text = evolution.scripted_reflection({"summary": summary_dict(), "history": []})
+    text = reasoning.scripted_reflection({"summary": summary_dict(), "history": []})
     decision = parse_mutation(text)
     assert decision.action == ACTION_CREATE
     assert "max_forward_step: 2.0" in decision.content["rule"]
@@ -326,7 +347,7 @@ def test_reflection_creates_step_cap_after_oversized_timeout():
 
 
 def test_reflection_no_change_on_clean_success():
-    text = evolution.scripted_reflection(
+    text = reasoning.scripted_reflection(
         {"summary": summary_dict(success=True, reason="terminate",
                                  max_attempted_translation=1.5), "history": []}
     )
@@ -337,7 +358,7 @@ def test_reflection_overlays_after_two_low_inspection_scores():
     summary = summary_dict(task_kind="inspection", reason="terminate",
                            success=None, score=20.0, max_attempted_translation=0.0)
     history = [summary_dict(task_kind="inspection", score=30.0)]
-    text = evolution.scripted_reflection(
+    text = reasoning.scripted_reflection(
         {"summary": summary, "history": history, "learned_names": ["older-skill"]}
     )
     decision = parse_mutation(text)
@@ -347,7 +368,7 @@ def test_reflection_overlays_after_two_low_inspection_scores():
 
 def test_reflection_disables_marked_harmful_skill():
     summary = summary_dict(notes=["harmful-skill:bad-habit"])
-    text = evolution.scripted_reflection({"summary": summary, "history": []})
+    text = reasoning.scripted_reflection({"summary": summary, "history": []})
     decision = parse_mutation(text)
     assert decision.action == ACTION_DISABLE
     assert decision.target == "bad-habit"
@@ -405,9 +426,9 @@ def test_reading_a_store_creates_nothing(tmp_path):
 
 def test_first_writes_make_the_directories_they_need(tmp_path):
     store = SkillStore(tmp_path / "ws" / "nested")
-    store.record_episode(EpisodeSummary(**summary_dict()))
+    store.record_episode(summary_dict())
     assert store.history_path.is_file() and not store.learned_dir.exists()
-    assert [s.episode_id for s in SkillStore(store.workspace).history()] == ["ep-000001"]
+    assert [s["episode_id"] for s in SkillStore(store.workspace).history()] == ["ep-000001"]
     store.audit({"episode_id": "ep-000001", "accepted": True})
     assert store.audit_records() == [{"accepted": True, "episode_id": "ep-000001"}]
 
@@ -474,7 +495,7 @@ def test_failed_rewrite_keeps_the_active_version(store, monkeypatch):
 
 def test_failed_history_append_leaves_the_tail_unchanged(tmp_path, monkeypatch):
     store = SkillStore(tmp_path)
-    store.record_episode(EpisodeSummary(**summary_dict(episode_id="ep-000001")))
+    store.record_episode(summary_dict(episode_id="ep-000001"))
     before = store.history()
 
     def disk_full(path, records, mode):
@@ -482,7 +503,7 @@ def test_failed_history_append_leaves_the_tail_unchanged(tmp_path, monkeypatch):
 
     monkeypatch.setattr(evolution, "write_jsonl", disk_full)
     with pytest.raises(OSError):
-        store.record_episode(EpisodeSummary(**summary_dict(episode_id="ep-000002")))
+        store.record_episode(summary_dict(episode_id="ep-000002"))
     monkeypatch.undo()
     assert store.history() == before == SkillStore(tmp_path).history()
 
@@ -493,7 +514,7 @@ def test_history_parses_only_the_reflection_tail(tmp_path):
     ]
     (tmp_path / "episodes.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     history = SkillStore(tmp_path).history()
-    assert [s.episode_id for s in history] == ["ep-000002", "ep-000003", "ep-000004"]
+    assert [s["episode_id"] for s in history] == ["ep-000002", "ep-000003", "ep-000004"]
     assert len(history) == evolution.REFLECTION_HISTORY
 
 
@@ -597,11 +618,3 @@ def test_a_history_line_is_checked_field_by_field(tmp_path, over, problem):
         SkillStore(tmp_path).history()
     assert str(info.value) == (f"{tmp_path / 'episodes.jsonl'} line 1: not an episode summary "
                                f"({problem})")
-
-
-def test_the_history_table_is_the_summary_fields():
-    fields = dataclasses.fields(EpisodeSummary)
-    defaulted = [f.name for f in fields if f.default is not dataclasses.MISSING
-                 or f.default_factory is not dataclasses.MISSING]
-    assert list(evolution._SUMMARY_FIELDS) == [f.name for f in fields]
-    assert list(evolution._SUMMARY_OPTIONAL) == defaulted

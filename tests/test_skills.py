@@ -38,6 +38,31 @@ def test_parse_rejects_bad_files():
         skills.parse_skill_text("category: core\n---\nbody")  # missing name
 
 
+@pytest.mark.parametrize("header, problem", [
+    # a misspelt value or key must not leave a disabled skill enabled
+    ("name: x\nenabled: flase", "header key 'enabled' must be true or false, "
+                                "in any letter case, got 'flase'"),
+    ("name: x\nenabeld: false", "unknown header key 'enabeld'"),
+    ("name: x\nversion: 1_0",
+     "header key 'version' must be a whole number of at least 1, got '1_0'"),
+    ("name: x\nversion: -4",
+     "header key 'version' must be a whole number of at least 1, got '-4'"),
+    ("name: x\nversion: 0",
+     "header key 'version' must be a whole number of at least 1, got '0'"),
+    ("name:", "header key 'name' must be a non-empty string, got ''"),
+])
+def test_parse_checks_each_header_key(header, problem):
+    with pytest.raises(skills.SkillError) as info:
+        skills.parse_skill_text(f"category: learned\n{header}\n---\nbody")
+    assert str(info.value) == problem
+
+
+@pytest.mark.parametrize("value, enabled", [("true", True), ("FALSE", False), ("True", True)])
+def test_enabled_is_read_in_any_letter_case(value, enabled):
+    text = f"name: x\ncategory: learned\nenabled: {value}\n---\nbody"
+    assert skills.parse_skill_text(text).enabled is enabled
+
+
 def test_parse_rejects_a_repeated_header_key():
     # the second enabled: line must not silently win over the first
     with pytest.raises(skills.SkillError, match="repeated header key 'enabled'"):
@@ -309,7 +334,8 @@ def test_skill_parse_errors_name_the_file(tmp_path):
         skills.SkillCatalog.load(tmp_path)
     bad.write_text("name: broken\ncategory: helper\nversion: two\n---\nbody\n",
                    encoding="utf-8")
-    with pytest.raises(skills.SkillError, match="broken.skill: bad version 'two'"):
+    with pytest.raises(skills.SkillError, match="broken.skill: header key 'version' must be "
+                                                 "a whole number of at least 1, got 'two'"):
         skills.SkillCatalog.load(tmp_path)
 
 

@@ -92,22 +92,22 @@ def _lock_workspace(workspace: Path) -> int:
 
 class Setup:
     """What every episode of one command runs with, built once from the
-    configuration: a provider per episode from one spec (checked here by
-    building one), the satellite catalog, the skill catalog (``skills_root``
-    if set, else the shipped skills), the bus backend and one
-    ``SkillStore`` per workspace, which the command's sequential episodes
-    share. Each of the command's episodes must target a satellite in the
-    catalog, find its task skill by the keyword route the episode takes and
-    its reasoning mode's skills in the skill catalog, enabled, and have a
-    workspace, if any, that is a directory or does not exist yet, whose
-    learned skills (and, if the episode evolves, history) read cleanly.
+    configuration: a provider per episode from one spec (a configuration
+    file's was checked by ``parse_config``, which builds one), the satellite
+    catalog, the skill catalog (``skills_root`` if set, else the shipped
+    skills), the bus backend and one ``SkillStore`` per workspace, which the
+    command's sequential episodes share. Each of the command's episodes must
+    target a satellite in the catalog, find its task skill by the keyword
+    route the episode takes and its reasoning mode's skills in the skill
+    catalog, enabled, and have a workspace, if any, that is a directory or
+    does not exist yet, whose learned skills (and, if the episode evolves,
+    history) read cleanly.
 
     The command holds each of its workspaces' locks until it ends, so a
     second writer exits 3 before any episode."""
 
     def __init__(self, root: RootConfig, episodes) -> None:
         self.provider_spec = root.provider.spec()
-        make_provider(self.provider_spec)
         self.satellites = load_satellite_catalog(root.satellite_catalog)
         self.skill_catalog = (SkillCatalog.load(root.skills_root) if root.skills_root
                               else shipped_catalog())

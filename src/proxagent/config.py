@@ -18,7 +18,7 @@ from typing import Optional, get_type_hints
 
 from .bus import BACKENDS, field_problem, parameter_table
 from .env import DEFAULT_CONDITION, DEFAULT_SATELLITE, EnvError, make_task
-from .reasoning import DEFAULT_PROVIDER_KIND, PROVIDER_KINDS
+from .reasoning import DEFAULT_PROVIDER_KIND, ReasoningError, make_provider
 from .runner import EpisodeConfig, RunnerError
 
 
@@ -72,8 +72,11 @@ class ProviderSection:
     options: dict = field(default_factory=dict)  # passed to the provider factory
 
     def validate(self) -> None:
-        if self.kind not in PROVIDER_KINDS:
-            raise ConfigError(f"unknown provider kind {self.kind!r}")
+        """A provider section is valid exactly when its provider can be built."""
+        try:
+            make_provider(self.spec())
+        except ReasoningError as exc:
+            raise ConfigError(f"provider: {exc}") from None
 
     def spec(self) -> dict:
         return {"kind": self.kind, **self.options}
@@ -136,20 +139,26 @@ class RootConfig:
     satellite_catalog: Optional[str] = None
 
     def validate(self) -> None:
+        """A run's errors name its section: ``run: …`` or ``tasks.<kind>: …``."""
         self.bus.validate()
         self.provider.validate()
-        self.run.validate()
-        for kind in self.tasks:
-            self.effective_run(kind)
+        runs = [("run", self.run)] + [(f"tasks.{kind}", self._merged(kind)) for kind in self.tasks]
+        for where, run in runs:
+            try:
+                run.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
 
     def effective_run(self, task: Optional[str] = None, **flags) -> RunSection:
         """Precedence: flags given (not None) > per-task overrides > ``run``."""
-        kind = task or self.run.task
-        overrides = _fields(RunSection, self.tasks.get(kind), f"tasks.{kind}", _OVERRIDE_FIELDS)
-        flags = {k: v for k, v in flags.items() if v is not None}
-        run = RunSection(**{**asdict(self.run), "task": kind, **overrides, **flags})
+        run = self._merged(task or self.run.task, **flags)
         run.validate()
         return run
+
+    def _merged(self, kind: str, **flags) -> RunSection:
+        overrides = _fields(RunSection, self.tasks.get(kind), f"tasks.{kind}", _OVERRIDE_FIELDS)
+        flags = {k: v for k, v in flags.items() if v is not None}
+        return RunSection(**{**asdict(self.run), "task": kind, **overrides, **flags})
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -241,8 +241,9 @@ def reflect(
     provider: DecisionProvider,
     learned_names: Optional[list[str]] = None,
 ) -> MutationDecision:
-    """Reflection call, sent a copy of the summary, whose line is written
-    after it; malformed output degrades to no_change, never raises."""
+    """Reflection call, sent copies of the summary, whose line is written
+    after it, and of the active skills, which the trajectory's header lists;
+    malformed output degrades to no_change, never raises."""
     request = ProviderRequest(
         call_kind=CALL_REFLECT,
         prompt="Reflect on the episode and propose at most one skill mutation.",
@@ -250,7 +251,7 @@ def reflect(
         extra={
             "summary": record_copy(summary),
             "history": history[-REFLECTION_HISTORY:],
-            "active_skills": active_skills,
+            "active_skills": list(active_skills),
             "learned_names": learned_names or [],
         },
     )

@@ -1,7 +1,7 @@
 """Decision core: provider abstraction, reasoning modes, hierarchical memory.
 
 The decision model is factored into typed provider calls (decide, plan,
-select, reflect, summarize, route). Provider output is line-oriented tagged
+select, reflect, route). Provider output is line-oriented tagged
 text; anything that does not parse to the call kind's grammar is classified
 malformed, never silently coerced. The scripted provider is deterministic;
 the remote provider speaks a chat-completions-shaped HTTP contract.
@@ -31,7 +31,6 @@ CALL_DECIDE = "decide_action"
 CALL_PLAN = "plan"
 CALL_SELECT = "select"
 CALL_REFLECT = "reflect"
-CALL_SUMMARIZE = "summarize"
 CALL_ROUTE = "route"
 
 RISK_ORDER = {"Low": 0, "Medium": 1, "High": 2}
@@ -62,7 +61,7 @@ class ProviderRequest:
     prompt: str
     observation: dict = field(default_factory=dict)
     memory_text: str = ""
-    visible_tools: list[ToolDescriptor] = field(default_factory=list)
+    visible_tools: tuple[ToolDescriptor, ...] = ()
     task_kind: str = ""
     inner_results: list = field(default_factory=list)  # [{"tool", "payload"}]
     extra: dict = field(default_factory=dict)
@@ -111,7 +110,7 @@ def _lines(text) -> list[str]:
     return [line.strip() for line in text.splitlines()]
 
 
-def _parse_args(match: re.Match, visible: list[ToolDescriptor]) -> dict:
+def _parse_args(match: re.Match, visible: tuple[ToolDescriptor, ...]) -> dict:
     """The ``args`` of a matched tool line: the tool must be visible, and the
     args must be JSON that fits the tool's schema (``validate_args``, which
     also bounds their depth)."""
@@ -134,7 +133,7 @@ def _parse_args(match: re.Match, visible: list[ToolDescriptor]) -> dict:
 
 
 def parse_tool_call(
-    text: str, visible: list[ToolDescriptor], step_index: int = 0, inner_round: int = 0
+    text: str, visible: tuple[ToolDescriptor, ...], step_index: int = 0, inner_round: int = 0
 ) -> ToolCall:
     """Parse a decide-action output; raises MalformedOutput on any violation."""
     for line in _lines(text):
@@ -146,7 +145,7 @@ def parse_tool_call(
 
 
 def parse_candidates(
-    text: str, visible: list[ToolDescriptor], step_index: int = 0
+    text: str, visible: tuple[ToolDescriptor, ...], step_index: int = 0
 ) -> list[Candidate]:
     """Parse a plan output into at most three valid candidates."""
     candidates: list[Candidate] = []
@@ -181,11 +180,11 @@ def parse_select(text: str, count: int) -> int:
 
 @dataclass
 class MemoryState:
-    """Recent detailed window plus compressed long-term summary."""
+    """Recent detailed window plus the stats of the steps evicted from it,
+    which the text shows as the long-term summary (``template_summary``)."""
 
     n: int = DEFAULT_MEMORY_WINDOW
     recent: list[dict] = field(default_factory=list)
-    long_term: str = ""
     stats: dict = field(
         default_factory=lambda: {
             "evicted": 0,
@@ -207,7 +206,8 @@ class MemoryState:
 
     def memory_text(self) -> str:
         if self._text is None:
-            head = ["Long-term summary: " + self.long_term] if self.long_term else []
+            head = (["Long-term summary: " + template_summary(self.stats)]
+                    if self.stats["evicted"] else [])
             self._text = "\n".join(head + self._lines)
         return self._text
 
@@ -236,10 +236,8 @@ def template_summary(stats: dict) -> str:
     )
 
 
-def update_memory(
-    memory: MemoryState, step_record: dict, provider: Optional[DecisionProvider]
-) -> MemoryState:
-    """Append a step; evict the oldest into the long-term summary past N."""
+def update_memory(memory: MemoryState, step_record: dict) -> MemoryState:
+    """Append a step; evict the oldest into the long-term stats past N."""
     memory._text = None
     memory.recent.append(step_record)
     memory._lines.append(memory_line(step_record))
@@ -257,21 +255,6 @@ def update_memory(
             stats["net_dz"] += args.get("dz", 0.0)
         if evicted.get("bearing_az") is not None:
             stats["last_bearing_az"] = evicted["bearing_az"]
-        try:
-            if provider is not None and provider.kind != "scripted":
-                request = ProviderRequest(
-                    call_kind=CALL_SUMMARIZE,
-                    prompt="Compress the evicted step into the running summary.",
-                    memory_text=memory.long_term,
-                    extra={"stats": stats, "evicted": evicted},
-                )
-                memory.long_term = provider.complete(request).strip()
-            else:
-                memory.long_term = template_summary(stats)
-        except Exception:
-            # summarizer failure degrades to raw-concatenation truncation
-            raw = memory.long_term + " | " + dumps_sorted(evicted)
-            memory.long_term = raw[-2000:]
     return memory
 
 
@@ -661,7 +644,6 @@ class RemoteProvider(DecisionProvider):
             "Answer with lines MUTATION <action>, TARGET <name|->, SCOPE <kind>, "
             "then INTENT/TRIGGER/RULE/CONSTRAINTS/EVIDENCE/JUSTIFY lines."
         ),
-        CALL_SUMMARIZE: "Answer with a short plain-text summary.",
         CALL_ROUTE: "Answer with exactly: task=<name>; helpers=<a,b>; because=<text>.",
     }
 
@@ -729,7 +711,7 @@ def make_provider(spec: dict) -> DecisionProvider:
     options = dict(spec)
     kind = options.pop("kind", DEFAULT_PROVIDER_KIND)
     if kind not in PROVIDER_KINDS:
-        raise ReasoningError(f"unknown provider kind: {kind!r}")
+        raise ReasoningError(f"unknown provider kind {kind!r}")
     table, defaulted = parameter_table(PROVIDER_KINDS[kind])
     problem = field_problem(table, options, defaulted, closed=True,
                             noun=f"{kind} provider option")
@@ -744,11 +726,11 @@ def make_provider(spec: dict) -> DecisionProvider:
 # ---------------------------------------------------------------------------
 
 
-def _control_tools(visible: list[ToolDescriptor]) -> list[ToolDescriptor]:
-    return [t for t in visible if t.category == CATEGORY_CONTROL]
+def _control_tools(visible: tuple[ToolDescriptor, ...]) -> tuple[ToolDescriptor, ...]:
+    return tuple(t for t in visible if t.category == CATEGORY_CONTROL)
 
 
-def _is_control(call: ToolCall, visible: list[ToolDescriptor]) -> bool:
+def _is_control(call: ToolCall, visible: tuple[ToolDescriptor, ...]) -> bool:
     for tool in visible:
         if tool.name == call.tool:
             return tool.category == CATEGORY_CONTROL
@@ -764,7 +746,7 @@ class StepContext:
     obs: dict
     prompt: AssembledPrompt
     memory: MemoryState
-    visible: list[ToolDescriptor]
+    visible: tuple[ToolDescriptor, ...]
     provider: DecisionProvider
     dispatcher: object  # a ToolDispatcher
     task_kind: str = ""
@@ -776,16 +758,19 @@ class StepContext:
     degraded: bool = field(default=False, init=False)
 
     def ask(self, call_kind: str, visible=None, hint: str = "", extra=None) -> str:
-        """One counted provider call, sent its call kind's prompt."""
+        """One counted provider call, sent its call kind's prompt. The
+        observation and inner results it is sent are its own copies, so what
+        the provider does to them reaches neither the step's later calls nor
+        the trajectory."""
         self.provider_calls += 1
         return self.provider.complete(ProviderRequest(
             call_kind=call_kind,
             prompt=self.prompt.for_call(call_kind),
-            observation=self.obs,
+            observation=dict(self.obs),  # a camera record: flat
             memory_text=self.memory.memory_text(),
             visible_tools=self.visible if visible is None else visible,
             task_kind=self.task_kind,
-            inner_results=self.inner_results,
+            inner_results=[record_copy(item) for item in self.inner_results],
             extra=extra or {},
             hint=hint,
         ))
@@ -811,8 +796,7 @@ class StepContext:
             "args": call.args,
             "result": result.to_dict(),
         })
-        # the provider gets its own copy: the payload above is the trajectory's
-        self.inner_results.append({"tool": call.tool, "payload": record_copy(result.payload)})
+        self.inner_results.append({"tool": call.tool, "payload": result.payload})
 
     def result(self, call: ToolCall, degraded: bool = False) -> StepContext:
         self.call, self.degraded = call, degraded

@@ -256,7 +256,6 @@ def run_episode(
                     "result_digest": digest,
                     "bearing_az": post_obs.get("bearing_az"),
                 },
-                provider,
             )
             memory_hash = hashlib.blake2b(
                 memory.memory_text().encode(), digest_size=8

@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -61,7 +61,7 @@ class ToolDescriptor:
 
     name: str
     category: str
-    params: dict  # a bus field table: name -> kind, the unit in the kind's text
+    params: Mapping[str, tuple]  # a bus field table: name -> kind, the unit in the kind's text
     description: str
     optional: frozenset = frozenset()  # the params a call may leave out
 
@@ -97,7 +97,8 @@ class ToolResult:
 @functools.cache
 def builtin_catalog() -> Mapping[str, ToolDescriptor]:
     """The shipped catalog, tool name -> descriptor in catalog order. Built
-    once per process; the mapping is read-only because it is shared."""
+    once per process; the mapping and each tool's params are read-only
+    because they are shared."""
     meters = (busmod.is_number, "a finite number of meters")
     degrees = (busmod.is_number, "a finite number of degrees")
     tools = [
@@ -156,7 +157,9 @@ def builtin_catalog() -> Mapping[str, ToolDescriptor]:
             "Evaluate a pure arithmetic expression.",
         ),
     ]
-    return MappingProxyType({tool.name: tool for tool in tools})
+    return MappingProxyType({
+        tool.name: replace(tool, params=MappingProxyType(tool.params)) for tool in tools
+    })
 
 
 @functools.cache
@@ -175,9 +178,9 @@ def builtin_profiles() -> Mapping[str, frozenset[str]]:
 
 
 def visible_tools(catalog: Mapping[str, ToolDescriptor],
-                  profile: frozenset[str]) -> list[ToolDescriptor]:
+                  profile: frozenset[str]) -> tuple[ToolDescriptor, ...]:
     """The profile's tools, in catalog order."""
-    return [tool for name, tool in catalog.items() if name in profile]
+    return tuple(tool for name, tool in catalog.items() if name in profile)
 
 
 # The bus channel each control tool commands. A command record is the

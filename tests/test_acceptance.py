@@ -254,7 +254,6 @@ def test_criterion_06_mode_conformance():
     rng = random.Random(7)
 
     class MalformedPlanner(reasoning.DecisionProvider):
-        kind = "scripted"
         identity = "malformed"
 
         def __init__(self, junk):
@@ -363,7 +362,6 @@ def test_criterion_08_memory_law(history):
                 {"step": i, "tool": _TOOLS[tool_id],
                  "args": {"dx": dx, "dy": 0.0, "dz": 0.0},
                  "result_digest": "{}", "bearing_az": dx * 30.0},
-                None,
             )
             assert len(memory.recent) <= 5
         return memory.memory_text()

@@ -134,18 +134,21 @@ def test_load_config_names_a_file_it_cannot_read(tmp_path):
     ({"run": {"seed": "x"}}, "run: key 'seed' must be an integer, got 'x'"),
     ({"run": {"seed": True}}, "run: key 'seed' must be an integer, got True"),
     ({"run": {"max_steps": "5"}}, "run: key 'max_steps' must be an integer, got '5'"),
-    ({"run": {"max_steps": 0}}, "max_steps must be >= 1"),
+    ({"run": {"max_steps": 0}}, "run: max_steps must be >= 1"),
+    ({"run": {"condition": "C9"}}, "run: unknown condition: 'C9'"),
     ({"run": {"evolve": "yes"}}, "run: key 'evolve' must be a boolean, got 'yes'"),
     ({"run": {"warp": 1}}, "run: unknown key 'warp'"),
     ({"provider": {"options": 3}}, "provider: key 'options' must be an object, got 3"),
     ({"tasks": {"search": {"task": "rendezvous"}}}, "tasks.search: unknown key 'task'"),
     ({"tasks": {"search": {"seed": 1.5}}},
      "tasks.search: key 'seed' must be an integer, got 1.5"),
-    ({"tasks": {"search": {"condition": "C9"}}}, "unknown condition: 'C9'"),
-    ({"tasks": {"docking": {}}}, "unknown task kind: 'docking'"),
-    ({"provider": {"kind": "psychic"}}, "unknown provider kind 'psychic'"),
+    ({"tasks": {"search": {"condition": "C9"}}}, "tasks.search: unknown condition: 'C9'"),
+    ({"tasks": {"docking": {}}}, "tasks.docking: unknown task kind: 'docking'"),
+    ({"provider": {"kind": "psychic"}}, "provider: unknown provider kind 'psychic'"),
     ({"bus": {"backend": "carrier-pigeon"}}, "unknown bus backend 'carrier-pigeon'"),
-    ({"provider": {"kind": "replay"}}, "unknown provider kind 'replay'"),
+    ({"provider": {"kind": "replay"}}, "provider: unknown provider kind 'replay'"),
+    ({"provider": {"kind": "remote", "options": {"endpoint": "x", "modle": 1}}},
+     "provider: unknown remote provider option 'modle'"),
 ])
 def test_config_rejects_wrong_shapes_and_types(record, message):
     with pytest.raises(ConfigError) as info:
@@ -797,7 +800,7 @@ def test_a_remote_timeout_that_is_not_positive_exits_three(runner, tmp_path, tim
     )
     result = runner.invoke(main, ["run", "--config", config])
     assert result.exit_code == 3, result.output
-    assert "configuration error: timeout must be > 0" in result.output
+    assert "configuration error: provider: timeout must be > 0" in result.output
 
 
 def test_remote_provider_option_typo_exits_three(runner, tmp_path):

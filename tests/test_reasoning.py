@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import json
 import re
 from types import SimpleNamespace
@@ -218,19 +220,19 @@ def make_step(i, tool="set_position"):
 def test_memory_window_and_eviction():
     memory = reasoning.MemoryState(n=5)
     for i in range(12):
-        reasoning.update_memory(memory, make_step(i), None)
+        reasoning.update_memory(memory, make_step(i))
     assert len(memory.recent) == 5
     assert memory.stats["evicted"] == 7
     assert memory.stats["tool_counts"] == {"set_position": 7}
     assert memory.stats["net_dx"] == pytest.approx(7.0)
-    assert "7 earlier steps compressed" in memory.long_term
+    assert memory.memory_text().startswith("Long-term summary: 7 earlier steps compressed")
 
 
 def test_memory_text_deterministic_for_identical_histories():
     def build():
         memory = reasoning.MemoryState(n=3)
         for i in range(9):
-            reasoning.update_memory(memory, make_step(i), None)
+            reasoning.update_memory(memory, make_step(i))
         return memory.memory_text()
 
     assert build() == build()
@@ -240,9 +242,9 @@ def test_memory_text_follows_every_update_including_evictions():
     memory = reasoning.MemoryState(n=3)
     texts = [memory.memory_text()]
     for i in range(8):
-        reasoning.update_memory(memory, make_step(i), None)
+        reasoning.update_memory(memory, make_step(i))
         fresh = reasoning.MemoryState(
-            n=memory.n, recent=list(memory.recent), long_term=memory.long_term
+            n=memory.n, recent=list(memory.recent), stats=bus.record_copy(memory.stats)
         )
         assert memory.memory_text() == fresh.memory_text()
         texts.append(memory.memory_text())
@@ -253,9 +255,9 @@ def test_memory_text_follows_every_update_including_evictions():
 def test_memory_text_renders_no_record_again(monkeypatch):
     memory = reasoning.MemoryState(n=3)
     for i in range(8):
-        reasoning.update_memory(memory, make_step(i), None)
+        reasoning.update_memory(memory, make_step(i))
     expected = reasoning.MemoryState(
-        n=memory.n, recent=list(memory.recent), long_term=memory.long_term
+        n=memory.n, recent=list(memory.recent), stats=bus.record_copy(memory.stats)
     ).memory_text()
     assert expected.count("\nstep ") == 3
 
@@ -266,27 +268,13 @@ def test_memory_text_renders_no_record_again(monkeypatch):
     assert memory.memory_text() == expected
 
 
-def test_summarizer_failure_degrades_to_truncation():
-    class Broken(reasoning.DecisionProvider):
-        kind = "remote"
-
-        def complete(self, request):
-            raise RuntimeError("summarizer offline")
-
-    memory = reasoning.MemoryState(n=1)
-    for i in range(4):
-        reasoning.update_memory(memory, make_step(i), Broken())
-    assert len(memory.long_term) <= 2000
-    assert memory.long_term  # raw-concatenation fallback kept something
-
-
 @given(st.lists(st.integers(0, 4), min_size=0, max_size=200))
 @settings(max_examples=30, deadline=None)
 def test_memory_invariant_under_any_sequence(tool_ids):
     names = ["set_position", "set_attitude", "set_exposure", "zoom", "kb_lookup"]
     memory = reasoning.MemoryState(n=5)
     for i, t in enumerate(tool_ids):
-        reasoning.update_memory(memory, make_step(i, tool=names[t]), None)
+        reasoning.update_memory(memory, make_step(i, tool=names[t]))
     assert len(memory.recent) <= 5
     assert memory.stats["evicted"] == max(0, len(tool_ids) - 5)
 
@@ -482,8 +470,8 @@ def _remote_request(**over):
 def test_a_request_without_observation_memory_or_tools_holds_empty_ones():
     a, b = (reasoning.ProviderRequest(reasoning.CALL_ROUTE, "p") for _ in range(2))
     assert a == reasoning.ProviderRequest(reasoning.CALL_ROUTE, "p", observation={},
-                                          memory_text="", visible_tools=[])
-    assert a.observation is not b.observation and a.visible_tools is not b.visible_tools
+                                          memory_text="", visible_tools=())
+    assert a.observation is not b.observation
 
 
 def test_remote_provider_sends_prompt_memory_observation_and_hints(posts):
@@ -586,7 +574,6 @@ def test_make_provider_rejects_bad_scripted_options(options, problem):
 
 
 class _QueueProvider(reasoning.DecisionProvider):
-    kind = "scripted"
     identity = "queue"
 
     def __init__(self, outputs):
@@ -797,11 +784,128 @@ def test_a_provider_editing_an_inner_result_leaves_the_recorded_payload_as_retur
     assert _steps(edited) == _steps(run_episode(config))
 
 
+class _RemoteKind(reasoning.ScriptedProvider):
+    """The stand-in under another kind's name, counting its calls."""
+
+    kind = "remote"
+
+    def __init__(self):
+        super().__init__()
+        self.completed = 0
+
+    def complete(self, request):
+        self.completed += 1
+        return super().complete(request)
+
+
+@pytest.mark.parametrize("mode", ["standard", "react", "prospective"])
+def test_every_provider_call_of_an_episode_is_counted_in_its_steps(mode):
+    provider = _RemoteKind()
+    result = run_episode(EpisodeConfig(task=make_task("rendezvous"), mode=mode),
+                         provider=provider)
+    steps = result.trajectory.steps
+    assert len(steps) > reasoning.DEFAULT_MEMORY_WINDOW  # memory evicted
+    assert provider.completed == sum(step.provider_calls for step in steps)
+
+
+def _vandalize(value):
+    """Overwrite every number and empty every list reachable from ``value``."""
+    if isinstance(value, dict):
+        for key, item in list(value.items()):
+            if isinstance(item, (int, float)) and not isinstance(item, bool):
+                value[key] = 999.0
+            else:
+                _vandalize(item)
+    elif isinstance(value, list):
+        for item in value:
+            _vandalize(item)
+        value.clear()
+
+
+class _Vandal(_RemoteKind):
+    """Answers as the stand-in would (which keeps parts of what it reads, so
+    it reads a copy), then edits everything its request holds; where that is
+    read-only, it suppresses the TypeError."""
+
+    def complete(self, request):
+        own = bus.record_copy({"observation": request.observation, "extra": request.extra,
+                               "inner_results": request.inner_results})
+        answer = super().complete(dataclasses.replace(request, **own))
+        _vandalize([request.observation, request.inner_results, request.extra])
+        for tool in request.visible_tools:
+            for name in list(tool.params):
+                with contextlib.suppress(TypeError):
+                    tool.params[name] = bus.STRING
+        with contextlib.suppress(TypeError):
+            request.visible_tools[:] = []
+        return answer
+
+
+@pytest.mark.parametrize("mode", ["standard", "react", "prospective"])
+@pytest.mark.parametrize("task", ["rendezvous", "inspection"])
+def test_a_provider_editing_every_request_leaves_the_trajectory_as_the_stand_ins(mode, task):
+    catalog = {name: dict(tool.params) for name, tool in builtin_catalog().items()}
+    config = EpisodeConfig(task=make_task(task), mode=mode)
+    vandalized = run_episode(config, provider=_Vandal())
+    assert {name: dict(tool.params) for name, tool in builtin_catalog().items()} == catalog
+    plain = run_episode(config)
+    assert _steps(vandalized) == _steps(plain)
+    assert vandalized.trajectory.ended_by == plain.trajectory.ended_by
+
+
+def test_a_provider_cannot_hide_a_visible_tool_from_the_step():
+    class Hiding(reasoning.ScriptedProvider):
+        def complete(self, request):
+            with contextlib.suppress(TypeError):
+                request.visible_tools[:] = [
+                    t for t in request.visible_tools if t.name != "set_position"]
+            return super().complete(request)
+
+    config = EpisodeConfig(task=make_task("rendezvous"))
+    hidden = run_episode(config, provider=Hiding())
+    assert hidden.trajectory.ended_by == "terminate"
+    assert _steps(hidden) == _steps(run_episode(config))
+
+
+def test_a_provider_cannot_edit_the_shared_tool_catalog():
+    class Retyping(reasoning.ScriptedProvider):
+        def complete(self, request):
+            for tool in request.visible_tools:
+                if "gain_delta" in tool.params:
+                    with contextlib.suppress(TypeError):
+                        tool.params["gain_delta"] = bus.STRING
+            return super().complete(request)
+
+    before = dict(builtin_catalog()["set_exposure"].params)
+    config = EpisodeConfig(task=make_task("rendezvous", condition="C2"))
+    retyped = run_episode(config, provider=Retyping())
+    assert dict(builtin_catalog()["set_exposure"].params) == before
+    assert any(step.call["tool"] == "set_exposure" for step in retyped.trajectory.steps)
+    assert _steps(retyped) == _steps(run_episode(config))
+
+
+def test_a_reflector_cannot_edit_the_trajectorys_skill_list(tmp_path):
+    class Appending(reasoning.ScriptedProvider):
+        def complete(self, request):
+            if request.call_kind == reasoning.CALL_REFLECT:
+                request.extra["active_skills"].append("appended-by-reflector")
+            return super().complete(request)
+
+    def run(provider, workspace):
+        config = EpisodeConfig(task=make_task("rendezvous"), workspace=tmp_path / workspace,
+                               evolve=True)
+        return run_episode(config, provider=provider)
+
+    appended = run(Appending(), "appended")
+    assert appended.evolution is not None
+    assert appended.trajectory.meta["skills"] == run(None, "plain").trajectory.meta["skills"]
+
+
 @pytest.mark.parametrize("spec,problem", [
     ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "modle": "gpt"},
      "unknown remote provider option 'modle'"),
     ({"kind": "remote", "model": "gpt"}, "missing remote provider option 'endpoint'"),
-    ({"kind": "replay"}, "unknown provider kind: 'replay'"),
+    ({"kind": "replay"}, "unknown provider kind 'replay'"),
     ({"kind": "remote", "endpoint": 7},
      "remote provider option 'endpoint' must be a string, got 7"),
     ({"kind": "remote", "endpoint": "http://127.0.0.1:1", "temperature": "hot"},

@@ -549,7 +549,6 @@ def test_the_observation_after_a_command_is_the_latest_one(satellites):
 class _NanReport(DecisionProvider):
     """Ends every inspection with a report holding a NaN."""
 
-    kind = "scripted"
     identity = "nan-report"
 
     def complete(self, request):
@@ -718,7 +717,6 @@ class _Answers(DecisionProvider):
     """Answers the decide calls of an episode in order, then terminates."""
 
     identity = "answers"
-    kind = "scripted"
 
     def __init__(self, *answers):
         self.answers = list(answers)

@@ -269,10 +269,9 @@ def _per_thread(reference: json.JSONEncoder) -> Callable[[object], str]:
     return encode
 
 
-# The program's two JSON text formats. Both give the text of
-# json.dumps(value, sort_keys=True), the strict one raising ValueError on
-# NaN or Infinity as json.dumps(..., allow_nan=False) does.
-dumps_sorted = _per_thread(json.JSONEncoder(sort_keys=True))
+# The program's one JSON text format: the text of
+# json.dumps(value, sort_keys=True, allow_nan=False), which raises ValueError
+# on NaN or Infinity.
 dumps_strict = _per_thread(json.JSONEncoder(sort_keys=True, allow_nan=False))
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import marshal
 import re
 import sys
 from collections import deque
@@ -330,9 +329,8 @@ class SkillStore:
         self.learned_dir = self.workspace / "learned"
         self.audit_path = self.learned_dir / "audit.log"
         self.history_path = self.workspace / "episodes.jsonl"
-        # summaries as marshal bytes, so every read of the tail is a private
-        # copy (marshal: the quickest copy of JSON-shaped data, and built in)
-        self._tail: Optional[deque[bytes]] = None
+        # the last summaries, handed out only as record_copy copies
+        self._tail: Optional[deque[dict]] = None
         self._episodes = 0  # summaries in episodes.jsonl, once _tail is read
         self._last_id: Optional[int] = None  # the last id handed out, once listed
 
@@ -361,10 +359,10 @@ class SkillStore:
 
     # -- episode history -----------------------------------------------
 
-    def _read_history(self) -> deque[bytes]:
+    def _read_history(self) -> deque[dict]:
         if self._tail is None:
             path = self.history_path
-            tail: deque[bytes] = deque(maxlen=REFLECTION_HISTORY)
+            tail: deque[dict] = deque(maxlen=REFLECTION_HISTORY)
             count, records = (read_jsonl(path, EvolutionError, REFLECTION_HISTORY)
                               if path.exists() else (0, ()))
             for number, record in records:
@@ -374,14 +372,14 @@ class SkillStore:
                     raise EvolutionError(
                         f"{path} line {number}: not an episode summary ({problem})"
                     )
-                tail.append(marshal.dumps({**_SUMMARY_DEFAULTS, **record}))
+                tail.append({**_SUMMARY_DEFAULTS, **record})
             self._tail, self._episodes = tail, count
         return self._tail
 
     def history(self) -> list[dict]:
         """The workspace's last ``REFLECTION_HISTORY`` episode summaries,
         oldest first, as copies: nothing done to them reaches the store."""
-        return [marshal.loads(entry) for entry in self._read_history()]
+        return [record_copy(entry) for entry in self._read_history()]
 
     def next_episode_id(self) -> str:
         """A new ``ep-NNNNNN``, after every summary, ``ep-NNNNNN.jsonl`` and
@@ -396,7 +394,7 @@ class SkillStore:
     def record_episode(self, summary: dict) -> None:
         write_jsonl(self.history_path, [summary], "a")
         if self._tail is not None:  # else the first read finds it in the file
-            self._tail.append(marshal.dumps(summary))
+            self._tail.append(record_copy(summary))
             self._episodes += 1
 
     # -- audit ---------------------------------------------------------
@@ -578,9 +576,8 @@ def select_learned(task_kind: str, description: str, store: SkillStore) -> list[
     for skill, _path in store.view.values():
         if not skill.enabled or not skill.applies_to(task_kind):
             continue
-        overlap = len(wanted & {kw.lower() for kw in skill.keywords})
         episode = skill.provenance.split(":", 1)[-1]
-        candidates.append((-overlap, -skill.version, episode, skill.name, skill))
+        candidates.append((-skill.overlap(wanted), -skill.version, episode, skill.name, skill))
     candidates.sort(key=lambda item: (item[0], item[1], _episode_recency(item[2]), item[3]))
     return [item[4] for item in candidates[:LEARNED_TOP_K]]
 

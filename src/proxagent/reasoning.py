@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import (TOO_DEEP, dumps_sorted, field_problem, loads, parameter_table,
+from .bus import (TOO_DEEP, dumps_strict, field_problem, loads, parameter_table,
                   record_copy)
 from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
 from .skills import AssembledPrompt
@@ -81,9 +81,6 @@ class DecisionProvider:
     identity = "provider"
     kind = "abstract"
 
-    def reset_episode(self, episode_id: str = "") -> None:
-        pass
-
     def complete(self, request: ProviderRequest) -> str:
         raise NotImplementedError
 
@@ -101,7 +98,7 @@ _SELECT_LINE = re.compile(r"^SELECT (?P<i>\d+)\s*$")
 
 
 def format_tool_call(tool: str, args: dict) -> str:
-    return f"TOOL {tool} ARGS {dumps_sorted(args)}"
+    return f"TOOL {tool} ARGS {dumps_strict(args)}"
 
 
 def _lines(text) -> list[str]:
@@ -216,7 +213,7 @@ def memory_line(record: dict) -> str:
     """One step record as the memory text shows it."""
     return (
         f"step {record.get('step')}: {record.get('tool')}"
-        f"({dumps_sorted(record.get('args', {}))}) -> "
+        f"({dumps_strict(record.get('args', {}))}) -> "
         f"{record.get('result_digest', '')}"
     )
 
@@ -328,9 +325,6 @@ class ScriptedProvider(DecisionProvider):
         self.config = config or ScriptedPolicyConfig()
         self._directive_prompt: Optional[str] = None  # the prompt _directive_values is of
         self._directive_values = None
-        self.reset_episode()
-
-    def reset_episode(self, episode_id: str = "") -> None:
         self._sweep_cum = 0.0
         self._sweep_dir = 1.0
         self._gathered_parts: Optional[list] = None
@@ -653,7 +647,7 @@ class RemoteProvider(DecisionProvider):
         system = request.prompt
         if request.memory_text:
             system += "\n\nMemory:\n" + request.memory_text
-        user = dumps_sorted(
+        user = dumps_strict(
             {
                 "observation": request.observation,
                 "visible_tools": [t.name for t in request.visible_tools],
@@ -753,7 +747,6 @@ class StepContext:
     step_index: int = 0
     provider_calls: int = field(default=0, init=False)
     inner: list[dict] = field(default_factory=list, init=False)
-    inner_results: list[dict] = field(default_factory=list, init=False)
     call: Optional[ToolCall] = field(default=None, init=False)
     degraded: bool = field(default=False, init=False)
 
@@ -770,7 +763,9 @@ class StepContext:
             memory_text=self.memory.memory_text(),
             visible_tools=self.visible if visible is None else visible,
             task_kind=self.task_kind,
-            inner_results=[record_copy(item) for item in self.inner_results],
+            inner_results=[{"tool": item["tool"],
+                            "payload": record_copy(item["result"]["payload"])}
+                           for item in self.inner],
             extra=extra or {},
             hint=hint,
         ))
@@ -796,7 +791,6 @@ class StepContext:
             "args": call.args,
             "result": result.to_dict(),
         })
-        self.inner_results.append({"tool": call.tool, "payload": result.payload})
 
     def result(self, call: ToolCall, degraded: bool = False) -> StepContext:
         self.call, self.degraded = call, degraded
@@ -836,20 +830,16 @@ def step_prospective(ctx: StepContext) -> StepContext:
     control = _control_tools(ctx.visible)
     try:
         candidates = parse_candidates(ctx.ask(CALL_PLAN), control, ctx.step_index)
-    except MalformedOutput:
-        return ctx.result(ctx.decide(visible=control), degraded=True)
-
-    listing = [
-        {
-            "index": i,
-            "tool": c.action.tool,
-            "args": record_copy(c.action.args),  # the provider's, not the call's
-            "outcome": c.predicted_outcome,
-            "risk": c.risk,
-        }
-        for i, c in enumerate(candidates)
-    ]
-    try:
+        listing = [
+            {
+                "index": i,
+                "tool": c.action.tool,
+                "args": record_copy(c.action.args),  # the provider's, not the call's
+                "outcome": c.predicted_outcome,
+                "risk": c.risk,
+            }
+            for i, c in enumerate(candidates)
+        ]
         index = parse_select(ctx.ask(CALL_SELECT, extra={"candidates": listing}),
                              len(candidates))
     except MalformedOutput:

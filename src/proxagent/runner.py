@@ -178,11 +178,14 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one full episode and return its scored result.
 
-    ``skill_catalog`` defaults to the shipped skills. ``store`` is the
-    ``SkillStore`` of ``config.workspace``, shared by the caller's episodes;
-    without one, an episode with a workspace opens its own. An episode
-    without an ``episode_id`` takes the store's next one
-    (``SkillStore.next_episode_id``), or ``ep-000001`` without a workspace.
+    ``provider`` serves this one episode, and defaults to a new
+    ``ScriptedProvider``: a provider keeps per-episode state, so each
+    episode is given its own. ``skill_catalog`` defaults to the shipped
+    skills. ``store`` is the ``SkillStore`` of ``config.workspace``, shared
+    by the caller's episodes; without one, an episode with a workspace
+    opens its own. An episode without an ``episode_id`` takes the store's
+    next one (``SkillStore.next_episode_id``), or ``ep-000001`` without a
+    workspace.
     """
     task = config.task
     provider = ScriptedProvider() if provider is None else provider
@@ -215,7 +218,6 @@ def run_episode(
     bridge = EnvBridge(env, backend)
     bridge.reset(task, seed=config.seed)
     dispatcher = ToolDispatcher(backend, catalog, profile, satellites, task.satellite_id)
-    provider.reset_episode(episode_id)
     memory = MemoryState()
     step_fn = _MODE_STEP[config.mode]
 
@@ -246,7 +248,7 @@ def run_episode(
             result = dispatcher.dispatch(call)
             post_obs = _observation(dispatcher.observation_after(result))
 
-            digest = busmod.dumps_sorted(result.payload)[:120]
+            digest = busmod.dumps_strict(result.payload)[:120]
             memory = update_memory(
                 memory,
                 {

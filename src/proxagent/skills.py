@@ -89,6 +89,10 @@ class Skill:
     def applies_to(self, task_kind: str) -> bool:
         return not self.scope or task_kind in self.scope
 
+    def overlap(self, wanted: set[str]) -> int:
+        """How many of the lower-case words ``wanted`` are keywords of this skill."""
+        return len(wanted & {k.lower() for k in self.keywords})
+
 
 def _is_version(text: str) -> bool:
     """True when ``text`` is ASCII digits that ``int`` reads as 1 or more."""
@@ -297,20 +301,16 @@ def keyword_fallback_router(
 ) -> RoutingResult:
     """Deterministic router: keyword overlap, argmax, lexicographic tie-break."""
     wanted = set(words(description))
-
-    def overlap(skill: Skill) -> int:
-        return len(wanted & {k.lower() for k in skill.keywords})
-
     tasks = [s for s in catalog.of_category(TASK) if s.enabled]
     if not tasks:
         return _default_route(task_kind, catalog)
-    scored = sorted(tasks, key=lambda s: (-overlap(s), s.name))
-    if overlap(scored[0]) == 0:
+    scored = sorted(tasks, key=lambda s: (-s.overlap(wanted), s.name))
+    if scored[0].overlap(wanted) == 0:
         return _default_route(task_kind, catalog)
     task_skill = scored[0]
 
-    helpers = [s for s in catalog.of_category(HELPER) if s.enabled and overlap(s) >= 1]
-    helpers.sort(key=lambda s: (-overlap(s), s.name))
+    helpers = [s for s in catalog.of_category(HELPER) if s.enabled and s.overlap(wanted) >= 1]
+    helpers.sort(key=lambda s: (-s.overlap(wanted), s.name))
     helper_names = [s.name for s in helpers[:2]]
     matched = sorted(wanted & {k.lower() for k in task_skill.keywords})
     return RoutingResult(

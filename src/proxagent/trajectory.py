@@ -129,23 +129,29 @@ class Trajectory:
     def read(cls, path: Path) -> "Trajectory":
         """Read a log that ``write`` wrote. A line that is not JSON, or not
         a header, step or footer record (a line that does not fit its field
-        table), is a ValueError naming the file and the line, and so is a
-        log without a header line, naming the file. A later header line
-        replaces an earlier one."""
+        table), is a ValueError naming the file and the line, and so are a
+        header after the first line and any line after the footer; a log
+        without a header line is a ValueError naming the file."""
         traj = cls()
-        header = None
-        for number, data in read_jsonl(path, ValueError, None)[1]:
+        header = footer = None
+        for index, (number, data) in enumerate(read_jsonl(path, ValueError, None)[1]):
+            # a line that is no object is refused as a step record
+            keys = data if isinstance(data, dict) else ()
+            if footer is not None:
+                raise ValueError(f"{path} line {number}: a line after the footer "
+                                 f"(line {footer})")
             try:
-                # a line that is no object is refused as a step record
-                keys = data if isinstance(data, dict) else ()
                 if "header" in keys:
                     header = data["header"]
                     problem = field_problem(_HEADER_FIELDS, header)
                     if problem is not None:
                         raise TypeError(f"header: {problem}")
+                    if index:
+                        raise ValueError(f"{path} line {number}: a header after the first line")
                     traj.meta = {k: v for k, v in header.items() if k != "schema_version"}
                 elif "ended_by" in keys:
                     traj.ended_by = _fitting(_FOOTER_FIELDS, data)["ended_by"]
+                    footer = number
                 else:
                     traj.steps.append(StepRecord(**_fitting(_STEP_FIELDS, data,
                                                             _STEP_OPTIONAL)))

@@ -554,18 +554,16 @@ def fail_inside(dumps, value):
 @given(_json_values)
 @settings(max_examples=400, deadline=None)
 def test_prebuilt_encoders_match_json_dumps(value):
-    for dumps, options in ((bus.dumps_sorted, {}), (bus.dumps_strict, {"allow_nan": False})):
-        fail_inside(dumps, value)  # each encode follows one that failed
-        assert outcome(dumps, value) == outcome(
-            lambda v: json.dumps(v, sort_keys=True, **options), value)
+    fail_inside(bus.dumps_strict, value)  # each encode follows one that failed
+    assert outcome(bus.dumps_strict, value) == outcome(
+        lambda v: json.dumps(v, sort_keys=True, allow_nan=False), value)
 
 
 def test_prebuilt_encoders_refuse_a_circular_record():
     record = {"a": 1}
     record["self"] = record
-    for dumps in (bus.dumps_sorted, bus.dumps_strict):
-        with pytest.raises(ValueError, match="Circular reference detected"):
-            dumps(record)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        bus.dumps_strict(record)
 
 
 def _nested_lists(depth):
@@ -580,9 +578,7 @@ TOO_DEEP_TO_ENCODE = _nested_lists(100_000)
 
 @pytest.mark.parametrize("dumps,bad,error", [
     pytest.param(bus.dumps_strict, float("nan"), ValueError, id="strict-nan"),
-    pytest.param(bus.dumps_sorted, object(), TypeError, id="sorted-object"),
     pytest.param(bus.dumps_strict, object(), TypeError, id="strict-object"),
-    pytest.param(bus.dumps_sorted, TOO_DEEP_TO_ENCODE, RecursionError, id="sorted-deep"),
     pytest.param(bus.dumps_strict, TOO_DEEP_TO_ENCODE, RecursionError, id="strict-deep"),
 ])
 def test_an_encode_that_failed_leaves_no_stale_markers(dumps, bad, error):
@@ -626,7 +622,7 @@ def test_each_thread_encodes_with_its_own_markers():
     results = {}
 
     def encode(name):
-        results[name] = outcome(bus.dumps_sorted, value)
+        results[name] = outcome(bus.dumps_strict, value)
 
     first = threading.Thread(target=encode, args=("first",))
     second = threading.Thread(target=encode, args=("second",))

@@ -500,6 +500,9 @@ _STEP = '"step": 0, "observation": {}, "call": {"tool": "x", "args": {}}, "resul
     ('{"header": {"task_kind": "rendezvous", "satellite_id": "CAPSTONE", "condition": "C1", '
      '"schema_version": 99}}',
      "line 2: not a trajectory record (header: field 'schema_version' must be 1, got 99)"),
+    ('{"header": {"task_kind": "rendezvous", "satellite_id": "CAPSTONE", "condition": "C1", '
+     '"schema_version": 1}}', "line 2: a header after the first line"),
+    ('{"ended_by": "timeout"}', "line 3: a line after the footer (line 2)"),
 ])
 def test_report_names_the_file_and_line_of_a_bad_log(runner, tmp_path, bad_line, problem):
     traj = tmp_path / "t.jsonl"
@@ -543,6 +546,22 @@ def test_report_refuses_a_log_of_another_schema_version(runner, tmp_path):
     assert result.exit_code == 3, result.output
     assert (f"configuration error: {traj} line 1: not a trajectory record (header: field "
             "'schema_version' must be 1, got 99)") in result.output
+
+
+def test_report_refuses_two_logs_joined_into_one(runner, tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path, task, seed in ((first, "rendezvous", "1"), (second, "inspection", "2")):
+        assert runner.invoke(
+            main, ["run", "--task", task, "--seed", seed, "--trajectory", str(path)]
+        ).exit_code == 0
+    head = first.read_text(encoding="utf-8")
+    joined = tmp_path / "c.jsonl"
+    joined.write_text(head + second.read_text(encoding="utf-8"), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--trajectory", str(joined)])
+    assert result.exit_code == 3, result.output
+    footer = head.count("\n")
+    assert (f"configuration error: {joined} line {footer + 1}: a line after the footer "
+            f"(line {footer})") in result.output
 
 
 def test_report_names_a_log_without_a_header_and_an_unknown_satellite(runner, tmp_path):

@@ -50,6 +50,15 @@ def test_tool_call_grammar_round_trip():
     assert call.args == {"dx": 1.0, "dy": 0.0, "dz": 0.0}
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_tool_call_and_memory_lines_never_hold_nan_or_infinity(bad):
+    with pytest.raises(ValueError):
+        reasoning.format_tool_call("set_position", {"dx": bad, "dy": 0.0, "dz": 0.0})
+    with pytest.raises(ValueError):
+        reasoning.memory_line({"step": 0, "tool": "set_position", "args": {"dx": bad},
+                               "result_digest": "{}"})
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -264,7 +273,7 @@ def test_memory_text_renders_no_record_again(monkeypatch):
     def no_dumps(*args, **kwargs):
         raise AssertionError("memory_text rendered a record")
 
-    monkeypatch.setattr(reasoning, "dumps_sorted", no_dumps)
+    monkeypatch.setattr(reasoning, "dumps_strict", no_dumps)
     assert memory.memory_text() == expected
 
 

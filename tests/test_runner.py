@@ -93,6 +93,22 @@ def test_rendezvous_episode_succeeds(satellites, tmp_path):
     assert again.to_dict() == result.outcome.to_dict()
 
 
+def test_a_provider_needs_only_identity_and_complete(satellites):
+    class Bare:  # no DecisionProvider base: only what the loop calls
+        identity = "bare"
+
+        def __init__(self):
+            self.inner = ScriptedProvider()
+
+        def complete(self, request):
+            return self.inner.complete(request)
+
+    result = run_episode(config(), provider=Bare(), satellites=satellites)
+    assert result.trajectory.meta["provider"] == "bare"
+    assert result.outcome.success is True
+    assert result.trajectory.steps == run_episode(config(), satellites=satellites).trajectory.steps
+
+
 def test_search_episode_sweeps_then_approaches(satellites):
     result = run_episode(config("search"), satellites=satellites)
     assert result.outcome.success is True
@@ -331,9 +347,6 @@ def test_history_handed_to_reflection_cannot_change_the_store(satellites, tmp_pa
 
         def __init__(self):
             self.inner = induced_provider()
-
-        def reset_episode(self, episode_id=""):
-            self.inner.reset_episode(episode_id)
 
         def complete(self, request):
             if request.call_kind == CALL_REFLECT:

@@ -230,49 +230,29 @@ def validate_payload(key: str, record) -> dict:
     return json_copy(record, key)
 
 
-def _per_thread(reference: json.JSONEncoder) -> Callable[[object], str]:
-    """``reference.encode``, with the C encoder that ``encode`` builds on
-    every call built once per thread, from the same arguments.
-
-    The encoder keeps the ids of the containers it is inside in its marker
-    dict, the circular-reference check. So it is per thread, since Redis
-    subscriber threads encode too and would see each other's containers as
-    circular; and the markers are cleared when it raises (a NaN refused, a
-    value JSON cannot carry, a recursion too deep), which leaves them
-    behind, so that a later encode of the same container does not fail as
-    circular. An encode from inside another on one thread (a dict
-    subclass's ``items``) finds the markers in use and takes
-    ``reference.encode``."""
+def _stateless(reference: json.JSONEncoder) -> Callable[[object], str]:
+    """``reference.encode`` for a ``reference`` built with
+    ``check_circular=False``, through one C encoder built once from the same
+    arguments. With no marker dict the C encoder keeps no state, so the one
+    object serves every call, every thread and an encode from inside
+    another. Without the C accelerator it is ``reference.encode``."""
     if c_make_encoder is None:
         return reference.encode
-    local = threading.local()
-
-    def encode(value) -> str:
-        try:
-            markers, encoder = local.encoder
-        except AttributeError:
-            markers = {}
-            encoder = c_make_encoder(
-                markers, reference.default, encode_basestring_ascii, None,
-                reference.key_separator, reference.item_separator,
-                reference.sort_keys, reference.skipkeys, reference.allow_nan,
-            )
-            local.encoder = markers, encoder
-        if markers:
-            return reference.encode(value)
-        try:
-            return "".join(encoder(value, 0))
-        except BaseException:
-            markers.clear()
-            raise
-
-    return encode
+    encoder = c_make_encoder(
+        None, reference.default, encode_basestring_ascii, None,
+        reference.key_separator, reference.item_separator,
+        reference.sort_keys, reference.skipkeys, reference.allow_nan,
+    )
+    return lambda value: "".join(encoder(value, 0))
 
 
 # The program's one JSON text format: the text of
 # json.dumps(value, sort_keys=True, allow_nan=False), which raises ValueError
-# on NaN or Infinity.
-dumps_strict = _per_thread(json.JSONEncoder(sort_keys=True, allow_nan=False))
+# on NaN or Infinity. No value the program encodes can be circular: each is
+# read from JSON text, copied by json_copy or record_copy, or built fresh
+# from those; a circular one exceeds the recursion limit.
+dumps_strict = _stateless(
+    json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False))
 
 
 # json.loads(text) on a str skips leading whitespace, calls this same C

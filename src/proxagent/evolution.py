@@ -570,21 +570,15 @@ def materialize(
 def select_learned(task_kind: str, description: str, store: SkillStore) -> list[Skill]:
     """The ``LEARNED_TOP_K`` best enabled learned skills for this task, ranked
     by keyword overlap with the description; ties break to higher version,
-    then newer episode."""
+    then newer episode (ids are zero-padded, so newer is greater), then name."""
     wanted = set(words(description))
-    candidates = []
-    for skill, _path in store.view.values():
-        if not skill.enabled or not skill.applies_to(task_kind):
-            continue
-        episode = skill.provenance.split(":", 1)[-1]
-        candidates.append((-skill.overlap(wanted), -skill.version, episode, skill.name, skill))
-    candidates.sort(key=lambda item: (item[0], item[1], _episode_recency(item[2]), item[3]))
-    return [item[4] for item in candidates[:LEARNED_TOP_K]]
-
-
-def _episode_recency(episode: str) -> str:
-    # newer episode ids sort first (ids are zero-padded and sortable)
-    return "".join(chr(255 - ord(c)) for c in episode)
+    candidates = [skill for skill, _path in store.view.values()
+                  if skill.enabled and skill.applies_to(task_kind)]
+    # three stable sorts, the least significant key first
+    candidates.sort(key=lambda skill: skill.name)
+    candidates.sort(key=lambda skill: skill.provenance.split(":", 1)[-1], reverse=True)
+    candidates.sort(key=lambda skill: (-len(skill.matched(wanted)), -skill.version))
+    return candidates[:LEARNED_TOP_K]
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,9 @@ class Skill:
     def applies_to(self, task_kind: str) -> bool:
         return not self.scope or task_kind in self.scope
 
-    def overlap(self, wanted: set[str]) -> int:
-        """How many of the lower-case words ``wanted`` are keywords of this skill."""
-        return len(wanted & {k.lower() for k in self.keywords})
+    def matched(self, wanted: set[str]) -> set[str]:
+        """The lower-case words ``wanted`` that are keywords of this skill."""
+        return wanted & {k.lower() for k in self.keywords}
 
 
 def _is_version(text: str) -> bool:
@@ -115,11 +115,16 @@ _HEADER_OPTIONAL = _HEADER_FIELDS.keys() - {"name", "category"}
 
 
 def parse_skill_text(text: str) -> Skill:
-    if "---" not in text:
+    """The skill of a file's ``text``. The header ends at the first line
+    that is ``---`` once stripped, so a header value holding ``---`` does
+    not end it."""
+    lines = text.splitlines(keepends=True)
+    end = next((i for i, line in enumerate(lines) if line.strip() == "---"), None)
+    if end is None:
         raise SkillError("skill file missing '---' delimiter")
-    header_text, body = text.split("---", 1)
+    body = "".join(lines[end + 1:])
     header: dict[str, str] = {}
-    for line in header_text.splitlines():
+    for line in lines[:end]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -304,19 +309,18 @@ def keyword_fallback_router(
     tasks = [s for s in catalog.of_category(TASK) if s.enabled]
     if not tasks:
         return _default_route(task_kind, catalog)
-    scored = sorted(tasks, key=lambda s: (-s.overlap(wanted), s.name))
-    if scored[0].overlap(wanted) == 0:
+    task_skill = min(tasks, key=lambda s: (-len(s.matched(wanted)), s.name))
+    matched = task_skill.matched(wanted)
+    if not matched:
         return _default_route(task_kind, catalog)
-    task_skill = scored[0]
 
-    helpers = [s for s in catalog.of_category(HELPER) if s.enabled and s.overlap(wanted) >= 1]
-    helpers.sort(key=lambda s: (-s.overlap(wanted), s.name))
+    helpers = [s for s in catalog.of_category(HELPER) if s.enabled and s.matched(wanted)]
+    helpers.sort(key=lambda s: (-len(s.matched(wanted)), s.name))
     helper_names = [s.name for s in helpers[:2]]
-    matched = sorted(wanted & {k.lower() for k in task_skill.keywords})
     return RoutingResult(
         task_skill=task_skill.name,
         helper_skills=helper_names,
-        justification=f"keyword match on {matched}",
+        justification=f"keyword match on {sorted(matched)}",
         used_fallback=False,
     )
 

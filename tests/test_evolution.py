@@ -22,6 +22,7 @@ from proxagent.evolution import (
     select_learned,
     summarize_episode,
 )
+from proxagent.skills import Skill, render_skill
 from proxagent.trajectory import Outcome, StepRecord, Trajectory
 
 
@@ -319,6 +320,33 @@ def test_select_learned_skips_disabled(store):
         store, episode_id="ep-000002",
     )
     assert select_learned("rendezvous", "pace forward steps", store) == []
+
+
+def test_select_learned_ranks_newer_episodes_first_whatever_the_provenance(store):
+    store.learned_dir.mkdir(parents=True)
+
+    def write(name, episode):
+        skill = Skill(name=name, category="learned", keywords=["pace"], scope=["rendezvous"],
+                      provenance=f"evolved:{episode}", body="rule")
+        (store.learned_dir / f"{name}.v1.skill").write_text(render_skill(skill), encoding="utf-8")
+
+    def picked():
+        return [s.name for s in select_learned("rendezvous", "pace", SkillStore(store.workspace))]
+
+    assert evolution.LEARNED_TOP_K == 2
+    write("a", "ep-1")
+    write("b", "ep-10")
+    assert picked() == ["b", "a"]
+    write("d", "ep-ā")  # any text, ties broken by name
+    write("c", "ep-ā")
+    assert picked() == ["c", "d"]
+
+
+def test_a_learned_skill_whose_intent_holds_the_delimiter_reads_back(store):
+    skill = materialize(create(content=content(intent="cap steps --- near the target")),
+                        store, episode_id="ep-000001")
+    assert skill.routing_summary == "cap steps --- near the target"
+    assert SkillStore(store.workspace).load_all()[skill.name][0] == skill
 
 
 # -- scripted reflection rules -----------------------------------------

@@ -29,6 +29,25 @@ def test_parse_render_round_trip():
     assert again == skill
 
 
+# header text rich in what could end a header early: a ``---``, a colon, a
+# comment sign, blanks and commas
+_header_text = st.lists(
+    st.one_of(st.sampled_from(["---", "-", ":", "#", " ", ","]), st.characters()), max_size=8,
+).map("".join)
+_header_value = _header_text.filter(lambda v: v == v.strip() and len(v.splitlines()) <= 1)
+_header_item = _header_value.filter(lambda v: v != "" and "," not in v)
+
+
+@given(name=_header_value.filter(bool), routing_summary=_header_value,
+       provenance=_header_value, keywords=st.lists(_header_item, max_size=3),
+       scope=st.lists(_header_item, max_size=3), version=st.integers(1, 10**6),
+       enabled=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_any_single_line_header_values_round_trip(**fields):
+    skill = skills.Skill(category="learned", body="Rule: hold.\n---\nmore", **fields)
+    assert skills.parse_skill_text(skills.render_skill(skill)) == skill
+
+
 def test_parse_rejects_bad_files():
     with pytest.raises(skills.SkillError):
         skills.parse_skill_text("no delimiter at all")

@@ -165,14 +165,40 @@ def check_key(key: str) -> None:
 
 _PLAIN = frozenset({str, bool, type(None)})
 
+
+def _flat(record, table: dict) -> bool:
+    """True when ``record`` is a dict with string keys, each of its values is
+    a scalar that ``json_copy`` carries as it is (a finite float, an int in
+    float range, a bool, a string or None), and it holds every field of
+    ``table``, each passing its test. Then ``dict(record)`` is its copy."""
+    if type(record) is not dict:
+        return False
+    tested = 0
+    for name, value in record.items():
+        kind = type(value)
+        if type(name) is not str:
+            return False
+        if kind is float:
+            if not math.isfinite(value):
+                return False
+        elif kind is int:
+            if not is_finite_number(value):
+                return False
+        elif kind not in _PLAIN:
+            return False
+        field = table.get(name)
+        if field is not None:
+            if not field[0](value):
+                return False
+            tested += 1
+    return tested == len(table)
+
+
 # Every JSON value the program takes in (a tool's args, a bus record) nests
 # at most this many containers deep, the outermost counted, so that checking,
 # carrying and encoding it need the same stack on every call path.
 MAX_JSON_DEPTH = 100
 TOO_DEEP = f"nests more than {MAX_JSON_DEPTH} containers deep"
-
-
-_NOT_FINITE = "not a finite number in float range"
 
 
 def json_copy(value, where: str, depth: int = 1):
@@ -198,17 +224,8 @@ def _copy(value, where: str, depth: int, deep: str):
         for name, item in value.items():
             if not isinstance(name, str):
                 raise SchemaViolation(f"{where}: key {name!r} is not a string")
-            kind = type(item)
-            # the common cases, checked inline
-            if kind is float:
-                if not math.isfinite(item):
-                    raise SchemaViolation(f"{where}.{name}: {_NOT_FINITE}")
-            elif kind is int:
-                if not is_finite_number(item):
-                    raise SchemaViolation(f"{where}.{name}: {_NOT_FINITE}")
-            elif kind not in _PLAIN:
-                item = _copy(item, f"{where}.{name}", depth + 1, deep)
-            record[name] = item
+            record[name] = (item if type(item) in _PLAIN
+                            else _copy(item, f"{where}.{name}", depth + 1, deep))
         return record
     if isinstance(value, list):
         return [_copy(item, f"{where}[{i}]", depth + 1, deep) for i, item in enumerate(value)]
@@ -216,7 +233,7 @@ def _copy(value, where: str, depth: int, deep: str):
         return value
     if isinstance(value, _NUMBER):
         if not is_finite_number(value):
-            raise SchemaViolation(f"{where}: {_NOT_FINITE}")
+            raise SchemaViolation(f"{where}: not a finite number in float range")
         return value
     raise SchemaViolation(f"{where}: {type(value).__name__} cannot be carried as JSON")
 
@@ -224,7 +241,10 @@ def _copy(value, where: str, depth: int, deep: str):
 def validate_payload(key: str, record) -> dict:
     """Validate a record against the key's schema; return a private copy."""
     check_key(key)
-    problem = field_problem(CHANNEL_SCHEMAS[key], record)
+    schema = CHANNEL_SCHEMAS[key]
+    if _flat(record, schema):  # the common case, accepted in one walk
+        return dict(record)
+    problem = field_problem(schema, record)
     if problem is not None:
         raise SchemaViolation(f"payload for {key}: {problem}")
     return json_copy(record, key)
@@ -309,7 +329,7 @@ def _tree_copy(value):
 
 class BusMessage(NamedTuple):
     key: str
-    payload: dict  # the validated record, owned by the bus: read it via record()
+    payload: dict  # the validated record, owned by the bus: read values, never change it
     seq: int
     timestamp: int  # milliseconds since epoch
 

@@ -516,11 +516,11 @@ class EnvBridge:
 
     def _on_pose_delta(self, msg: busmod.BusMessage) -> None:
         if not self.terminated:
-            self._apply(self.env.step, msg.record())
+            self._apply(self.env.step, msg.payload)  # step only reads it
 
     def _on_exposure(self, msg: busmod.BusMessage) -> None:
         if not self.terminated:
-            self._apply(self.env.set_exposure, msg.record()["gain_delta"])
+            self._apply(self.env.set_exposure, msg.payload["gain_delta"])
 
     def _on_terminate(self, msg: busmod.BusMessage) -> None:
         self.terminated = True

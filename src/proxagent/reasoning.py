@@ -107,10 +107,12 @@ def _lines(text) -> list[str]:
     return [line.strip() for line in text.splitlines()]
 
 
-def _parse_args(match: re.Match, visible: tuple[ToolDescriptor, ...]) -> dict:
-    """The ``args`` of a matched tool line: the tool must be visible, and the
+def _parse_call(match: re.Match, visible: tuple[ToolDescriptor, ...], step_index: int,
+                inner_round: int = 0) -> ToolCall:
+    """The call of a matched tool line: the tool must be visible, and the
     args must be JSON that fits the tool's schema (``validate_args``, which
-    also bounds their depth)."""
+    also bounds their depth). The call records the descriptor it was checked
+    against, so dispatch need not check it again."""
     tool_name = match.group("tool")
     for tool in visible:
         if tool.name == tool_name:
@@ -126,7 +128,9 @@ def _parse_args(match: re.Match, visible: tuple[ToolDescriptor, ...]) -> dict:
     problem = validate_args(tool, args)
     if problem is not None:
         raise MalformedOutput(problem)
-    return args
+    call = ToolCall(tool_name, args, step_index=step_index, inner_round=inner_round)
+    call.checked = tool
+    return call
 
 
 def parse_tool_call(
@@ -136,8 +140,7 @@ def parse_tool_call(
     for line in _lines(text):
         match = _TOOL_LINE.match(line)
         if match is not None:
-            return ToolCall(match.group("tool"), _parse_args(match, visible),
-                            step_index=step_index, inner_round=inner_round)
+            return _parse_call(match, visible, step_index, inner_round)
     raise MalformedOutput("no TOOL line found")
 
 
@@ -150,7 +153,7 @@ def parse_candidates(
         match = _CANDIDATE_LINE.match(line)
         if match is None:
             continue
-        call = ToolCall(match.group("tool"), _parse_args(match, visible), step_index=step_index)
+        call = _parse_call(match, visible, step_index)
         candidates.append(Candidate(call, match.group("outcome"), match.group("risk")))
         if len(candidates) == 3:
             break
@@ -163,8 +166,12 @@ def parse_select(text: str, count: int) -> int:
     for line in _lines(text):
         match = _SELECT_LINE.match(line)
         if match is not None:
-            index = int(match.group("i"))
-            if 0 <= index < count:
+            digits = match.group("i").lstrip("0") or "0"
+            try:
+                index = int(digits)
+            except ValueError:  # int() refuses more than 4,300 digits: out of any range
+                raise MalformedOutput(f"SELECT index of {len(digits)} digits out of range") from None
+            if index < count:
                 return index
             raise MalformedOutput(f"SELECT index {index} out of range")
     raise MalformedOutput("no SELECT line found")

@@ -74,9 +74,14 @@ class ToolCall:
     args: dict
     step_index: int = 0
     inner_round: int = 0
+    # the descriptor the parser checked ``args`` against; not logged, and
+    # dropped by ``dataclasses.replace``, so a changed call is checked anew
+    checked: Optional[ToolDescriptor] = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {"tool": self.tool, "args": self.args, "step_index": self.step_index,
+                "inner_round": self.inner_round}
 
 
 @dataclass
@@ -320,7 +325,7 @@ class ToolDispatcher:
 
     def _with_lidar(self, record: dict) -> dict:
         lidar = self.backend.get_latest(busmod.SENSOR_LIDAR)
-        record["lidar_range"] = lidar.record()["range_m"] if lidar else None
+        record["lidar_range"] = lidar.payload["range_m"] if lidar else None
         return record
 
     def _await_new_observation(self, prev_seq: int) -> Optional[dict]:
@@ -344,9 +349,10 @@ class ToolDispatcher:
         tool = self.catalog.get(call.tool)
         if tool is None or tool.name not in self.profile:
             return ToolResult(False, {"tool": call.tool}, ERR_NOT_VISIBLE)
-        problem = validate_args(tool, call.args)
-        if problem is not None:
-            return ToolResult(False, {"detail": problem}, ERR_INVALID_ARGS)
+        if call.checked is not tool:  # else the parser checked these args against it
+            problem = validate_args(tool, call.args)
+            if problem is not None:
+                return ToolResult(False, {"detail": problem}, ERR_INVALID_ARGS)
         if tool.category == CATEGORY_CONTROL:
             return self._dispatch_control(tool, call.args)
         if tool.category == CATEGORY_PERCEPTION:

@@ -60,8 +60,9 @@ def read_jsonl(path: Path, error: type[Exception],
         for number, line in lines:
             try:
                 value = loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path} line {number}: not JSON ({exc.msg})") from None
+            except ValueError as exc:  # a JSONDecodeError, or an integer int() refuses
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise error(f"{path} line {number}: not JSON ({reason})") from None
             except RecursionError:
                 raise error(f"{path} line {number}: not JSON (nests too deeply)") from None
             yield number, value

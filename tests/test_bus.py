@@ -8,7 +8,7 @@ import threading
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxagent import bus, env, reasoning, tools
@@ -404,6 +404,67 @@ def test_compiled_validation_matches_the_reference(case):
     private = message.record()
     assert repr(private) == repr(reference_record(copied))
     assert not containers(private) & containers(copied)
+
+
+def two_walk_validate_payload(key, record):
+    """``validate_payload`` as two walks, the schema's and the copy's."""
+    bus.check_key(key)
+    problem = bus.field_problem(bus.CHANNEL_SCHEMAS[key], record)
+    if problem is not None:
+        raise bus.SchemaViolation(f"payload for {key}: {problem}")
+    return bus.json_copy(record, key)
+
+
+_flat_scalars = st.one_of(
+    st.booleans(), st.integers(), st.floats(), st.text(max_size=5), st.none(),
+    st.sampled_from([10**400, -(10**400), 2**1024, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def flat_records(draw):
+    """A record for a contract key: most of them flat, and most of those valid."""
+    key = draw(st.sampled_from(bus.CONTRACT_KEYS))
+    if draw(st.integers(0, 19)) == 0:  # not a record at all
+        return key, draw(_values)
+    record = {}
+    spoilt = draw(st.booleans())  # else every field is of its kind
+    for field, kind in bus.CHANNEL_SCHEMAS[key].items():
+        choice = draw(st.integers(0, 9)) if spoilt else 1
+        if choice == 0:
+            continue  # missing
+        if choice <= 6:  # of the field's kind
+            if kind is bus.BOOLEAN:
+                strategy = st.booleans()
+            elif kind is bus.INTEGER:
+                strategy = st.integers(-10**6, 10**6)
+            else:
+                strategy = st.floats(allow_nan=False, allow_infinity=False)
+            record[field] = draw(strategy)
+        else:  # maybe of another kind, not finite, or nested
+            record[field] = draw(_flat_scalars if choice <= 8 else _values)
+    names = _keys if draw(st.integers(0, 3)) == 0 else st.text(max_size=5)
+    extras = _flat_scalars if draw(st.booleans()) else _values
+    record.update(draw(st.dictionaries(names, extras, max_size=3)))
+    return key, record
+
+
+@given(flat_records())
+@example((bus.SENSOR_LIDAR, {"range_m": 1.0, "extra": math.nan}))  # valid but for an extra
+@example((bus.CMD_EXPOSURE, {"gain_delta": 0.5, "extra": -math.inf}))
+@example((bus.CMD_TERMINATE, {"extra": 10**400}))
+@settings(max_examples=500, deadline=None)
+def test_one_walk_validation_matches_two_walks(case):
+    key, record = case
+    got = outcome(bus.validate_payload, key, record)
+    want = outcome(two_walk_validate_payload, key, record)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got == (bus.SchemaViolation, want[1])
+        return
+    assert got[1] == record
+    assert not containers(got[1]) & containers(record)  # a new record, sharing no container
+    assert repr(got[1]) == repr(want[1])  # the same types, in the same order
 
 
 @given(_values)

@@ -561,9 +561,21 @@ _TOO_DEEP_LINE = "[" * 100_000 + "]" * 100_000  # beyond what json.loads can rec
 
 
 # label: the line, and what a trajectory log and a workspace file call it
+_LONG_INTEGER = "9" * 5000  # int() refuses an integer string of more than 4,300 digits
+
+
+def _int_refusal(digits: str) -> str:
+    """The running interpreter's words for refusing ``int(digits)``."""
+    with pytest.raises(ValueError) as info:
+        int(digits)
+    return str(info.value)
+
+
 _BAD_LINES = {
     "not-json": ("not json", *["not JSON (Expecting value)"] * 2),
     "nests-too-deeply": (_TOO_DEEP_LINE, *["not JSON (nests too deeply)"] * 2),
+    "integer-too-long": ('{"step": ' + _LONG_INTEGER + "}",
+                         *[f"not JSON ({_int_refusal(_LONG_INTEGER)})"] * 2),
     "not-an-object": ("[1, 2]", "not a trajectory record (must be an object, got [1, 2])",
                       "not a JSON object"),
 }

@@ -9,7 +9,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import bus, reasoning
+from proxagent import bus, reasoning, tools
 from proxagent.env import make_task
 from proxagent.runner import EpisodeConfig, run_episode, shipped_catalog
 from proxagent.skills import AssembledPrompt, RoutingResult, assemble_prompt
@@ -210,12 +210,59 @@ def test_candidates_capped_at_three():
     assert len(reasoning.parse_candidates(text, CONTROL)) == 3
 
 
+_LONG_INDEX = "7" * 5000  # int() refuses an integer string of more than 4,300 digits
+
+
 def test_select_grammar_bounds():
     assert reasoning.parse_select("SELECT 1", 3) == 1
-    with pytest.raises(reasoning.MalformedOutput):
+    assert reasoning.parse_select("SELECT 0002", 3) == 2
+    with pytest.raises(reasoning.MalformedOutput, match="^SELECT index 5 out of range$"):
         reasoning.parse_select("SELECT 5", 3)
+    with pytest.raises(reasoning.MalformedOutput,
+                       match="^SELECT index of 5000 digits out of range$"):
+        reasoning.parse_select("SELECT " + _LONG_INDEX, 3)
     with pytest.raises(reasoning.MalformedOutput):
         reasoning.parse_select("pick the first", 3)
+
+
+class _LongSelect(reasoning.ScriptedProvider):
+    """The scripted policy, but every selection names an index of 5,000 digits."""
+
+    def complete(self, request):
+        if request.call_kind == reasoning.CALL_SELECT:
+            return "SELECT " + _LONG_INDEX
+        return super().complete(request)
+
+
+def test_a_select_index_too_long_for_int_degrades_the_step():
+    result = run_episode(EpisodeConfig(task=make_task("rendezvous"), mode="prospective"),
+                         provider=_LongSelect())
+    assert result.trajectory.ended_by == "terminate"
+    # each step degraded: plan, select, then the direct decide-action call
+    assert all(step.provider_calls == 3 for step in result.trajectory.steps)
+
+
+def test_a_standard_step_checks_each_parsed_call_once(monkeypatch):
+    """The parser checks a call's args; dispatch trusts that check."""
+    counts = {"parsed": 0, "checked": 0}
+
+    def parse_tool_call(*args, **kwargs):
+        call = real_parse(*args, **kwargs)
+        counts["parsed"] += 1
+        return call
+
+    def validate_args(tool, args):
+        counts["checked"] += 1
+        return real_validate(tool, args)
+
+    real_parse, real_validate = reasoning.parse_tool_call, tools.validate_args
+    monkeypatch.setattr(reasoning, "parse_tool_call", parse_tool_call)
+    monkeypatch.setattr(reasoning, "validate_args", validate_args)
+    monkeypatch.setattr(tools, "validate_args", validate_args)
+    result = run_episode(EpisodeConfig(task=make_task("rendezvous")))
+    assert result.trajectory.ended_by == "terminate"
+    assert counts["parsed"] >= len(result.trajectory.steps) > 1
+    assert counts["checked"] == counts["parsed"]
 
 
 # -- memory -------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import bus, tools
+from proxagent import bus, reasoning, tools
 from proxagent.env import EnvBridge, SimEnv, load_satellite_catalog, make_task
 
 
@@ -236,10 +237,49 @@ def test_dispatch_not_visible(rig):
     assert result.error_kind == tools.ERR_NOT_VISIBLE
 
 
-def test_dispatch_invalid_args(rig):
-    dispatcher, _, _ = rig
-    result = dispatcher.dispatch(call("set_position", dx=1.0))
-    assert result.error_kind == tools.ERR_INVALID_ARGS
+def parsed_move():
+    """A call the parser checked against the shipped set_position."""
+    visible = tools.visible_tools(tools.builtin_catalog(),
+                                  tools.builtin_profiles()["hybrid-nav-code"])
+    return reasoning.parse_tool_call(
+        'TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0}', visible, 4, 1)
+
+
+def dx_only(dispatcher):
+    """Point ``dispatcher`` at a catalog whose set_position takes dx alone."""
+    catalog = dict(dispatcher.catalog)
+    catalog["set_position"] = replace(catalog["set_position"], params={"dx": bus.NUMBER})
+    dispatcher.catalog = catalog
+
+
+# case: the call, what to do to the dispatcher first, and the refusal
+_UNCHECKED_CALLS = {
+    "hand-built": (lambda: call("set_position", dx=1.0), None, "missing arg 'dy'"),
+    "replaced": (lambda: replace(parsed_move(), args={"dx": 1.0}), None, "missing arg 'dy'"),
+    "other-catalog": (parsed_move, dx_only, "unknown arg 'dy'"),
+}
+
+
+@pytest.mark.parametrize("case", _UNCHECKED_CALLS)
+def test_dispatch_invalid_args(rig, case):
+    """Dispatch checks every call the parser did not check against the tool
+    it resolves."""
+    dispatcher, bridge, _ = rig
+    make, prepare, detail = _UNCHECKED_CALLS[case]
+    if prepare is not None:
+        prepare(dispatcher)
+    before = dispatcher.latest_observation()
+    result = dispatcher.dispatch(make())
+    assert (result.error_kind, result.payload) == (tools.ERR_INVALID_ARGS, {"detail": detail})
+    assert dispatcher.latest_observation() == before  # nothing reached the env
+    assert bridge.env.step_index == 0
+
+
+def test_a_parsed_call_logs_only_its_four_fields():
+    parsed = parsed_move()
+    assert parsed.to_dict() == {"tool": "set_position", "args": {"dx": 1.0, "dy": 0.0, "dz": 0.0},
+                                "step_index": 4, "inner_round": 1}
+    assert parsed == replace(parsed)
 
 
 @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])

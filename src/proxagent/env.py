@@ -351,9 +351,10 @@ class SimEnv:
         self.chaser.roll += droll
         self.chaser.normalize()
         self.step_index += 1
-        if self._surface_range() < COLLISION_MARGIN:
-            self.collided = True
-        return self.observe()
+        obs = self.observe()
+        if obs["true_range"] < COLLISION_MARGIN:
+            self.collided = obs["collided"] = True
+        return obs
 
     def set_exposure(self, gain_delta: float) -> dict:
         new_gain = self.exposure_gain + float(gain_delta)
@@ -366,12 +367,6 @@ class SimEnv:
         return self.observe()
 
     # -- observation ---------------------------------------------------
-
-    def _surface_range(self) -> float:
-        tx, ty, tz = self.target.position
-        d = (tx - self.chaser.x, ty - self.chaser.y, tz - self.chaser.z)
-        center = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-        return center - self.target.bounding_radius
 
     def observe(self) -> dict:
         tx, ty, tz = self.target.position

@@ -45,6 +45,9 @@ ACTION_REWRITE = "rewrite"
 ACTION_DISABLE = "disable"
 ACTION_NO_CHANGE = "no_change"
 ACTIONS = (ACTION_CREATE, ACTION_OVERLAY, ACTION_REWRITE, ACTION_DISABLE, ACTION_NO_CHANGE)
+# The actions that change a learned skill named by a target, and those that carry content
+TARGETED_ACTIONS = (ACTION_OVERLAY, ACTION_REWRITE, ACTION_DISABLE)
+CONTENT_ACTIONS = (ACTION_CREATE, ACTION_OVERLAY, ACTION_REWRITE)
 
 CONTENT_SECTIONS = ("intent", "trigger", "rule", "constraints", "evidence")
 
@@ -175,12 +178,12 @@ class MutationDecision:
     def validate(self) -> Optional[str]:
         if self.action not in ACTIONS:
             return f"unknown action {self.action!r}"
-        if self.action in (ACTION_OVERLAY, ACTION_REWRITE, ACTION_DISABLE):
+        if self.action in TARGETED_ACTIONS:
             if not self.target:
                 return f"{self.action} requires a target"
         elif self.target:
             return f"{self.action} must not carry a target"
-        if self.action in (ACTION_CREATE, ACTION_OVERLAY, ACTION_REWRITE):
+        if self.action in CONTENT_ACTIONS:
             if not self.content:
                 return f"{self.action} requires content"
             for section in CONTENT_SECTIONS:
@@ -386,7 +389,8 @@ class SkillStore:
         id the workspace has: a round that died before its summary keeps its log."""
         if self._last_id is None:
             numbers = [p.stem[3:] for p in self.workspace.glob("ep-*.jsonl")]
-            self._last_id = max((int(n) for n in numbers if n.isdecimal()), default=0)
+            self._last_id = max((int(n) for n in numbers if n.isascii() and n.isdecimal()),
+                                default=0)
         self._read_history()
         self._last_id = max(self._last_id, self._episodes) + 1
         return f"ep-{self._last_id:06d}"
@@ -417,45 +421,41 @@ def _json_object(path: Path, number: int, value) -> dict:
     return value
 
 
+def _first_failure(mutation: MutationDecision, store: SkillStore,
+                   episode_task: str) -> GateVerdict:
+    """The first of the gate's constraints that ``mutation`` breaks, or acceptance."""
+    content = mutation.content or {}
+    checked_text = " ".join(str(content.get(s, "")) for s in CONTENT_SECTIONS).lower()
+    existing = store.view  # read first: a learned/ that does not parse fails every call
+    for phrase in DEFAULT_BLACKLIST:
+        if phrase.lower() in checked_text:
+            return GateVerdict(False, REJECT_SAFETY, f"blacklisted phrase {phrase!r}")
+    if mutation.action in CONTENT_ACTIONS:
+        print_ = fingerprint(mutation.scope, content.get("trigger", ""), content.get("rule", ""))
+        if print_ in store.fingerprints():
+            return GateVerdict(False, REJECT_DUPLICATE, f"fingerprint {print_}")
+    if mutation.scope != episode_task:
+        return GateVerdict(False, REJECT_SCOPE,
+                           f"mutation scope {mutation.scope!r} != episode task {episode_task!r}")
+    if mutation.action in TARGETED_ACTIONS:
+        entry = existing.get(mutation.target or "")
+        if entry is None or entry[0].category != LEARNED:
+            return GateVerdict(False, REJECT_PARENT,
+                               f"target {mutation.target!r} not a learned skill")
+    return GateVerdict(accepted=True)
+
+
 def quality_gate(
     mutation: MutationDecision,
     store: SkillStore,
     episode_task: str,
     episode_id: str = "",
 ) -> GateVerdict:
-    """Four constraints, applied in order; first failure wins."""
+    """Four constraints, applied in order; first failure wins. Each verdict
+    is one line of the store's audit log."""
     if mutation.action == ACTION_NO_CHANGE:
         raise EvolutionError("no_change does not pass through the gate")
-
-    verdict = GateVerdict(accepted=True)
-    content = mutation.content or {}
-    checked_text = " ".join(
-        str(content.get(s, "")) for s in CONTENT_SECTIONS
-    ).lower()
-    existing = store.view
-
-    for phrase in DEFAULT_BLACKLIST:
-        if phrase.lower() in checked_text:
-            verdict = GateVerdict(False, REJECT_SAFETY, f"blacklisted phrase {phrase!r}")
-            break
-    if verdict.accepted and mutation.action in (ACTION_CREATE, ACTION_OVERLAY, ACTION_REWRITE):
-        print_ = fingerprint(
-            mutation.scope, content.get("trigger", ""), content.get("rule", "")
-        )
-        if print_ in store.fingerprints():
-            verdict = GateVerdict(False, REJECT_DUPLICATE, f"fingerprint {print_}")
-    if verdict.accepted and mutation.scope != episode_task:
-        verdict = GateVerdict(
-            False, REJECT_SCOPE,
-            f"mutation scope {mutation.scope!r} != episode task {episode_task!r}",
-        )
-    if verdict.accepted and mutation.action in (ACTION_OVERLAY, ACTION_REWRITE, ACTION_DISABLE):
-        entry = existing.get(mutation.target or "")
-        if entry is None or entry[0].category != LEARNED:
-            verdict = GateVerdict(
-                False, REJECT_PARENT, f"target {mutation.target!r} not a learned skill"
-            )
-
+    verdict = _first_failure(mutation, store, episode_task)
     store.audit(
         {
             "episode": episode_id,

@@ -91,10 +91,10 @@ class DecisionProvider:
 
 _TOOL_LINE = re.compile(r"^TOOL (?P<tool>\S+) ARGS (?P<args>.+)$")
 _CANDIDATE_LINE = re.compile(
-    r"^CANDIDATE (?P<i>\d+): TOOL (?P<tool>\S+) ARGS (?P<args>.+?) "
+    r"^CANDIDATE (?P<i>[0-9]+): TOOL (?P<tool>\S+) ARGS (?P<args>.+?) "
     r"OUTCOME (?P<outcome>.+?) RISK (?P<risk>Low|Medium|High)\s*$"
 )
-_SELECT_LINE = re.compile(r"^SELECT (?P<i>\d+)\s*$")
+_SELECT_LINE = re.compile(r"^SELECT (?P<i>[0-9]+)\s*$")
 
 
 def format_tool_call(tool: str, args: dict) -> str:
@@ -731,13 +731,6 @@ def _control_tools(visible: tuple[ToolDescriptor, ...]) -> tuple[ToolDescriptor,
     return tuple(t for t in visible if t.category == CATEGORY_CONTROL)
 
 
-def _is_control(call: ToolCall, visible: tuple[ToolDescriptor, ...]) -> bool:
-    for tool in visible:
-        if tool.name == call.tool:
-            return tool.category == CATEGORY_CONTROL
-    return False
-
-
 @dataclass
 class StepContext:
     """One outer step: what the mode sees, plus the provider calls it makes,
@@ -811,7 +804,7 @@ def step_standard(ctx: StepContext) -> StepContext:
     action of every step is a control-or-terminal call.
     """
     call = ctx.decide()
-    if _is_control(call, ctx.visible):
+    if call.checked.category == CATEGORY_CONTROL:
         return ctx.result(call)
     ctx.run_inner(call, inner_round=1)
     return ctx.result(ctx.decide(visible=_control_tools(ctx.visible), inner_round=0))
@@ -821,14 +814,12 @@ def step_react(ctx: StepContext) -> StepContext:
     """Thought-action-observation loop of up to REACT_ROUNDS rounds: exits as
     soon as a control tool is chosen; the final round is restricted to
     control/terminal tools."""
-    for inner_round in range(1, REACT_ROUNDS + 1):
-        final = inner_round == REACT_ROUNDS
-        active = _control_tools(ctx.visible) if final else ctx.visible
-        call = ctx.decide(visible=active, inner_round=inner_round)
-        if _is_control(call, ctx.visible):
+    for inner_round in range(1, REACT_ROUNDS):
+        call = ctx.decide(inner_round=inner_round)
+        if call.checked.category == CATEGORY_CONTROL:
             return ctx.result(call)
         ctx.run_inner(call, inner_round)
-    raise MalformedOutput("react loop ended without a control tool")  # pragma: no cover
+    return ctx.result(ctx.decide(visible=_control_tools(ctx.visible), inner_round=REACT_ROUNDS))
 
 
 def step_prospective(ctx: StepContext) -> StepContext:

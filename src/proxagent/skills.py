@@ -64,10 +64,6 @@ class SkillError(Exception):
     pass
 
 
-class DisabledSkillIncluded(SkillError):
-    pass
-
-
 class NoDefaults(SkillError):
     pass
 
@@ -252,7 +248,9 @@ class SkillCatalog:
         return cls(skills)
 
     def of_category(self, category: str) -> list[Skill]:
-        return [s for s in self.skills if s.category == category]
+        """The enabled skills of ``category``: a disabled one is never routed
+        or injected."""
+        return [s for s in self.skills if s.category == category and s.enabled]
 
     def enabled(self, name: str) -> Optional[Skill]:
         skill = self.by_name.get(name)
@@ -306,7 +304,7 @@ def keyword_fallback_router(
 ) -> RoutingResult:
     """Deterministic router: keyword overlap, argmax, lexicographic tie-break."""
     wanted = set(words(description))
-    tasks = [s for s in catalog.of_category(TASK) if s.enabled]
+    tasks = catalog.of_category(TASK)
     if not tasks:
         return _default_route(task_kind, catalog)
     task_skill = min(tasks, key=lambda s: (-len(s.matched(wanted)), s.name))
@@ -314,7 +312,7 @@ def keyword_fallback_router(
     if not matched:
         return _default_route(task_kind, catalog)
 
-    helpers = [s for s in catalog.of_category(HELPER) if s.enabled and s.matched(wanted)]
+    helpers = [s for s in catalog.of_category(HELPER) if s.matched(wanted)]
     helpers.sort(key=lambda s: (-len(s.matched(wanted)), s.name))
     helper_names = [s.name for s in helpers[:2]]
     return RoutingResult(
@@ -356,11 +354,8 @@ def route(
         return replace(routed, helper_skills=list(routed.helper_skills))
     from .reasoning import CALL_ROUTE, ProviderRequest  # local to avoid cycle
 
-    lines = [
-        f"- {s.name}: {s.routing_summary}"
-        for s in catalog.of_category(TASK) + catalog.of_category(HELPER)
-        if s.enabled
-    ]
+    lines = [f"- {s.name}: {s.routing_summary}"
+             for s in catalog.of_category(TASK) + catalog.of_category(HELPER)]
     request = ProviderRequest(
         call_kind=CALL_ROUTE,
         prompt=(
@@ -398,9 +393,6 @@ def assemble_prompt(
     head = list(core_skills) + [task_skill] + helpers
     modes = [skill for skills in mode_skills.values() for skill in skills]
     ordered = head + modes + list(learned_skills)
-    for skill in ordered:
-        if not skill.enabled:
-            raise DisabledSkillIncluded(skill.name)
     head_sections = [_section(skill) for skill in head]
     learned_sections = [_section(skill) for skill in learned_skills]
 

@@ -19,6 +19,7 @@ import ast
 import functools
 import hashlib
 import itertools
+import operator
 import re
 import time
 from dataclasses import dataclass, field, replace
@@ -223,6 +224,9 @@ def validate_args(tool: ToolDescriptor, args: dict) -> Optional[str]:
 # it need the same stack on every call path.
 MAX_EXPRESSION_TOKENS = 256
 _EXPRESSION_TOKEN = re.compile(r"\w+|\S")
+# The operators an expression may use: unary + and -, and binary + - * /
+_ARITHMETIC = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+               ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def safe_eval(expression: str) -> float:
@@ -245,22 +249,13 @@ def safe_eval(expression: str) -> float:
             if isinstance(node.value, bool):
                 raise ToolError("booleans not allowed")
             return node.value
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            operand = walk(node.operand)
-            return -operand if isinstance(node.op, ast.USub) else operand
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-        ):
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _ARITHMETIC:
+            return _ARITHMETIC[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
             left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if right == 0:
+            if right == 0 and type(node.op) is ast.Div:
                 raise ToolError("division by zero")
-            return left / right
+            return _ARITHMETIC[type(node.op)](left, right)
         raise ToolError(f"disallowed syntax: {type(node).__name__}")
 
     try:

@@ -19,6 +19,7 @@ from proxagent.cli import main
 from proxagent.config import ConfigError, dump_config, load_config, parse_config
 from proxagent.env import SimEnv, load_satellite_catalog
 from proxagent.skills import NoDefaults, SkillCatalog, parse_skill_text, render_skill
+from proxagent.trajectory import Trajectory
 
 
 @pytest.fixture()
@@ -808,6 +809,24 @@ def test_unusable_mode_skill_exits_three_before_any_episode(runner, tmp_path, co
     assert "configuration error" in result.output
     assert f"'prospective-select', which is {how}" in result.output
     assert not workspace.exists()
+
+
+def test_a_disabled_core_skill_is_left_out_of_a_run_and_listed_as_disabled(runner, tmp_path):
+    skills = tmp_path / "skills"
+    shutil.copytree(resources.files("proxagent.data").joinpath("skills"), skills)
+    path = skills / "core" / "coordinate-conventions.skill"
+    skill = parse_skill_text(path.read_text(encoding="utf-8"))
+    path.write_text(render_skill(replace(skill, enabled=False)), encoding="utf-8")
+    config = _config(tmp_path, f"skills_root: {skills}\n")
+    log = tmp_path / "run.jsonl"
+    result = runner.invoke(main, ["run", "--config", config, "--trajectory", str(log)])
+    assert result.exit_code == 0, result.output
+    names = Trajectory.read(log).meta["skills"]
+    assert "coordinate-conventions" not in names and "safety-constraints" in names
+    listed = runner.invoke(main, ["skills", "list", "--config", config])
+    assert listed.exit_code == 0, listed.output
+    assert re.search(r"^coordinate-conventions +core +1 +hand-authored +no *$", listed.output,
+                     re.MULTILINE), listed.output
 
 
 @pytest.mark.parametrize("timeout", ["0", "-1.0"])

@@ -196,6 +196,42 @@ def test_collision_flag_latches(satellites):
     assert obs["true_range"] < env.COLLISION_MARGIN
 
 
+_MOVES = st.tuples(st.floats(-0.5, 1.15), st.floats(-0.6, 0.6), st.floats(-0.6, 0.6),
+                   st.floats(-10.0, 10.0))
+
+
+def _toward_target(obs, distance):
+    """The body-frame delta of ``distance`` metres straight at the target's centre."""
+    az, el = math.radians(obs["bearing_az"]), math.radians(obs["bearing_el"])
+    return {"dx": distance * math.cos(el) * math.cos(az),
+            "dy": distance * math.cos(el) * math.sin(az), "dz": distance * math.sin(el)}
+
+
+@given(seed=st.integers(0, 50), kind=st.sampled_from(["rendezvous", "inspection"]),
+       moves=st.lists(_MOVES, max_size=12), stop=st.floats(0.6, 1.0))
+@example(seed=0, kind="inspection", moves=[], stop=0.79)
+@example(seed=0, kind="inspection", moves=[], stop=0.81)
+@settings(max_examples=80, deadline=None)
+def test_a_step_collides_exactly_when_its_range_is_inside_the_margin(satellites, seed, kind,
+                                                                     moves, stop):
+    # free moves, then a straight approach that ends ``stop`` metres off the
+    # surface, on either side of the margin
+    sim, _, obs = fresh(satellites, kind=kind, seed=seed)
+    earlier = False
+    for index in range(len(moves) + 20):
+        if index < len(moves):
+            dx, dy, dz, dyaw = moves[index]
+            delta = {"dx": dx, "dy": dy, "dz": dz, "dyaw": dyaw}
+        elif obs["true_range"] > stop:
+            delta = _toward_target(obs, min(obs["true_range"] - stop, 1.9))
+        else:
+            break
+        obs = sim.step(delta)
+        collided = earlier or obs["true_range"] < env.COLLISION_MARGIN
+        assert obs["collided"] is sim.collided is collided
+        earlier = collided
+
+
 @given(gain=st.floats(0.05, 8.0))
 @settings(max_examples=40, deadline=None)
 def test_brightness_law_exact(satellites, gain):

@@ -628,6 +628,12 @@ def test_episode_ids_come_after_every_summary_and_trajectory(tmp_path):
     assert SkillStore(tmp_path).next_episode_id() == "ep-000010"
 
 
+def test_a_log_numbered_in_other_digits_does_not_move_the_numbering(tmp_path):
+    # "\uff11\uff12" is FULLWIDTH DIGIT ONE, TWO: decimal, but not an episode number
+    (tmp_path / "ep-\uff11\uff12.jsonl").write_text("", encoding="utf-8")
+    assert SkillStore(tmp_path).next_episode_id() == "ep-000001"
+
+
 @pytest.mark.parametrize("line, problem", [
     ("not json", "not JSON"),
     ("[1, 2]", "not a JSON object"),

@@ -210,6 +210,20 @@ def test_candidates_capped_at_three():
     assert len(reasoning.parse_candidates(text, CONTROL)) == 3
 
 
+def test_a_candidate_numbered_in_other_digits_is_no_candidate():
+    # "\u0661" is ARABIC-INDIC DIGIT ONE: a decimal digit, but not the grammar's
+    text = ('CANDIDATE \u0661: TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0} '
+            "OUTCOME closes range RISK Low")
+    with pytest.raises(reasoning.MalformedOutput, match="^no CANDIDATE lines found$"):
+        reasoning.parse_candidates(text, CONTROL)
+
+
+def test_a_select_index_in_other_digits_is_malformed():
+    # "\u0662" is ARABIC-INDIC DIGIT TWO, which int() reads as 2
+    with pytest.raises(reasoning.MalformedOutput, match="^no SELECT line found$"):
+        reasoning.parse_select("SELECT \u0662", 3)
+
+
 _LONG_INDEX = "7" * 5000  # int() refuses an integer string of more than 4,300 digits
 
 

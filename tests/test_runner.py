@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,16 +23,18 @@ from proxagent.reasoning import (
     DecisionProvider,
     ScriptedPolicyConfig,
     ScriptedProvider,
+    StepContext,
 )
 from proxagent.runner import (
     EpisodeConfig,
     RunnerError,
+    default_skills_root,
     is_terminated,
     provider_view,
     run_campaign,
     run_episode,
 )
-from proxagent.skills import MODE_SKILLS, SkillCatalog
+from proxagent.skills import MODE_SKILLS, REASONING_MODES, SkillCatalog
 from proxagent.tools import (
     CATEGORY_PERCEPTION,
     ERR_ENV_TIMEOUT,
@@ -150,6 +153,68 @@ def test_trajectory_meta_names_the_setup(satellites):
     assert meta["mode"] == "prospective"
     assert meta["provider"] == "scripted-policy"
     assert "approach" in meta["skills"]
+
+
+@pytest.mark.parametrize("mode", REASONING_MODES)
+def test_every_call_a_mode_loop_tests_carries_the_catalog_descriptor(satellites, monkeypatch,
+                                                                     mode):
+    # the loops read a call's category off call.checked, the parser's mark
+    seen = []
+    step, run_inner = runner._MODE_STEP[mode], StepContext.run_inner
+
+    def recording_step(ctx):
+        ctx = step(ctx)
+        seen.append(ctx.call)
+        return ctx
+
+    def recording_inner(ctx, call, inner_round):
+        seen.append(call)
+        run_inner(ctx, call, inner_round)
+
+    monkeypatch.setitem(runner._MODE_STEP, mode, recording_step)
+    monkeypatch.setattr(StepContext, "run_inner", recording_inner)
+    for kind in ("rendezvous", "search"):
+        run_episode(config(kind, mode=mode), satellites=satellites)
+    run_episode(config("inspection", mode=mode, profile="hybrid-nav-code"),
+                satellites=satellites)
+    catalog = builtin_catalog()
+    assert all(call.checked is catalog[call.tool] for call in seen)
+    # standard and react also test the perception calls of their inner rounds
+    categories = {call.checked.category for call in seen}
+    assert (CATEGORY_PERCEPTION in categories) is (mode != "prospective")
+
+
+def _skills_disabling(tmp_path, *files):
+    """A copy of the shipped skills in which each of ``files`` is disabled."""
+    root = tmp_path / "skills"
+    shutil.copytree(default_skills_root(), root)
+    for name in files:
+        path = root / name
+        text = path.read_text(encoding="utf-8")
+        assert "\nenabled: true\n" in text
+        path.write_text(text.replace("\nenabled: true\n", "\nenabled: false\n"),
+                        encoding="utf-8")
+    return root
+
+
+def test_a_disabled_core_skill_is_skipped_not_injected(satellites, tmp_path):
+    catalog = SkillCatalog.load(_skills_disabling(tmp_path, "core/coordinate-conventions.skill"))
+    result = run_episode(config(), satellites=satellites, skill_catalog=catalog)
+    assert result.trajectory.ended_by == ENDED_TERMINATE
+    names = result.trajectory.meta["skills"]
+    assert names[:3] == ["general-actions", "safety-constraints", "approach"]
+    assert "coordinate-conventions" not in names
+
+
+@pytest.mark.parametrize("mode", REASONING_MODES)
+def test_no_header_names_a_disabled_skill(satellites, tmp_path, mode):
+    catalog = SkillCatalog.load(_skills_disabling(
+        tmp_path, "core/coordinate-conventions.skill", "helper/distance.skill"))
+    for kind in ("rendezvous", "search", "inspection"):
+        names = run_episode(config(kind, mode=mode), satellites=satellites,
+                            skill_catalog=catalog).trajectory.meta["skills"]
+        assert names
+        assert not {"coordinate-conventions", "distance"} & set(names)
 
 
 def test_same_seed_same_trajectory_bytes(satellites, tmp_path):

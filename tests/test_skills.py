@@ -163,6 +163,15 @@ def test_each_load_sees_skill_files_added_edited_and_removed(tmp_path):
     assert bodies() == {}
 
 
+def test_the_catalog_hands_out_only_enabled_skills():
+    on = skills.Skill(name="range", category="helper", keywords=["range"])
+    off = skills.Skill(name="glare", category="helper", keywords=["range"], enabled=False)
+    catalog = skills.SkillCatalog([on, off])
+    assert catalog.of_category("helper") == [on]
+    assert catalog.skills == [on, off]  # what `skills list` shows
+    assert catalog.enabled("glare") is None
+
+
 def test_loaded_skills_are_immutable():
     # loads share the parsed skills, so none of them may change
     catalog = skills.SkillCatalog.load(default_skills_root())
@@ -295,15 +304,6 @@ def test_assemble_prompt_order_and_delimiters(catalog):
               + catalog.by_name["prospective-select"].body)
     assert select in prompt.text
     assert prompt.for_call("plan") == prompt.text.replace(select, "")
-
-
-def test_assemble_prompt_rejects_disabled(catalog):
-    disabled = skills.Skill(name="bad", category="learned", enabled=False)
-    routed = skills.RoutingResult("approach", [], "test", False)
-    with pytest.raises(skills.DisabledSkillIncluded):
-        skills.assemble_prompt(
-            catalog.of_category("core"), routed, {}, [disabled], catalog
-        )
 
 
 def test_mode_skill_table():

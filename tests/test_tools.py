@@ -191,6 +191,32 @@ def test_safe_eval_rejects_everything_else(expression):
         tools.safe_eval(expression)
 
 
+_OPERANDS = st.one_of(st.integers(-20, 20),
+                      st.floats(-20.0, 20.0).map(lambda f: round(f, 3))).map(repr)
+_ARITHMETIC = st.recursive(
+    _OPERANDS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({''.join(t)})"),
+        st.tuples(st.sampled_from("+-"), inner).map("".join),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_ARITHMETIC)
+@settings(max_examples=200, deadline=None)
+def test_safe_eval_agrees_with_python_on_arithmetic(expression):
+    try:
+        expected = eval(expression)  # literals and + - * / only
+    except ZeroDivisionError:
+        with pytest.raises(tools.ToolError, match="^division by zero$"):
+            tools.safe_eval(expression)
+        return
+    if math.isfinite(expected):
+        # the same operations in the same order: the same value, type and sign of zero
+        assert repr(tools.safe_eval(expression)) == repr(expected)
+
+
 @pytest.mark.parametrize("links", [2000, 3000, 100_000])  # walk, then ast.parse, recurse
 def test_a_long_operator_chain_is_a_tool_error(links):
     with pytest.raises(tools.ToolError, match="nests too deeply"):

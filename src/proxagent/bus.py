@@ -269,8 +269,8 @@ def _stateless(reference: json.JSONEncoder) -> Callable[[object], str]:
 # The program's one JSON text format: the text of
 # json.dumps(value, sort_keys=True, allow_nan=False), which raises ValueError
 # on NaN or Infinity. No value the program encodes can be circular: each is
-# read from JSON text, copied by json_copy or record_copy, or built fresh
-# from those; a circular one exceeds the recursion limit.
+# read from JSON text, copied by json_copy or record_copy, made by read_only
+# or built fresh from those; a circular one exceeds the recursion limit.
 dumps_strict = _stateless(
     json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False))
 
@@ -305,13 +305,58 @@ def encode(record: dict) -> bytes:
     return dumps_strict(record).encode("utf-8")
 
 
-_CONTAINERS = frozenset({dict, list})  # the container types json_copy makes
+def _refuse_change(self, *args, **kwargs):
+    raise TypeError(f"a {type(self).__name__} cannot be changed")
+
+
+class ReadOnlyDict(dict):
+    """A JSON object that cannot be changed: every method that would change
+    it raises TypeError. ``read_only`` builds one, its values read-only too."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse_change
+    clear = pop = popitem = setdefault = update = _refuse_change
+
+    def __reduce__(self):  # for copy.deepcopy and pickle
+        return ReadOnlyDict, (dict(self),)
+
+
+class ReadOnlyList(list):
+    """A JSON array that cannot be changed, as ``ReadOnlyDict`` an object."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse_change
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse_change
+
+    def __reduce__(self):
+        return ReadOnlyList, (list(self),)
+
+
+_MUTABLE = frozenset({dict, list})  # the container types json_copy makes
+_CONTAINERS = _MUTABLE | {ReadOnlyDict, ReadOnlyList}
+
+
+def read_only(value):
+    """The JSON-native ``value``, to be shared instead of copied, with each
+    dict and list in it rebuilt as a ``ReadOnlyDict`` or ``ReadOnlyList``.
+    A read-only value, and any other, is returned as it is."""
+    kind = type(value)
+    if kind is dict:
+        frozen = ReadOnlyDict(value)
+        for name, item in value.items():
+            if type(item) in _MUTABLE:
+                dict.__setitem__(frozen, name, read_only(item))  # still being built
+        return frozen
+    if kind is list:
+        return ReadOnlyList([read_only(item) if type(item) in _MUTABLE else item
+                             for item in value])
+    return value
 
 
 def record_copy(record: dict) -> dict:
-    """A copy of the JSON-native ``record`` that the caller may change
-    freely: every dict and list in it is new, and its other values, which
-    are immutable, are shared."""
+    """A copy of the JSON-native ``record``, read-only or not, that the
+    caller may change freely: every dict and list in it is a new, plain one,
+    and its other values, which are immutable, are shared."""
     copied = dict(record)
     for name, value in copied.items():
         if type(value) in _CONTAINERS:  # e.g. cmd/terminate's report
@@ -321,7 +366,7 @@ def record_copy(record: dict) -> dict:
 
 def _tree_copy(value):
     """``record_copy`` of a dict or list nested in a record."""
-    if type(value) is list:
+    if isinstance(value, list):
         return [_tree_copy(item) if type(item) in _CONTAINERS else item for item in value]
     return {name: _tree_copy(item) if type(item) in _CONTAINERS else item
             for name, item in value.items()}

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .bus import ARRAY, INTEGER, NUMBER, NUMBER_OR_NULL, STRING, field_problem, record_copy
+from .bus import ARRAY, INTEGER, NUMBER, NUMBER_OR_NULL, STRING, field_problem, read_only
 from .reasoning import CALL_REFLECT, DecisionProvider, ProviderRequest
 from .skills import LEARNED, Skill, render_skill, skill_files, words
 from .trajectory import Outcome, Trajectory, open_for_write, read_jsonl, write_jsonl
@@ -101,7 +101,7 @@ _SUMMARY_DEFAULTS = {"movement": [], "movement_omitted": 0, "perception": [],
                      "perception_omitted": 0, "max_attempted_translation": 0.0, "notes": []}
 
 
-def _digest_edges(entries: list[dict]) -> tuple[list[dict], int]:
+def _digest_edges(entries: list) -> tuple[list, int]:
     """The first and last ``MOVEMENT_DIGEST_EDGE`` entries, and how many
     were left out between them."""
     omitted = len(entries) - 2 * MOVEMENT_DIGEST_EDGE
@@ -114,13 +114,10 @@ def summarize_episode(
     trajectory: Trajectory, outcome: Outcome, task_kind: str, episode_id: str = ""
 ) -> dict:
     """Deterministic, bounded digest of an ended trajectory: its history line,
-    every ``_SUMMARY_FIELDS`` field set."""
-    movement = []
+    every ``_SUMMARY_FIELDS`` field set, read-only (``bus.read_only``)."""
     max_translation = 0.0
-    perception = []
     for record in trajectory.steps:
         call = record.call
-        movement.append({"step": record.step, "tool": call["tool"], "args": call["args"]})
         if call["tool"] == "set_position":
             args = call["args"]
             try:
@@ -132,18 +129,9 @@ def summarize_episode(
             except OverflowError:  # finite components, a norm beyond float range:
                 norm = sys.float_info.max  # still above every actuator limit
             max_translation = max(max_translation, norm)
-        obs = record.observation
-        perception.append(
-            {
-                "step": record.step,
-                "brightness": obs.get("mean_brightness"),
-                "visible": obs.get("visible"),
-            }
-        )
-    movement, movement_omitted = _digest_edges(movement)
-    perception, perception_omitted = _digest_edges(perception)
+    kept, omitted = _digest_edges(trajectory.steps)
     reason = outcome.reason if trajectory.steps else "error"
-    return {
+    return read_only({
         "episode_id": episode_id,
         "task_kind": task_kind,
         "success": outcome.success,
@@ -151,13 +139,16 @@ def summarize_episode(
         "score": outcome.score,
         "steps": outcome.steps,
         "reason": reason,
-        "movement": movement,
-        "movement_omitted": movement_omitted,
-        "perception": perception,
-        "perception_omitted": perception_omitted,
+        "movement": [{"step": record.step, "tool": record.call["tool"],
+                      "args": record.call["args"]} for record in kept],
+        "movement_omitted": omitted,
+        "perception": [{"step": record.step,
+                        "brightness": record.observation.get("mean_brightness"),
+                        "visible": record.observation.get("visible")} for record in kept],
+        "perception_omitted": omitted,
         "max_attempted_translation": round(max_translation, 4),
         "notes": [],
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +234,16 @@ def reflect(
     provider: DecisionProvider,
     learned_names: Optional[list[str]] = None,
 ) -> MutationDecision:
-    """Reflection call, sent copies of the summary, whose line is written
-    after it, and of the active skills, which the trajectory's header lists;
-    malformed output degrades to no_change, never raises."""
+    """Reflection call, sent the summary and history read-only, as the store
+    keeps them, and a copy of the active skills, which the trajectory's
+    header lists; malformed output, or an edit of either, degrades to
+    no_change, never raises."""
     request = ProviderRequest(
         call_kind=CALL_REFLECT,
         prompt="Reflect on the episode and propose at most one skill mutation.",
         task_kind=summary["task_kind"],
         extra={
-            "summary": record_copy(summary),
+            "summary": read_only(summary),
             "history": history[-REFLECTION_HISTORY:],
             "active_skills": list(active_skills),
             "learned_names": learned_names or [],
@@ -316,9 +308,10 @@ class SkillStore:
     use, into ``view``, and ``materialize`` records each file it writes
     there, so the view matches the directory. It reads ``episodes.jsonl``
     once, on first use of ``history``, parsing only the last
-    ``REFLECTION_HISTORY`` lines into a bounded tail that ``record_episode``
-    extends. It lists the workspace's trajectories once, on first use of
-    ``next_episode_id``. All of this holds only while the store is the
+    ``REFLECTION_HISTORY`` lines into a bounded tail of read-only summaries
+    (``bus.read_only``) that ``record_episode`` extends and ``history``
+    hands out uncopied. It lists the workspace's trajectories once, on
+    first use of ``next_episode_id``. All of this holds only while the store is the
     workspace's one writer: a workspace must not be written by two stores,
     or two processes, at once.
 
@@ -332,7 +325,7 @@ class SkillStore:
         self.learned_dir = self.workspace / "learned"
         self.audit_path = self.learned_dir / "audit.log"
         self.history_path = self.workspace / "episodes.jsonl"
-        # the last summaries, handed out only as record_copy copies
+        # the last summaries, read-only, so handed out as they are
         self._tail: Optional[deque[dict]] = None
         self._episodes = 0  # summaries in episodes.jsonl, once _tail is read
         self._last_id: Optional[int] = None  # the last id handed out, once listed
@@ -375,14 +368,15 @@ class SkillStore:
                     raise EvolutionError(
                         f"{path} line {number}: not an episode summary ({problem})"
                     )
-                tail.append({**_SUMMARY_DEFAULTS, **record})
+                tail.append(read_only({**_SUMMARY_DEFAULTS, **record}))
             self._tail, self._episodes = tail, count
         return self._tail
 
     def history(self) -> list[dict]:
         """The workspace's last ``REFLECTION_HISTORY`` episode summaries,
-        oldest first, as copies: nothing done to them reaches the store."""
-        return [record_copy(entry) for entry in self._read_history()]
+        oldest first, in a new list. Each is the store's own read-only
+        entry: changing one raises TypeError, so nothing reaches the store."""
+        return list(self._read_history())
 
     def next_episode_id(self) -> str:
         """A new ``ep-NNNNNN``, after every summary, ``ep-NNNNNN.jsonl`` and
@@ -398,7 +392,7 @@ class SkillStore:
     def record_episode(self, summary: dict) -> None:
         write_jsonl(self.history_path, [summary], "a")
         if self._tail is not None:  # else the first read finds it in the file
-            self._tail.append(record_copy(summary))
+            self._tail.append(read_only(summary))
             self._episodes += 1
 
     # -- audit ---------------------------------------------------------

@@ -3,6 +3,8 @@ import dataclasses
 import enum
 import json
 import math
+import operator
+import pickle
 import re
 import threading
 from typing import Optional
@@ -618,6 +620,78 @@ def test_prebuilt_encoders_match_json_dumps(value):
     fail_inside(bus.dumps_strict, value)  # each encode follows one that failed
     assert outcome(bus.dumps_strict, value) == outcome(
         lambda v: json.dumps(v, sort_keys=True, allow_nan=False), value)
+
+
+# -- read-only values ----------------------------------------------------
+
+_native_values = st.recursive(  # JSON-native: what read_only is given
+    st.one_of(st.booleans(), st.none(), st.integers(-(2**64), 2**64), _json_text,
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_json_text, inner, max_size=3)),
+    max_leaves=12,
+)
+
+# Every method of dict and list that changes the container in place.
+_CHANGES = {
+    bus.ReadOnlyDict: (
+        lambda d: d.__setitem__("k", 1), lambda d: d.__delitem__("k"),
+        lambda d: operator.ior(d, {"k": 1}), lambda d: d.clear(), lambda d: d.pop("k", None),
+        lambda d: d.popitem(), lambda d: d.setdefault("k", 1), lambda d: d.update(k=1),
+    ),
+    bus.ReadOnlyList: (
+        lambda v: v.__setitem__(0, 1), lambda v: v.__delitem__(0),
+        lambda v: operator.iadd(v, [1]), lambda v: operator.imul(v, 2), lambda v: v.append(1),
+        lambda v: v.extend([1]), lambda v: v.insert(0, 1), lambda v: v.pop(),
+        lambda v: v.remove(1), lambda v: v.clear(), lambda v: v.sort(), lambda v: v.reverse(),
+    ),
+}
+
+
+def each_container(value):
+    """Every dict and list in ``value``, ``value`` itself first if it is one."""
+    if isinstance(value, dict):
+        yield value
+        for item in value.values():
+            yield from each_container(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from each_container(item)
+
+
+@given(_native_values)
+@settings(max_examples=300, deadline=None)
+def test_a_read_only_value_equals_its_source_and_refuses_every_change(value):
+    frozen = bus.read_only(value)
+    assert frozen == value
+    assert bus.dumps_strict(frozen) == bus.dumps_strict(value)
+    assert bus.read_only(frozen) is frozen
+    kinds = [type(c) for c in each_container(frozen)]
+    assert set(kinds) <= set(_CHANGES)
+    for kept in (copy.deepcopy(frozen), pickle.loads(pickle.dumps(frozen))):
+        assert kept == value
+        assert [type(c) for c in each_container(kept)] == kinds
+    for container in each_container(frozen):
+        for change in _CHANGES[type(container)]:
+            with pytest.raises(TypeError):
+                change(container)
+    assert frozen == value
+
+
+@given(_native_values)
+@settings(max_examples=300, deadline=None)
+def test_a_copy_of_a_read_only_value_is_plain_and_free_to_change(value):
+    frozen = bus.read_only(value)
+    copies = [bus.json_copy(frozen, "value"), bus.record_copy({"value": frozen})["value"]]
+    if isinstance(frozen, dict):
+        copies.append(bus.record_copy(frozen))
+    for copied in copies:
+        assert copied == value
+        for container in each_container(copied):
+            assert type(container) in (dict, list)
+            container.clear()
+    assert frozen == value
 
 
 def test_prebuilt_encoders_refuse_a_circular_record():

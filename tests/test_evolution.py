@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import evolution, reasoning
+from proxagent import bus, evolution, reasoning
 from proxagent.bus import field_problem
 from proxagent.evolution import (
     ACTION_CREATE,
@@ -143,6 +143,71 @@ def test_a_provider_that_edits_its_summary_changes_no_history_line(tmp_path):
     assert evolution.run_evolution(summary, [], Editing(), store)["action"] == ACTION_NO_CHANGE
     store.record_episode(summary)
     assert (tmp_path / "episodes.jsonl").read_text(encoding="utf-8") == line + "\n"
+
+
+def test_a_summary_and_the_history_it_becomes_are_read_only(tmp_path):
+    outcome = Outcome(steps=50, reason="timeout", success=False)
+    summary = summarize_episode(make_trajectory(50), outcome, "rendezvous", "ep-000001")
+    SkillStore(tmp_path).record_episode(summary)
+    (loaded,) = SkillStore(tmp_path).history()  # read back from episodes.jsonl
+    for entry in (summary, loaded):
+        assert type(entry) is bus.ReadOnlyDict
+        assert field_problem(evolution._SUMMARY_FIELDS, entry, closed=True) is None
+        with pytest.raises(TypeError):
+            entry["movement"][0]["args"]["dx"] = 99.0
+    assert loaded == summary
+
+
+def test_the_store_keeps_and_hands_out_one_entry_per_summary(tmp_path):
+    store = SkillStore(tmp_path)
+    store.history()  # the tail is read: record_episode extends it
+    outcome = Outcome(steps=3, reason="timeout", success=False)
+    summary = summarize_episode(make_trajectory(3), outcome, "rendezvous", "ep-000001")
+    store.record_episode(summary)
+    plain = json.loads(json.dumps(summary))
+    store.record_episode(plain)
+    first, second = store.history(), store.history()
+    assert first is not second
+    assert first[0] is second[0] is summary  # shared, not copied
+    assert first[1] is second[1] and type(first[1]) is bus.ReadOnlyDict and first[1] == plain
+    plain["notes"].append("changed after it was recorded")
+    assert first[1]["notes"] == []
+
+
+class _EditingReflector:
+    """Changes what it is sent, then reflects as the scripted stand-in does."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def complete(self, request):
+        self.edit(request.extra)
+        return reasoning.scripted_reflection(request.extra)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda extra: extra["summary"].update(steps=-1),
+    lambda extra: extra["summary"]["notes"].append("edited"),
+    lambda extra: extra["summary"]["movement"][0]["args"].update(dx=0.0),
+    lambda extra: extra["history"][0].__setitem__("score", 0.0),
+    lambda extra: extra["history"][0]["movement"].clear(),
+], ids=["summary", "summary-notes", "summary-args", "history", "history-movement"])
+def test_a_reflector_that_edits_what_it_is_sent_degrades_to_no_change(tmp_path, edit):
+    store = SkillStore(tmp_path)
+    outcome = Outcome(steps=50, reason="timeout", success=False)
+    store.record_episode(
+        summarize_episode(make_trajectory(50), outcome, "rendezvous", "ep-000001"))
+    lines = store.history_path.read_bytes()
+    history = store.history()
+    summary = summarize_episode(make_trajectory(50, dx=9.0), outcome, "rendezvous", "ep-000002")
+    unedited = reasoning.scripted_reflection({"summary": summary, "history": history})
+    assert parse_mutation(unedited).action == ACTION_CREATE  # what it says when it edits nothing
+    event = evolution.run_evolution(summary, [], _EditingReflector(edit), store)
+    assert event["action"] == ACTION_NO_CHANGE
+    assert store.history() == history
+    assert all(a is b for a, b in zip(store.history(), history))
+    assert store.history_path.read_bytes() == lines
+    assert store.audit_records() == []
 
 
 # -- mutation grammar ---------------------------------------------------

@@ -836,3 +836,52 @@ def test_a_long_operator_chain_ends_a_react_episode_cleanly(satellites):
     (inner,) = result.trajectory.steps[0].inner
     assert inner["tool"] == "eval_expr"
     assert inner["result"]["error_kind"] == "ExpressionError"
+
+
+# Seeded mis-tuned campaigns: the scripted policy overshoots the actuator
+# limit, so the first rounds fail, reflection creates learned skills and the
+# gate audits each proposal. The script prints one digest of every file the
+# campaigns leave in their workspaces, each named by its relative path.
+_MISTUNED_CAMPAIGNS = """
+import hashlib, sys
+from pathlib import Path
+from proxagent.env import TASK_KINDS, make_task
+from proxagent.reasoning import ScriptedPolicyConfig, ScriptedProvider
+from proxagent.runner import EpisodeConfig, run_campaign
+from proxagent.skills import REASONING_MODES
+root = Path(sys.argv[1])
+def mistuned():
+    return ScriptedProvider(ScriptedPolicyConfig(max_forward_step=6.0, forward_fraction=0.5))
+for kind in TASK_KINDS:
+    for mode in REASONING_MODES:
+        for seed in range(3):
+            base = EpisodeConfig(task=make_task(kind), mode=mode, seed=seed)
+            run_campaign(base, 4, root / f"{kind}-{mode}-{seed}", provider_factory=mistuned)
+digest = hashlib.blake2b(digest_size=16)
+files = sorted(p for p in root.rglob("*") if p.is_file())
+for path in files:
+    data = path.read_bytes()
+    digest.update(f"{path.relative_to(root).as_posix()} {len(data)}\\n".encode())
+    digest.update(data)
+print(len(files), digest.hexdigest())
+"""
+# The recorded digest of those files: any change to the bytes of
+# episodes.jsonl, learned/audit.log, learned/*.skill or a trajectory moves it.
+_MISTUNED_WORKSPACE_DIGEST = "18317da66c9947b61771e3c1b2660736"
+
+
+def test_mistuned_campaigns_write_the_recorded_workspace_bytes(tmp_path):
+    src = Path(runner.__file__).resolve().parent.parent
+    printed = []
+    for hash_seed in ("0", "1"):
+        root = tmp_path / f"run-{hash_seed}"
+        done = subprocess.run(
+            [sys.executable, "-c", _MISTUNED_CAMPAIGNS, str(root)],
+            check=True, timeout=300, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+        )
+        printed.append(done.stdout.split())
+    first, second = printed
+    assert first == second
+    assert any((tmp_path / "run-0").glob("*/learned/*.skill"))
+    assert first[1] == _MISTUNED_WORKSPACE_DIGEST

@@ -25,7 +25,7 @@ import click
 from . import bus as busmod
 from .config import ConfigError, RootConfig, load_config
 from .env import evaluate, load_satellite_catalog, make_task
-from .reasoning import make_provider
+from .reasoning import MODES, make_provider
 from .runner import default_skills_root, run_campaign, run_episode, shipped_catalog
 from .skills import SkillCatalog, route
 from .tools import builtin_profiles
@@ -116,7 +116,7 @@ class Setup:
             _check_satellite(self.satellites, episode.task.satellite_id)
             route(episode.task.description, episode.task.kind, episode.mode,
                   self.skill_catalog)
-            self.skill_catalog.mode_skills(episode.mode)
+            self.skill_catalog.mode_skills(MODES[episode.mode].skills)
         self.backend = busmod.make_backend(root.bus.backend, url=root.bus.redis_url)
         self.stores: dict[Path, SkillStore] = {}
         self._locks: list[int] = []

@@ -166,23 +166,22 @@ class MutationDecision:
     content: Optional[dict] = None  # intent/trigger/rule/constraints/evidence
     justification: str = ""
 
-    def validate(self) -> Optional[str]:
+    def validate(self) -> None:
         if self.action not in ACTIONS:
-            return f"unknown action {self.action!r}"
+            raise EvolutionError(f"unknown action {self.action!r}")
         if self.action in TARGETED_ACTIONS:
             if not self.target:
-                return f"{self.action} requires a target"
+                raise EvolutionError(f"{self.action} requires a target")
         elif self.target:
-            return f"{self.action} must not carry a target"
+            raise EvolutionError(f"{self.action} must not carry a target")
         if self.action in CONTENT_ACTIONS:
             if not self.content:
-                return f"{self.action} requires content"
+                raise EvolutionError(f"{self.action} requires content")
             for section in CONTENT_SECTIONS:
                 if not str(self.content.get(section, "")).strip():
-                    return f"content section {section!r} is empty"
+                    raise EvolutionError(f"content section {section!r} is empty")
         elif self.content:
-            return f"{self.action} must not carry content"
-        return None
+            raise EvolutionError(f"{self.action} must not carry content")
 
 
 _MUTATION_HEAD = re.compile(r"^MUTATION (?P<action>\S+)\s*$", re.MULTILINE)
@@ -217,9 +216,7 @@ def parse_mutation(text: str) -> MutationDecision:
         content=content,
         justification=fields.get("justify", ""),
     )
-    problem = decision.validate()
-    if problem is not None:
-        raise EvolutionError(problem)
+    decision.validate()
     return decision
 
 
@@ -415,6 +412,13 @@ def _json_object(path: Path, number: int, value) -> dict:
     return value
 
 
+def _require_change(mutation: MutationDecision) -> None:
+    """An EvolutionError unless ``mutation`` is valid and changes a skill."""
+    mutation.validate()
+    if mutation.action == ACTION_NO_CHANGE:
+        raise EvolutionError("no_change changes no skill")
+
+
 def _first_failure(mutation: MutationDecision, store: SkillStore,
                    episode_task: str) -> GateVerdict:
     """The first of the gate's constraints that ``mutation`` breaks, or acceptance."""
@@ -432,7 +436,7 @@ def _first_failure(mutation: MutationDecision, store: SkillStore,
         return GateVerdict(False, REJECT_SCOPE,
                            f"mutation scope {mutation.scope!r} != episode task {episode_task!r}")
     if mutation.action in TARGETED_ACTIONS:
-        entry = existing.get(mutation.target or "")
+        entry = existing.get(mutation.target)
         if entry is None or entry[0].category != LEARNED:
             return GateVerdict(False, REJECT_PARENT,
                                f"target {mutation.target!r} not a learned skill")
@@ -445,10 +449,9 @@ def quality_gate(
     episode_task: str,
     episode_id: str = "",
 ) -> GateVerdict:
-    """Four constraints, applied in order; first failure wins. Each verdict
-    is one line of the store's audit log."""
-    if mutation.action == ACTION_NO_CHANGE:
-        raise EvolutionError("no_change does not pass through the gate")
+    """Four constraints in order, first failure wins; each verdict is one audit log line.
+    An invalid or no_change decision is an EvolutionError, not a verdict."""
+    _require_change(mutation)
     verdict = _first_failure(mutation, store, episode_task)
     store.audit(
         {
@@ -496,8 +499,9 @@ def _render_sections(content: dict) -> str:
 def materialize(
     mutation: MutationDecision, store: SkillStore, episode_id: str = ""
 ) -> Skill:
-    """Write an accepted mutation to the store as a learned-skill file and
-    record it in the store's view."""
+    """Write an accepted mutation as a learned-skill file and record it in the store's
+    view. An invalid or no_change decision, or a missing target, is an EvolutionError."""
+    _require_change(mutation)
     existing = store.view
     provenance = f"evolved:{episode_id}"
     content = mutation.content
@@ -520,6 +524,8 @@ def materialize(
                 provenance=provenance,
             )
         else:
+            if mutation.target not in existing:
+                raise EvolutionError(f"target {mutation.target!r} is not in the store")
             current, current_path = existing[mutation.target]
             # overlay and rewrite: the next version of the same learned skill
             successor = {"category": LEARNED, "version": current.version + 1,
@@ -535,7 +541,7 @@ def materialize(
                     + f"\n\nOverlay v{current.version + 1} ({episode_id}):\n"
                     + _render_sections(content),
                 )
-            elif mutation.action == ACTION_REWRITE:
+            else:  # rewrite
                 skill = replace(
                     current,
                     **successor,
@@ -543,8 +549,6 @@ def materialize(
                     keywords=_keywords_from(content),
                     body=_render_sections(content),
                 )
-            else:
-                raise EvolutionError(f"cannot materialize action {mutation.action!r}")
         # a disabled skill keeps its file; any other change is a new version's
         path = (current_path if mutation.action == ACTION_DISABLE
                 else store.learned_dir / f"{skill.name}.v{skill.version}.skill")
@@ -587,10 +591,11 @@ def run_evolution(
     store: SkillStore,
 ) -> dict:
     """Reflect on the episode against the store's history, then gate and
-    materialize. Returns an event record for the log."""
+    materialize. Returns an event record for the log, with the reflection's justification."""
     learned_names = sorted(store.view)
     mutation = reflect(summary, store.history(), active_skills, provider, learned_names)
-    event = {"action": mutation.action, "accepted": False, "skill": None}
+    event = {"action": mutation.action, "accepted": False, "skill": None,
+             "justification": mutation.justification}
     if mutation.action == ACTION_NO_CHANGE:
         return event
     verdict = quality_gate(mutation, store, summary["task_kind"], summary["episode_id"])

@@ -6,11 +6,11 @@ text; anything that does not parse to the call kind's grammar is classified
 malformed, never silently coerced. The scripted provider is deterministic;
 the remote provider speaks a chat-completions-shaped HTTP contract.
 
-Three mode loops produce exactly one committed control-or-terminal tool
-call per outer step: standard (direct, with one optional follow-up after a
-non-control tool), react (up to REACT_ROUNDS inner rounds), and
-prospective (plan three candidates, select one, degrade to a direct call on
-malformed plans).
+Each reasoning mode is one record of ``MODES``: its step function, its
+schedule and its mode skills by call kind. A step commits exactly one
+control-or-terminal tool call: standard and react share one decide loop of
+their records' ``rounds``, and prospective plans up to its ``candidates``,
+selects one, and degrades to a direct call on malformed output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .bus import (TOO_DEEP, dumps_strict, field_problem, loads, parameter_table,
                   record_copy)
@@ -38,7 +38,6 @@ RISK_ORDER = {"Low": 0, "Medium": 1, "High": 2}
 DEFAULT_MEMORY_WINDOW = 5
 REMOTE_TIMEOUT_S = 60.0
 STEP_RETRY_BUDGET = 1
-REACT_ROUNDS = 3  # inner rounds of one react step; the last is control-only
 
 
 class ReasoningError(Exception):
@@ -145,9 +144,9 @@ def parse_tool_call(
 
 
 def parse_candidates(
-    text: str, visible: tuple[ToolDescriptor, ...], step_index: int = 0
+    text: str, visible: tuple[ToolDescriptor, ...], limit: int, step_index: int = 0
 ) -> list[Candidate]:
-    """Parse a plan output into at most three valid candidates."""
+    """Parse a plan output into at most ``limit`` valid candidates."""
     candidates: list[Candidate] = []
     for line in _lines(text):
         match = _CANDIDATE_LINE.match(line)
@@ -155,7 +154,7 @@ def parse_candidates(
             continue
         call = _parse_call(match, visible, step_index)
         candidates.append(Candidate(call, match.group("outcome"), match.group("risk")))
-        if len(candidates) == 3:
+        if len(candidates) == limit:
             break
     if not candidates:
         raise MalformedOutput("no CANDIDATE lines found")
@@ -797,37 +796,47 @@ class StepContext:
         return self
 
 
-def step_standard(ctx: StepContext) -> StepContext:
-    """Direct decision; one optional follow-up after a non-control tool.
+@dataclass(frozen=True)
+class ReasoningMode:
+    """One reasoning mode: its step function, its schedule, and its mode skills by call kind."""
 
-    The follow-up is restricted to control/terminal tools, so the committed
-    action of every step is a control-or-terminal call.
-    """
-    call = ctx.decide()
-    if call.checked.category == CATEGORY_CONTROL:
-        return ctx.result(call)
-    ctx.run_inner(call, inner_round=1)
-    return ctx.result(ctx.decide(visible=_control_tools(ctx.visible), inner_round=0))
+    step: Callable[[StepContext], StepContext]
+    rounds: int = 0      # decide rounds of one step
+    candidates: int = 0  # actions one plan may propose
+    skills: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # a decided call's inner_round is its round, or 0: standard's logs were recorded with 0
+    labels_rounds: bool = True
 
 
-def step_react(ctx: StepContext) -> StepContext:
-    """Thought-action-observation loop of up to REACT_ROUNDS rounds: exits as
-    soon as a control tool is chosen; the final round is restricted to
-    control/terminal tools."""
-    for inner_round in range(1, REACT_ROUNDS):
-        call = ctx.decide(inner_round=inner_round)
+def _decide_rounds(ctx: StepContext, mode: ReasoningMode) -> StepContext:
+    """Up to ``mode.rounds`` decide rounds, committing the first control call; a
+    non-control call is run for the next round, and the last offers only control tools."""
+    for inner_round in range(1, mode.rounds):
+        call = ctx.decide(inner_round=inner_round if mode.labels_rounds else 0)
         if call.checked.category == CATEGORY_CONTROL:
             return ctx.result(call)
         ctx.run_inner(call, inner_round)
-    return ctx.result(ctx.decide(visible=_control_tools(ctx.visible), inner_round=REACT_ROUNDS))
+    return ctx.result(ctx.decide(visible=_control_tools(ctx.visible),
+                                 inner_round=mode.rounds if mode.labels_rounds else 0))
+
+
+def step_standard(ctx: StepContext) -> StepContext:
+    """Direct decision; one optional follow-up after a non-control tool."""
+    return _decide_rounds(ctx, MODES["standard"])
+
+
+def step_react(ctx: StepContext) -> StepContext:
+    """Thought-action-observation loop (ReAct, Yao et al., arXiv:2210.03629)."""
+    return _decide_rounds(ctx, MODES["react"])
 
 
 def step_prospective(ctx: StepContext) -> StepContext:
-    """Plan up to three candidates, then select; degrades to a direct
+    """Plan candidates, then select one; degrades to a direct
     control-restricted call when the plan or selection is malformed."""
     control = _control_tools(ctx.visible)
     try:
-        candidates = parse_candidates(ctx.ask(CALL_PLAN), control, ctx.step_index)
+        candidates = parse_candidates(ctx.ask(CALL_PLAN), control,
+                                      MODES["prospective"].candidates, ctx.step_index)
         listing = [
             {
                 "index": i,
@@ -843,3 +852,13 @@ def step_prospective(ctx: StepContext) -> StepContext:
     except MalformedOutput:
         return ctx.result(ctx.decide(visible=control), degraded=True)
     return ctx.result(candidates[index].action)
+
+
+# Each reasoning mode, by the name that ``--mode`` and ``run.mode`` give
+MODES = {
+    "standard": ReasoningMode(step_standard, rounds=2, labels_rounds=False),
+    "react": ReasoningMode(step_react, rounds=3, skills={CALL_DECIDE: ("react-loop",)}),
+    "prospective": ReasoningMode(step_prospective, candidates=3,
+                                 skills={CALL_PLAN: ("prospective-plan",),
+                                         CALL_SELECT: ("prospective-select",)}),
+}

@@ -31,24 +31,15 @@ from .env import (
     load_satellite_catalog,
 )
 from .reasoning import (
+    MODES,
     DecisionProvider,
     MemoryState,
     ReasoningError,
     ScriptedProvider,
     StepContext,
-    step_prospective,
-    step_react,
-    step_standard,
     update_memory,
 )
-from .skills import (
-    CORE,
-    MODE_STANDARD,
-    REASONING_MODES,
-    SkillCatalog,
-    assemble_prompt,
-    route,
-)
+from .skills import CORE, SkillCatalog, assemble_prompt, route
 from .tools import (
     TERMINATE,
     ToolDispatcher,
@@ -69,11 +60,8 @@ from .trajectory import (
 if TYPE_CHECKING:
     from .evolution import SkillStore
 
-_MODE_STEP = {
-    "standard": step_standard,
-    "react": step_react,
-    "prospective": step_prospective,
-}
+# Each mode's step function, called through this plain dict: a tracer patches its entries
+_MODE_STEP = {name: mode.step for name, mode in MODES.items()}
 
 
 class RunnerError(Exception):
@@ -86,7 +74,7 @@ class EpisodeConfig:
 
     task: TaskSpec
     profile: str = "hybrid-nav"
-    mode: str = MODE_STANDARD
+    mode: str = "standard"                 # a key of reasoning.MODES
     seed: int = 0
     episode_id: Optional[str] = None       # None: the store's next, else ep-000001
     workspace: Optional[Path] = None       # a SkillStore's workspace
@@ -95,7 +83,7 @@ class EpisodeConfig:
     router: Optional[DecisionProvider] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in REASONING_MODES:
+        if self.mode not in MODES:
             raise RunnerError(f"unknown reasoning mode {self.mode!r}")
         if self.profile not in builtin_profiles():
             raise RunnerError(f"unknown tool profile {self.profile!r}")
@@ -201,7 +189,7 @@ def run_episode(
     routing = route(task.description, task.kind, config.mode, skill_catalog,
                     router=config.router)
     core_skills = skill_catalog.of_category(CORE)
-    mode_skills = skill_catalog.mode_skills(config.mode)
+    mode_skills = skill_catalog.mode_skills(MODES[config.mode].skills)
 
     store = _workspace_store(config.workspace, store)
     episode_id = config.episode_id

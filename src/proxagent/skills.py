@@ -31,19 +31,6 @@ CATEGORIES = (CORE, TASK, HELPER, MODE, LEARNED)
 
 PROVENANCE_HAND = "hand-authored"
 
-# Reasoning-mode names and, per mode, the mode skills each phase's provider
-# calls get, by call kind (``reasoning.CALL_DECIDE``, ``CALL_PLAN``,
-# ``CALL_SELECT``); a call kind its mode does not list gets none
-MODE_STANDARD = "standard"
-MODE_REACT = "react"
-MODE_PROSPECTIVE = "prospective"
-MODE_SKILLS = {
-    MODE_STANDARD: {},
-    MODE_REACT: {"decide_action": ["react-loop"]},
-    MODE_PROSPECTIVE: {"plan": ["prospective-plan"], "select": ["prospective-select"]},
-}
-REASONING_MODES = tuple(MODE_SKILLS)
-
 # Default (task skill, helper skills) per task kind, used as routing fallback
 DEFAULT_ROUTES = {
     "rendezvous": ("approach", ["distance"]),
@@ -256,17 +243,17 @@ class SkillCatalog:
         skill = self.by_name.get(name)
         return skill if skill is not None and skill.enabled else None
 
-    def mode_skills(self, mode: str) -> dict[str, list[Skill]]:
-        """The skills ``mode`` injects, by call kind; one missing or disabled
-        is a SkillError."""
-        for names in MODE_SKILLS[mode].values():
-            for name in names:
+    def mode_skills(self, names: dict[str, tuple[str, ...]]) -> dict[str, list[Skill]]:
+        """The mode skills of ``names`` by call kind (``reasoning.ReasoningMode.skills``);
+        one missing or disabled is a SkillError."""
+        for kind_names in names.values():
+            for name in kind_names:
                 if self.enabled(name) is None:
                     state = "disabled in" if name in self.by_name else "missing from"
-                    raise SkillError(f"{mode} mode needs skill {name!r}, which is "
+                    raise SkillError(f"the reasoning mode needs skill {name!r}, which is "
                                      f"{state} the catalog")
-        return {kind: [self.by_name[name] for name in names]
-                for kind, names in MODE_SKILLS[mode].items()}
+        return {kind: [self.by_name[name] for name in kind_names]
+                for kind, kind_names in names.items()}
 
 
 def _default_route(task_kind: str, catalog: SkillCatalog) -> RoutingResult:

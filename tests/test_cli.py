@@ -595,6 +595,20 @@ def _config(tmp_path, text):
     return str(path)
 
 
+@pytest.mark.parametrize("args, config, shown", [
+    (["run", "--mode", "banana"], None, "unknown reasoning mode 'banana'"),
+    (["run"], "run:\n  mode: banana\n", "run: unknown reasoning mode 'banana'"),
+    (["run"], "tasks:\n  search:\n    mode: banana\n",
+     "tasks.search: unknown reasoning mode 'banana'"),
+], ids=["flag", "run-section", "tasks-entry"])
+def test_an_unknown_reasoning_mode_exits_three_naming_it(runner, tmp_path, args, config, shown):
+    if config is not None:
+        args = args + ["--config", _config(tmp_path, config)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert shown in result.output
+
+
 def test_ablate_unknown_condition_exits_three(runner):
     result = runner.invoke(main, ["ablate", "--condition", "C9"])
     assert result.exit_code == 3

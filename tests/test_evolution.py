@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -13,6 +14,7 @@ from proxagent.evolution import (
     ACTION_NO_CHANGE,
     ACTION_OVERLAY,
     ACTION_REWRITE,
+    EvolutionError,
     MutationDecision,
     SkillStore,
     fingerprint,
@@ -204,6 +206,7 @@ def test_a_reflector_that_edits_what_it_is_sent_degrades_to_no_change(tmp_path, 
     assert parse_mutation(unedited).action == ACTION_CREATE  # what it says when it edits nothing
     event = evolution.run_evolution(summary, [], _EditingReflector(edit), store)
     assert event["action"] == ACTION_NO_CHANGE
+    assert event["justification"] == "reflection output malformed"
     assert store.history() == history
     assert all(a is b for a, b in zip(store.history(), history))
     assert store.history_path.read_bytes() == lines
@@ -301,6 +304,34 @@ def test_gate_parent_validation(store):
     )
     verdict = quality_gate(orphan, store, "rendezvous")
     assert verdict.rejected_by == evolution.REJECT_PARENT
+
+
+@pytest.mark.parametrize("mutation, message", [
+    (MutationDecision(ACTION_NO_CHANGE, "rendezvous"), "no_change changes no skill"),
+    (MutationDecision("bogus", "rendezvous"), "unknown action 'bogus'"),
+    (MutationDecision(ACTION_OVERLAY, "rendezvous", content=content()),
+     "overlay requires a target"),
+    (MutationDecision(ACTION_DISABLE, "rendezvous", target="ghost", content=content()),
+     "disable must not carry content"),
+], ids=["no_change", "unknown-action", "overlay-without-target", "disable-with-content"])
+def test_gate_and_materialize_refuse_a_decision_they_cannot_apply(store, mutation, message):
+    seeded(store)
+    learned = sorted(store.learned_dir.iterdir())
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        quality_gate(mutation, store, "rendezvous")
+    assert store.audit_records() == []  # refused, not audited as a verdict
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        materialize(mutation, store, episode_id="ep-000002")
+    assert sorted(store.learned_dir.iterdir()) == learned
+
+
+def test_materialize_refuses_a_target_the_store_lacks(store):
+    for action, body in ((ACTION_OVERLAY, content()), (ACTION_REWRITE, content()),
+                         (ACTION_DISABLE, None)):
+        mutation = MutationDecision(action, "rendezvous", target="nope", content=body)
+        with pytest.raises(EvolutionError, match="^target 'nope' is not in the store$"):
+            materialize(mutation, store, episode_id="ep-000002")
+    assert not store.learned_dir.exists()
 
 
 def test_every_gate_invocation_is_audited(store):
@@ -496,6 +527,13 @@ _mutations = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_gate_never_accepts_constraint_violations(tmp_path_factory, mutation):
     store = SkillStore(tmp_path_factory.mktemp("gate") / "learned")
+    try:
+        mutation.validate()
+    except EvolutionError as invalid:  # refused before any constraint, and not audited
+        with pytest.raises(EvolutionError, match=f"^{re.escape(str(invalid))}$"):
+            quality_gate(mutation, store, "rendezvous")
+        assert store.audit_records() == []
+        return
     verdict = quality_gate(mutation, store, "rendezvous")
     if verdict.accepted:
         text = " ".join((mutation.content or {}).values()).lower()

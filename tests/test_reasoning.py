@@ -17,6 +17,7 @@ from proxagent.tools import builtin_catalog, builtin_profiles, visible_tools
 
 VISIBLE = visible_tools(builtin_catalog(), builtin_profiles()["hybrid-nav-code"])
 CONTROL = [t for t in VISIBLE if t.category == "control"]
+PLAN_CANDIDATES = reasoning.MODES["prospective"].candidates
 NO_SKILLS = AssembledPrompt(text="", skill_names=[], base="", by_call={})
 
 
@@ -144,7 +145,8 @@ def test_args_verdicts_on_tool_and_candidate_lines(tool, args, verdict):
         "tool": (f"TOOL {tool} ARGS {args}",
                  lambda text: reasoning.parse_tool_call(text, VISIBLE).args),
         "candidate": (f"CANDIDATE 0: TOOL {tool} ARGS {args} OUTCOME closer RISK Low",
-                      lambda text: reasoning.parse_candidates(text, VISIBLE)[0].action.args),
+                      lambda text: reasoning.parse_candidates(
+                          text, VISIBLE, PLAN_CANDIDATES)[0].action.args),
     }
     for text, parse in lines.values():
         if isinstance(verdict, dict):
@@ -185,7 +187,7 @@ def test_the_plans_fixed_candidates_are_their_args_formatted():
         request(reasoning.CALL_PLAN, task_kind="inspection"))
     assert plan.splitlines()[1:] == [reasoning._HOLD_POSE_CANDIDATE,
                                      reasoning._RETREAT_CANDIDATE]
-    candidates = reasoning.parse_candidates(plan, CONTROL)
+    candidates = reasoning.parse_candidates(plan, CONTROL, PLAN_CANDIDATES)
     assert [(c.action.tool, c.action.args) for c in candidates[1:]] == [
         ("set_attitude", hold), ("set_position", retreat)]
 
@@ -198,7 +200,7 @@ def test_candidate_grammar():
             'CANDIDATE 1: TOOL terminate ARGS {} OUTCOME ends episode RISK High',
         ]
     )
-    candidates = reasoning.parse_candidates(text, CONTROL)
+    candidates = reasoning.parse_candidates(text, CONTROL, PLAN_CANDIDATES)
     assert len(candidates) == 2
     assert candidates[0].risk == "Low"
     assert candidates[1].action.tool == "terminate"
@@ -207,7 +209,7 @@ def test_candidate_grammar():
 def test_candidates_capped_at_three():
     line = ('CANDIDATE {i}: TOOL terminate ARGS {{}} OUTCOME ends RISK Low')
     text = "\n".join(line.format(i=i) for i in range(6))
-    assert len(reasoning.parse_candidates(text, CONTROL)) == 3
+    assert len(reasoning.parse_candidates(text, CONTROL, PLAN_CANDIDATES)) == 3
 
 
 def test_a_candidate_numbered_in_other_digits_is_no_candidate():
@@ -215,7 +217,7 @@ def test_a_candidate_numbered_in_other_digits_is_no_candidate():
     text = ('CANDIDATE \u0661: TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0} '
             "OUTCOME closes range RISK Low")
     with pytest.raises(reasoning.MalformedOutput, match="^no CANDIDATE lines found$"):
-        reasoning.parse_candidates(text, CONTROL)
+        reasoning.parse_candidates(text, CONTROL, PLAN_CANDIDATES)
 
 
 def test_a_select_index_in_other_digits_is_malformed():
@@ -786,7 +788,8 @@ def test_a_degraded_prospective_decide_is_sent_no_plan_or_select_skill():
     catalog = shipped_catalog()
     prompt = assemble_prompt(catalog.of_category("core"),
                              RoutingResult("approach", ["distance"], "test"),
-                             catalog.mode_skills("prospective"), [], catalog)
+                             catalog.mode_skills(reasoning.MODES["prospective"].skills),
+                             [], catalog)
     provider = _QueueProvider(
         ["no plan here", 'TOOL set_position ARGS {"dx": 1.0, "dy": 0.0, "dz": 0.0}'])
     result = reasoning.step_prospective(reasoning.StepContext(

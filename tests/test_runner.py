@@ -20,6 +20,7 @@ from proxagent.env import UnknownSatellite, evaluate, load_satellite_catalog, ma
 from proxagent.reasoning import (
     CALL_REFLECT,
     CALL_ROUTE,
+    MODES,
     DecisionProvider,
     ScriptedPolicyConfig,
     ScriptedProvider,
@@ -34,7 +35,7 @@ from proxagent.runner import (
     run_campaign,
     run_episode,
 )
-from proxagent.skills import MODE_SKILLS, REASONING_MODES, SkillCatalog
+from proxagent.skills import SkillCatalog
 from proxagent.tools import (
     CATEGORY_PERCEPTION,
     ERR_ENV_TIMEOUT,
@@ -155,7 +156,7 @@ def test_trajectory_meta_names_the_setup(satellites):
     assert "approach" in meta["skills"]
 
 
-@pytest.mark.parametrize("mode", REASONING_MODES)
+@pytest.mark.parametrize("mode", list(MODES))
 def test_every_call_a_mode_loop_tests_carries_the_catalog_descriptor(satellites, monkeypatch,
                                                                      mode):
     # the loops read a call's category off call.checked, the parser's mark
@@ -206,7 +207,7 @@ def test_a_disabled_core_skill_is_skipped_not_injected(satellites, tmp_path):
     assert "coordinate-conventions" not in names
 
 
-@pytest.mark.parametrize("mode", REASONING_MODES)
+@pytest.mark.parametrize("mode", list(MODES))
 def test_no_header_names_a_disabled_skill(satellites, tmp_path, mode):
     catalog = SkillCatalog.load(_skills_disabling(
         tmp_path, "core/coordinate-conventions.skill", "helper/distance.skill"))
@@ -299,7 +300,7 @@ def test_each_provider_call_is_sent_only_its_own_phases_mode_skill(satellites, t
     report = run_campaign(config(mode=mode), 2, ws, provider_factory=factory,
                           satellites=satellites)
     assert report.rounds[0]["evolution"]["accepted"] is True
-    mode_names = {n for names in MODE_SKILLS[mode].values() for n in names}
+    mode_names = {n for names in MODES[mode].skills.values() for n in names}
     for row, provider in zip(report.rounds, providers):
         names = Trajectory.read(ws / f"{row['episode_id']}.jsonl").meta["skills"]
         calls = [(k, p) for k, p in provider.sent if k in ("decide_action", "plan", "select")]
@@ -307,7 +308,7 @@ def test_each_provider_call_is_sent_only_its_own_phases_mode_skill(satellites, t
         for kind, prompt in calls:
             # core, task, helpers and learned skills in order, and the call's
             # own mode skills in their place among them
-            own = MODE_SKILLS[mode].get(kind, [])
+            own = MODES[mode].skills.get(kind, ())
             assert _section_names(prompt) == [n for n in names
                                               if n not in mode_names or n in own]
     (learned,) = SkillStore(ws).load_all()
@@ -846,14 +847,13 @@ _MISTUNED_CAMPAIGNS = """
 import hashlib, sys
 from pathlib import Path
 from proxagent.env import TASK_KINDS, make_task
-from proxagent.reasoning import ScriptedPolicyConfig, ScriptedProvider
+from proxagent.reasoning import MODES, ScriptedPolicyConfig, ScriptedProvider
 from proxagent.runner import EpisodeConfig, run_campaign
-from proxagent.skills import REASONING_MODES
 root = Path(sys.argv[1])
 def mistuned():
     return ScriptedProvider(ScriptedPolicyConfig(max_forward_step=6.0, forward_fraction=0.5))
 for kind in TASK_KINDS:
-    for mode in REASONING_MODES:
+    for mode in MODES:
         for seed in range(3):
             base = EpisodeConfig(task=make_task(kind), mode=mode, seed=seed)
             run_campaign(base, 4, root / f"{kind}-{mode}-{seed}", provider_factory=mistuned)

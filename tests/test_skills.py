@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxagent import reasoning, skills
+from proxagent import reasoning, runner, skills
 from proxagent.evolution import SkillStore
 from proxagent.runner import default_skills_root
 
@@ -285,8 +285,8 @@ def test_assemble_prompt_order_and_delimiters(catalog):
     routed = skills.RoutingResult("approach", ["distance"], "test", False)
     learned = skills.Skill(name="cap", category="learned", body="cap_forward_step: 1.0")
     prompt = skills.assemble_prompt(
-        catalog.of_category("core"), routed, catalog.mode_skills("prospective"), [learned],
-        catalog,
+        catalog.of_category("core"), routed,
+        catalog.mode_skills(reasoning.MODES["prospective"].skills), [learned], catalog,
     )
     names = prompt.skill_names
     head = [s.name for s in catalog.of_category("core")] + ["approach", "distance"]
@@ -307,14 +307,41 @@ def test_assemble_prompt_order_and_delimiters(catalog):
 
 
 def test_mode_skill_table():
-    assert skills.MODE_SKILLS["standard"] == {}
-    assert skills.MODE_SKILLS["react"] == {"decide_action": ["react-loop"]}
-    assert skills.MODE_SKILLS["prospective"] == {
-        "plan": ["prospective-plan"], "select": ["prospective-select"],
+    modes = reasoning.MODES
+    assert list(modes) == ["standard", "react", "prospective"]
+    assert modes["standard"].skills == {}
+    assert modes["react"].skills == {reasoning.CALL_DECIDE: ("react-loop",)}
+    assert modes["prospective"].skills == {
+        reasoning.CALL_PLAN: ("prospective-plan",), reasoning.CALL_SELECT: ("prospective-select",),
     }
-    kinds = {reasoning.CALL_DECIDE, reasoning.CALL_PLAN, reasoning.CALL_SELECT}
-    for table in skills.MODE_SKILLS.values():
-        assert set(table) <= kinds
+    catalog = skills.SkillCatalog.load(default_skills_root())
+    for name, mode in modes.items():
+        assert runner._MODE_STEP[name] is mode.step
+        # every named mode skill is a shipped, enabled skill of category mode
+        for kind, skills_of_kind in catalog.mode_skills(mode.skills).items():
+            assert [s.name for s in skills_of_kind] == list(mode.skills[kind])
+            assert all(s.category == skills.MODE and s.enabled for s in skills_of_kind)
+
+
+# The counts the mode records hold, as the mode skills' prose states them
+_COUNT_WORDS = {2: ("two", "second"), 3: ("three", "third"), 4: ("four", "fourth")}
+
+
+def test_the_mode_prose_states_the_mode_records_counts():
+    catalog = skills.SkillCatalog.load(default_skills_root())
+    modes = reasoning.MODES
+
+    def prose(mode, kind):
+        (name,) = modes[mode].skills[kind]
+        return " ".join(catalog.by_name[name].body.split())
+
+    rounds, last = _COUNT_WORDS[modes["react"].rounds]
+    react = prose("react", reasoning.CALL_DECIDE)
+    assert f"at most {rounds} rounds" in react and f"the {last} round" in react
+    candidates, _ = _COUNT_WORDS[modes["prospective"].candidates]
+    assert f"propose {candidates} candidate actions" in prose("prospective", reasoning.CALL_PLAN)
+    hint = reasoning.RemoteProvider._GRAMMAR_HINTS[reasoning.CALL_PLAN]
+    assert f"up to {candidates} lines" in hint
 
 
 def test_keyword_routes_are_computed_once_and_handed_out_as_copies(monkeypatch):

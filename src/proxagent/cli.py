@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import click
 
@@ -29,7 +29,7 @@ from .reasoning import MODES, make_provider
 from .runner import default_skills_root, run_campaign, run_episode, shipped_catalog
 from .skills import SkillCatalog, route
 from .tools import builtin_profiles
-from .trajectory import ENDED_ERROR, Trajectory, open_for_write
+from .trajectory import ENDED_ERROR, Outcome, Trajectory, open_for_write
 
 if TYPE_CHECKING:
     from .evolution import SkillStore
@@ -161,11 +161,6 @@ class Setup:
                             backend=self.backend, store=self.stores[base.workspace])
 
 
-def _error_text(exc: Exception) -> str:
-    """How an episode's exception is kept in an ``--out`` record."""
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _outcome_line(outcome) -> str:
     if outcome.score is not None:
         return f"{outcome.reason} score={outcome.score:.1f} steps={outcome.steps}"
@@ -177,11 +172,18 @@ def _outcome_line(outcome) -> str:
 def _outcome_exit(outcome, ended_by: str) -> int:
     if ended_by == ENDED_ERROR:
         return EXIT_EPISODE_ERROR
-    if outcome.success is True:
-        return EXIT_OK
-    if outcome.success is None:  # inspection: a scored report counts as completion
-        return EXIT_OK if outcome.reason == "terminate" else EXIT_TASK_FAILURE
-    return EXIT_TASK_FAILURE
+    return EXIT_OK if outcome.passed else EXIT_TASK_FAILURE
+
+
+def _attempt(setup: Setup, episode) -> tuple[Optional[Outcome], Optional[Exception], dict]:
+    """Run one episode of ``ablate`` or ``sweep``: its outcome, or the exception
+    it raised, and its ``--out`` record's outcome, passed and error fields."""
+    try:
+        outcome = setup.run(episode).outcome
+    except Exception as exc:
+        return None, exc, {"outcome": None, "passed": False,
+                           "error": f"{type(exc).__name__}: {exc}"}
+    return outcome, None, {"outcome": outcome.to_dict(), "passed": outcome.passed, "error": None}
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -265,23 +267,16 @@ def ablate(config_path, profiles, task_list, condition, seed, out) -> None:
     for name in names:
         cells = [name]
         for kind in kinds:
-            error = None
-            try:
-                result = setup.run(episodes[name, kind])
-                outcome = result.outcome
-                passed = outcome.success is True
-                cell = (
-                    f"PASS dist={outcome.terminal_distance:.2f} steps={outcome.steps}"
-                    if passed else f"FAIL ({outcome.reason})"
-                )
-            except Exception as exc:
-                outcome, passed, cell = None, False, f"FAIL (error: {exc})"
-                error = _error_text(exc)
-            cells.append(cell)
-            records.append(
-                {"profile": name, "task": kind, "passed": passed,
-                 "outcome": outcome.to_dict() if outcome else None, "error": error}
-            )
+            outcome, error, record = _attempt(setup, episodes[name, kind])
+            if error is not None:
+                cells.append(f"FAIL (error: {error})")
+            elif not outcome.passed:
+                cells.append(f"FAIL ({outcome.reason})")
+            elif outcome.score is not None:  # inspection: its report's score
+                cells.append(f"PASS score={outcome.score:.1f} steps={outcome.steps}")
+            else:
+                cells.append(f"PASS dist={outcome.terminal_distance:.2f} steps={outcome.steps}")
+            records.append({"profile": name, "task": kind, **record})
         rows.append(cells)
     click.echo(_render_table(["profile"] + kinds, rows))
     if out:
@@ -312,16 +307,10 @@ def sweep(config_path, task, runs, condition, mode, profile, seed, out) -> None:
         setup = Setup(root, episodes)
     records = []
     for seed, episode in zip(seeds, episodes):
-        outcome = error = None
-        try:
-            outcome = setup.run(episode).outcome
-        except Exception as exc:
-            click.echo(f"episode error (seed {seed}): {exc}", err=True)
-            error = _error_text(exc)
-        records.append(
-            {"seed": seed, "outcome": outcome.to_dict() if outcome else None,
-             "passed": bool(outcome and outcome.success), "error": error}
-        )
+        _, error, record = _attempt(setup, episode)
+        if error is not None:
+            click.echo(f"episode error (seed {seed}): {error}", err=True)
+        records.append({"seed": seed, **record})
     passed = sum(1 for r in records if r["passed"])
     rows = [
         [r["seed"], "PASS" if r["passed"] else "FAIL",
@@ -357,7 +346,7 @@ def evolve(config_path, task, rounds, workspace, out) -> None:
         click.echo(f"episode error: {exc}", err=True)
         sys.exit(EXIT_EPISODE_ERROR)
     rows = [
-        [r["episode_id"], "PASS" if r["success"] else "FAIL", r["steps"],
+        [r["episode_id"], "PASS" if r["passed"] else "FAIL", r["steps"],
          r["reason"], json.dumps(r["evolution"]) if r["evolution"] else "-"]
         for r in report.rounds
     ]

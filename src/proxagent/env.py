@@ -48,7 +48,6 @@ class GainOutOfRange(EnvError):
 RENDEZVOUS = "rendezvous"
 SEARCH = "search"
 INSPECTION = "inspection"
-TASK_KINDS = (RENDEZVOUS, SEARCH, INSPECTION)
 
 # Geometry and sensor defaults
 HALF_FOV_DEG = 30.0
@@ -62,12 +61,34 @@ DEFAULT_BASE_LUMINANCE = 140.0
 # Terminal-distance band that counts as navigation success
 SUCCESS_BAND = (1.0, 3.0)
 
-# Start ranges to target surface, per task kind
-START_RANGE = {RENDEZVOUS: 15.0, SEARCH: 15.0, INSPECTION: 6.0}
-# Search starts with the chaser yawed away so the target is out of the FOV
-SEARCH_YAW_OFFSET = -75.0
 
-DEFAULT_MAX_STEPS = {RENDEZVOUS: 50, SEARCH: 50, INSPECTION: 15}
+@dataclass(frozen=True)
+class TaskKind:
+    """A task kind's start range to the target's surface (m), start yaw offset (deg),
+    default step cap, and description template, whose ``{satellite}`` the target fills."""
+
+    start_range: float
+    start_yaw: float
+    max_steps: int
+    description: str
+
+
+TASK_KINDS = {
+    RENDEZVOUS: TaskKind(15.0, 0.0, 50, "rendezvous with {satellite} and approach to about 2 m"),
+    # search starts with the chaser yawed away so the target is out of the FOV
+    SEARCH: TaskKind(15.0, -75.0, 50, "search to find {satellite} then approach to about 2 m"),
+    INSPECTION: TaskKind(6.0, 0.0, 15,
+                         "inspect {satellite} up close and report its characteristics"),
+}
+
+
+def task_kind(kind: str) -> TaskKind:
+    """The record of task kind ``kind``; an EnvError if it is none."""
+    if kind not in TASK_KINDS:
+        raise EnvError(f"unknown task kind: {kind!r}")
+    return TASK_KINDS[kind]
+
+
 # The target and start condition of a task that names none
 DEFAULT_SATELLITE = "CAPSTONE"
 DEFAULT_CONDITION = "C1"
@@ -249,8 +270,7 @@ class TaskSpec:
     max_steps: int
 
     def __post_init__(self) -> None:
-        if self.kind not in TASK_KINDS:
-            raise EnvError(f"unknown task kind: {self.kind!r}")
+        task_kind(self.kind)
         if self.max_steps < 1:
             raise EnvError("max_steps must be >= 1")
 
@@ -261,21 +281,15 @@ def make_task(
     condition: str = DEFAULT_CONDITION,
     max_steps: Optional[int] = None,
 ) -> TaskSpec:
-    default_desc = {
-        RENDEZVOUS: f"rendezvous with {satellite_id} and approach to about 2 m",
-        SEARCH: f"search to find {satellite_id} then approach to about 2 m",
-        INSPECTION: f"inspect {satellite_id} up close and report its characteristics",
-    }
-    if kind not in TASK_KINDS:
-        raise EnvError(f"unknown task kind: {kind!r}")
+    record = task_kind(kind)
     if condition not in CONDITIONS:
         raise EnvError(f"unknown condition: {condition!r}")
     return TaskSpec(
         kind=kind,
-        description=default_desc[kind],
+        description=record.description.format(satellite=satellite_id),
         satellite_id=satellite_id,
         condition=CONDITIONS[condition],
-        max_steps=DEFAULT_MAX_STEPS[kind] if max_steps is None else max_steps,
+        max_steps=record.max_steps if max_steps is None else max_steps,
     )
 
 
@@ -304,7 +318,7 @@ class SimEnv:
         rng = random.Random(seed)
 
         tx, ty, tz = self.target.position
-        start = START_RANGE[task.kind] + self.target.bounding_radius
+        start = TASK_KINDS[task.kind].start_range + self.target.bounding_radius
         off = task.condition.position_offset
         jitter_y = rng.uniform(-1.0, 1.0)
         jitter_z = rng.uniform(-1.0, 1.0)
@@ -314,10 +328,8 @@ class SimEnv:
             x=tx - start + off[0],
             y=ty + off[1] + jitter_y,
             z=tz + off[2] + jitter_z,
-            yaw=jitter_yaw,
+            yaw=jitter_yaw + TASK_KINDS[task.kind].start_yaw,
         )
-        if task.kind == SEARCH:
-            self.chaser.yaw += SEARCH_YAW_OFFSET
         self.chaser.normalize()
         self.exposure_gain = task.condition.initial_exposure_gain
         self.step_index = 0

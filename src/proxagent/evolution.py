@@ -335,9 +335,10 @@ class SkillStore:
     def load_all(self) -> dict[str, tuple[Skill, Path]]:
         """Read the directory: the highest version per skill name, with the
         file it came from. Archived files (``*.skill.archived``) do not
-        match and are skipped."""
+        match and are skipped; a file whose header names a category other
+        than ``learned`` is a SkillError naming it."""
         best: dict[str, tuple[Skill, Path]] = {}
-        for path, skill in skill_files(self.learned_dir):
+        for path, skill in skill_files(self.learned_dir, LEARNED):
             if skill.name not in best or skill.version > best[skill.name][0].version:
                 best[skill.name] = (skill, path)
         return best
@@ -435,11 +436,8 @@ def _first_failure(mutation: MutationDecision, store: SkillStore,
     if mutation.scope != episode_task:
         return GateVerdict(False, REJECT_SCOPE,
                            f"mutation scope {mutation.scope!r} != episode task {episode_task!r}")
-    if mutation.action in TARGETED_ACTIONS:
-        entry = existing.get(mutation.target)
-        if entry is None or entry[0].category != LEARNED:
-            return GateVerdict(False, REJECT_PARENT,
-                               f"target {mutation.target!r} not a learned skill")
+    if mutation.action in TARGETED_ACTIONS and mutation.target not in existing:
+        return GateVerdict(False, REJECT_PARENT, f"target {mutation.target!r} not a learned skill")
     return GateVerdict(accepted=True)
 
 
@@ -528,8 +526,7 @@ def materialize(
                 raise EvolutionError(f"target {mutation.target!r} is not in the store")
             current, current_path = existing[mutation.target]
             # overlay and rewrite: the next version of the same learned skill
-            successor = {"category": LEARNED, "version": current.version + 1,
-                         "provenance": provenance}
+            successor = {"version": current.version + 1, "provenance": provenance}
             if mutation.action == ACTION_DISABLE:
                 skill = replace(current, enabled=False)
             elif mutation.action == ACTION_OVERLAY:

@@ -22,10 +22,10 @@ from typing import Callable, Optional
 
 from .bus import (TOO_DEEP, dumps_strict, field_problem, loads, parameter_table,
                   record_copy)
-from .env import MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
+from .env import INSPECTION, MAX_STEP_ROTATION, MAX_STEP_TRANSLATION
 from .skills import AssembledPrompt
-from .tools import (BRIGHTNESS_OVER, BRIGHTNESS_UNDER, CATEGORY_CONTROL, ToolCall,
-                    ToolDescriptor, validate_args)
+from .tools import (CATEGORY_CONTROL, NOMINAL, ToolCall, ToolDescriptor, exposure_verdict,
+                    validate_args)
 
 CALL_DECIDE = "decide_action"
 CALL_PLAN = "plan"
@@ -404,16 +404,15 @@ class ScriptedProvider(DecisionProvider):
         """The motion/exposure/terminate action the policy wants to commit,
         given the names of the request's visible tools."""
         obs = request.observation
-        brightness = obs.get("mean_brightness", 128.0)
         if (
-            (brightness < BRIGHTNESS_UNDER or brightness > BRIGHTNESS_OVER)
+            exposure_verdict(obs.get("mean_brightness", 128.0)) != NOMINAL
             and "set_exposure" in visible_names
         ):
             delta = round(NOMINAL_GAIN - obs.get("exposure_gain", 1.0), 4)
             if abs(delta) > 1e-9:
                 return "set_exposure", {"gain_delta": delta}
 
-        if request.task_kind == "inspection":
+        if request.task_kind == INSPECTION:
             return self._inspection_control(request)
 
         if not obs.get("visible", False):
@@ -484,17 +483,16 @@ class ScriptedProvider(DecisionProvider):
     def _decide(self, request: ProviderRequest) -> tuple[str, dict]:
         obs = request.observation
         visible_names = {t.name for t in request.visible_tools}
-        brightness = obs.get("mean_brightness", 128.0)
 
         # diagnostic first when a perception call is still possible this step
         if (
-            (brightness < BRIGHTNESS_UNDER or brightness > BRIGHTNESS_OVER)
+            exposure_verdict(obs.get("mean_brightness", 128.0)) != NOMINAL
             and "brightness_assess" in visible_names
             and not request.inner_results
         ):
             return "brightness_assess", {}
 
-        if request.task_kind == "inspection":
+        if request.task_kind == INSPECTION:
             if self._gathered_parts is None and "segment_parts" in visible_names:
                 return "segment_parts", {}
             if (

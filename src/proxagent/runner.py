@@ -297,11 +297,8 @@ class CampaignReport:
 
     rounds: list[dict] = field(default_factory=list)
 
-    def successes(self) -> int:
-        return sum(1 for r in self.rounds if r["success"])
-
     def to_dict(self) -> dict:
-        return {"rounds": self.rounds, "successes": self.successes()}
+        return {"rounds": self.rounds, "successes": sum(1 for r in self.rounds if r["success"])}
 
 
 def run_campaign(
@@ -335,6 +332,7 @@ def run_campaign(
         report.rounds.append({
             "episode_id": episode_id, **result.outcome.to_dict(),
             "success": bool(result.outcome.success),  # False, not None, for inspection
+            "passed": result.outcome.passed,
             "evolution": result.evolution,
         })
     return report

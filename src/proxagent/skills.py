@@ -159,11 +159,12 @@ def words(text: str) -> list[str]:
     return "".join(c.lower() if c.isalnum() else " " for c in text).split()
 
 
-def skill_files(directory: Path) -> list[tuple[Path, Skill]]:
-    """``(path, skill)`` for every ``*.skill`` file in ``directory``, by name.
+def skill_files(directory: Path, category: str) -> list[tuple[Path, Skill]]:
+    """``(path, skill)`` for every ``*.skill`` file in ``directory``, by name:
+    the directory of the skills of ``category``.
 
-    A missing directory holds no skills. A file that does not parse raises
-    a ``SkillError`` that names it.
+    A missing directory holds no skills. A file that does not parse, or
+    whose header names another category, raises a ``SkillError`` that names it.
     """
     try:
         names = sorted(n for n in os.listdir(directory) if n.endswith(".skill"))
@@ -173,9 +174,12 @@ def skill_files(directory: Path) -> list[tuple[Path, Skill]]:
     for name in names:
         path = Path(directory, name)
         try:
-            files.append((path, parse_skill_text(path.read_text(encoding="utf-8"))))
+            skill = parse_skill_text(path.read_text(encoding="utf-8"))
         except SkillError as exc:
             raise SkillError(f"{path}: {exc}") from None
+        if skill.category != category:
+            raise SkillError(f"{path}: category {skill.category!r} does not match directory")
+        files.append((path, skill))
     return files
 
 
@@ -224,15 +228,8 @@ class SkillCatalog:
         root = Path(root)
         if not root.is_dir():
             raise SkillError(f"skills root {root} is not a directory")
-        skills: list[Skill] = []
-        for category in (CORE, TASK, HELPER, MODE):
-            for path, skill in skill_files(root / category):
-                if skill.category != category:
-                    raise SkillError(
-                        f"{path}: category {skill.category!r} does not match directory"
-                    )
-                skills.append(skill)
-        return cls(skills)
+        return cls([skill for category in (CORE, TASK, HELPER, MODE)
+                    for _path, skill in skill_files(root / category, category)])
 
     def of_category(self, category: str) -> list[Skill]:
         """The enabled skills of ``category``: a disabled one is never routed

@@ -52,8 +52,17 @@ _NOTE_ERRORS = frozenset({ERR_STEP_LIMIT, ERR_GAIN_RANGE})
 
 BRIGHTNESS_UNDER = 40.0
 BRIGHTNESS_OVER = 220.0
+UNDEREXPOSED, OVEREXPOSED, NOMINAL = "underexposed", "overexposed", "nominal"
 
 TERMINATE = "terminate"  # the terminal tool: committing it ends the episode
+
+
+def exposure_verdict(brightness: float) -> str:
+    """The exposure band of a mean image brightness: below ``BRIGHTNESS_UNDER``
+    is underexposed, above ``BRIGHTNESS_OVER`` overexposed, else nominal."""
+    if brightness < BRIGHTNESS_UNDER:
+        return UNDEREXPOSED
+    return OVEREXPOSED if brightness > BRIGHTNESS_OVER else NOMINAL
 
 
 @dataclass(frozen=True)
@@ -378,7 +387,7 @@ class ToolDispatcher:
         return ToolResult(False, {"detail": note, "observation": obs}, kind)
 
     def _visible_parts(self, obs: dict) -> list[dict]:
-        if not obs["visible"] or obs["mean_brightness"] < BRIGHTNESS_UNDER:
+        if not obs["visible"] or exposure_verdict(obs["mean_brightness"]) == UNDEREXPOSED:
             return []
         satellite = self.satellites[self.target_id]
         parts = []
@@ -403,13 +412,7 @@ class ToolDispatcher:
             return ToolResult(False, {"detail": "no observation yet"}, ERR_ENV_TIMEOUT)
         if tool.name == "brightness_assess":
             value = obs["mean_brightness"]
-            if value < BRIGHTNESS_UNDER:
-                verdict = "underexposed"
-            elif value > BRIGHTNESS_OVER:
-                verdict = "overexposed"
-            else:
-                verdict = "nominal"
-            return ToolResult(True, {"mean_brightness": value, "verdict": verdict})
+            return ToolResult(True, {"mean_brightness": value, "verdict": exposure_verdict(value)})
         if tool.name == "segment_parts":
             return ToolResult(True, {"parts": self._visible_parts(obs)})
         if tool.name == "crop_region":

@@ -174,5 +174,10 @@ class Outcome:
     terminal_distance: Optional[float] = None
     score: Optional[float] = None
 
+    @property
+    def passed(self) -> bool:
+        """Navigation passes on success; inspection, which has none, if ``terminate`` ended it."""
+        return self.reason == ENDED_TERMINATE if self.success is None else self.success
+
     def to_dict(self) -> dict:
         return dict(vars(self))

@@ -276,7 +276,7 @@ def _nav_trajectory(ended_by, true_range):
 
 
 def test_make_task_names_bad_values():
-    assert env.make_task("search").max_steps == env.DEFAULT_MAX_STEPS["search"]
+    assert env.make_task("search").max_steps == 50
     assert env.make_task("search", max_steps=3).max_steps == 3
     with pytest.raises(env.EnvError, match="max_steps"):
         env.make_task("rendezvous", max_steps=0)
@@ -284,6 +284,37 @@ def test_make_task_names_bad_values():
         env.make_task("docking")
     with pytest.raises(env.EnvError, match="'C9'"):
         env.make_task("rendezvous", condition="C9")
+
+
+# Each task kind's description, step cap and seed-0 start observation at
+# CAPSTONE under C1, as the kind's constants gave them before TASK_KINDS
+_KIND_PINS = {
+    "rendezvous": ("rendezvous with CAPSTONE and approach to about 2 m", 50, {
+        "visible": True, "bearing_az": -1.7503534878453015, "bearing_el": -1.904475700995172,
+        "angular_size": 3.68954159413934, "mean_brightness": 140.0, "exposure_gain": 1.0,
+        "step_index": 0, "collided": False, "true_range": 15.023874115156207,
+        "lidar_range": 15.023874115156207}),
+    "search": ("search to find CAPSTONE then approach to about 2 m", 50, {
+        "visible": False, "bearing_az": 73.24964651215468, "bearing_el": -1.904475700995172,
+        "angular_size": 3.68954159413934, "mean_brightness": 140.0, "exposure_gain": 1.0,
+        "step_index": 0, "collided": False, "true_range": 15.023874115156207,
+        "lidar_range": None}),
+    "inspection": ("inspect CAPSTONE up close and report its characteristics", 15, {
+        "visible": True, "bearing_az": -5.255111424267712, "bearing_el": -4.51291995273151,
+        "angular_size": 8.72159294149891, "mean_brightness": 140.0, "exposure_gain": 1.0,
+        "step_index": 0, "collided": False, "true_range": 6.0567268925293,
+        "lidar_range": 6.0567268925293}),
+}
+
+
+@pytest.mark.parametrize("kind", list(env.TASK_KINDS))
+def test_each_task_kind_keeps_its_description_step_cap_and_start(satellites, kind):
+    description, max_steps, start = _KIND_PINS[kind]
+    task = env.make_task(kind)
+    assert (task.kind, task.description, task.max_steps) == (kind, description, max_steps)
+    observation = env.SimEnv(satellites).reset(task, seed=0)
+    assert list(observation) == list(start)
+    assert all(repr(observation[k]) == repr(v) for k, v in start.items()), observation
 
 
 def test_evaluate_success_band(satellites):

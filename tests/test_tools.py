@@ -3,7 +3,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxagent import bus, reasoning, tools
@@ -445,6 +445,34 @@ def test_brightness_assess_verdicts(rig, satellites):
         dispatcher.dispatch(call("brightness_assess")).payload["verdict"]
         == "overexposed"
     )
+
+
+def _inline_verdict(value):
+    """The band as brightness_assess spelt it inline before exposure_verdict."""
+    if value < 40.0:
+        verdict = "underexposed"
+    elif value > 220.0:
+        verdict = "overexposed"
+    else:
+        verdict = "nominal"
+    return verdict
+
+
+@given(st.one_of(st.floats(39.0, 41.0), st.floats(219.0, 221.0), st.floats(allow_nan=True)))
+@example(40.0)
+@example(math.nextafter(40.0, 0.0))
+@example(math.nextafter(40.0, 255.0))
+@example(220.0)
+@example(math.nextafter(220.0, 0.0))
+@example(math.nextafter(220.0, 255.0))
+@example(40)
+@example(220)
+@settings(max_examples=300, deadline=None)
+def test_exposure_verdict_is_the_inline_band_it_replaced(value):
+    assert tools.exposure_verdict(value) == _inline_verdict(value)
+    # the stand-in policy's test and segment_parts' test, as they were spelt inline
+    assert (tools.exposure_verdict(value) != tools.NOMINAL) == (value < 40.0 or value > 220.0)
+    assert (tools.exposure_verdict(value) == tools.UNDEREXPOSED) == (value < 40.0)
 
 
 def test_segment_parts_needs_light_and_visibility(rig):
